@@ -89,66 +89,119 @@ pub fn apply_dynamic_vertex_op(x: &Tensor, op: &Tensor) -> Tensor {
     yp.permute(&[0, 3, 1, 2])
 }
 
-/// Shared inner loop of the grad-free vertex-mixing kernels: every output
-/// row `y[n,c,t,:]` is a `[V, V]` operator block (selected by
-/// `op_offset(n, t)` into `opd`) applied to the matching input row. The
-/// output buffer comes from the workspace, so steady-state inference
-/// allocates nothing.
-fn mix_vertices_eval(
-    x: &NdArray,
-    opd: &[f32],
-    op_offset: impl Fn(usize, usize) -> usize + Sync,
-    ws: &mut Workspace,
-) -> NdArray {
-    let s = x.shape();
-    let (n, c, t, v) = (s[0], s[1], s[2], s[3]);
-    let mut out = ws.take(n * c * t * v);
-    let xd = x.data();
-    let work = n * c * t * v * v;
-    parallel::for_each_block(&mut out, v, work, |item, row| {
-        let ti = item % t;
-        let ni = item / (c * t);
-        let xrow = &xd[item * v..(item + 1) * v];
-        let base = op_offset(ni, ti);
-        for (vi, o) in row.iter_mut().enumerate() {
-            let oprow = &opd[base + vi * v..base + (vi + 1) * v];
-            let mut acc = 0.0;
-            for (a, b) in oprow.iter().zip(xrow) {
-                acc += a * b;
-            }
-            *o = acc;
-        }
-    });
-    NdArray::from_vec(out, &[n, c, t, v])
+/// The `[.., V, V]` operator blocks of `op`, each transposed, in a
+/// workspace buffer: the right-hand operand of the grad-free vertex mixes,
+/// which all compute `y = x · opᵀ` on the packed GEMM. Each distinct
+/// operator is transposed (and then packed) once per call.
+fn transposed_blocks(op: &NdArray, ws: &mut Workspace) -> NdArray {
+    let nd = op.ndim();
+    let mut perm: Vec<usize> = (0..nd).collect();
+    perm.swap(nd - 2, nd - 1);
+    op.permute_ws(&perm, ws)
 }
 
-/// Grad-free [`apply_vertex_op`]: shared `[V, V]` operator on raw arrays.
+/// Grad-free [`apply_vertex_op`]: shared `[V, V]` operator on raw arrays,
+/// one `[N·C·T, V] × [V, V]` product.
+///
+/// Like every vertex mix, this forces the packed kernel: the features are
+/// the GEMM's left operand, and the automatic dispatch's density probe
+/// over a whole micro-batch could otherwise switch kernels — and a
+/// request's bits — when a ReLU-sparse neighbour shares the batch.
 pub fn apply_vertex_op_eval(x: &NdArray, op: &NdArray, ws: &mut Workspace) -> NdArray {
-    let v = x.shape()[3];
+    let s = x.shape();
+    let v = s[3];
     assert_eq!(op.shape(), &[v, v], "operator must be [V, V]");
-    mix_vertices_eval(x, op.data(), |_, _| 0, ws)
+    let op_t = transposed_blocks(op, ws);
+    let rows = [s[0] * s[1] * s[2], v];
+    let y = x.view_as(&rows).matmul_packed_ws(op_t.view(), ws);
+    ws.recycle(op_t);
+    y.into_shape(s)
 }
 
-/// Grad-free [`apply_per_sample_vertex_op`]: `op` is `[N, V, V]`.
+/// Grad-free [`apply_per_sample_vertex_op`]: `op` is `[N, V, V]`; one
+/// `[C·T, V] × [V, V]` product per sample.
 pub fn apply_per_sample_vertex_op_eval(x: &NdArray, op: &NdArray, ws: &mut Workspace) -> NdArray {
     let s = x.shape();
     let (n, v) = (s[0], s[3]);
     assert_eq!(op.shape(), &[n, v, v], "operator must be [N, V, V]");
-    mix_vertices_eval(x, op.data(), move |ni, _| ni * v * v, ws)
+    let op_t = transposed_blocks(op, ws);
+    let rows = [n, s[1] * s[2], v];
+    let y = x.view_as(&rows).matmul_packed_ws(op_t.view(), ws);
+    ws.recycle(op_t);
+    y.into_shape(s)
 }
 
-/// Grad-free [`apply_dynamic_vertex_op`]: `op` is `[N, T, V, V]`.
+/// Grad-free [`apply_dynamic_vertex_op`]: `op` is `[N, T, V, V]`. The
+/// features are gathered to `[N, T, C, V]` so each frame's rows are one
+/// `[C, V] × [V, V]` product, and the result is scattered back.
 pub fn apply_dynamic_vertex_op_eval(x: &NdArray, op: &NdArray, ws: &mut Workspace) -> NdArray {
     let s = x.shape();
     let (n, t, v) = (s[0], s[2], s[3]);
     assert_eq!(op.shape(), &[n, t, v, v], "operator must be [N, T, V, V]");
-    mix_vertices_eval(x, op.data(), move |ni, ti| (ni * t + ti) * v * v, ws)
+    let op_t = transposed_blocks(op, ws);
+    let rows = x.permute_ws(&[0, 2, 1, 3], ws);
+    let y = rows.matmul_packed_ws(&op_t, ws);
+    ws.recycle(rows);
+    ws.recycle(op_t);
+    let out = y.permute_ws(&[0, 2, 1, 3], ws);
+    ws.recycle(y);
+    out
+}
+
+/// Operator granularity of a grad-free vertex mix, as its plan records it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum MixOperator {
+    /// One `[V, V]` operator for the whole batch ([`apply_vertex_op_eval`]).
+    Shared,
+    /// `[N, V, V]` ([`apply_per_sample_vertex_op_eval`]).
+    PerSample,
+    /// `[N, T, V, V]` ([`apply_dynamic_vertex_op_eval`]).
+    PerFrame,
+}
+
+/// Record a grad-free vertex mix of the plan's current `[N, C, T, V]`
+/// output as op `name` with arithmetic `cost`, whose scratch becomes the
+/// packed images of the operator blocks. Around it go the workspace events
+/// the kernel issues: the transposed operator blocks (`op_t`), for
+/// per-frame operators the gathered `[N, T, C, V]` rows and their product
+/// (`rows`, `rows_mixed`), and the `mixed` output, left live for the
+/// caller to give.
+pub(crate) fn plan_vertex_mix(
+    p: &mut dhg_nn::Plan,
+    name: &str,
+    detail: impl Into<String>,
+    operator: MixOperator,
+    cost: dhg_nn::OpCost,
+) {
+    let shape = p.output().clone();
+    let v = shape.known(3).unwrap_or(1) as u64;
+    let blocks = match operator {
+        MixOperator::PerFrame => shape.known(2).unwrap_or(1) as u64,
+        MixOperator::Shared | MixOperator::PerSample => 1,
+    };
+    let cost = cost.with_scratch(blocks * dhg_nn::packed_b_bytes(v, v));
+    p.ws_take_bytes("op_t", 4 * blocks * v * v);
+    if operator == MixOperator::PerFrame {
+        p.ws_take("rows", &shape);
+        p.ws_take("rows_mixed", &shape);
+        p.push_op_costed(name, detail, shape.clone(), cost);
+        p.ws_give("rows");
+        p.ws_give("op_t");
+        p.ws_take("mixed", &shape);
+        p.ws_give("rows_mixed");
+    } else {
+        p.ws_take("mixed", &shape);
+        p.push_op_costed(name, detail, shape, cost);
+        p.ws_give("op_t");
+    }
 }
 
 /// Grad-free classifier head: `logits = x W (+ b)` on raw arrays, with the
-/// matmul output drawn from the workspace.
+/// matmul output drawn from the workspace. The pooled features are the
+/// left operand, so the product is forced onto the packed kernel like the
+/// vertex mixes (see [`apply_vertex_op_eval`]).
 pub fn linear_eval(fc: &dhg_nn::Linear, x: &NdArray, ws: &mut Workspace) -> NdArray {
-    let mut y = x.matmul_ws(&fc.weight().data(), ws);
+    let mut y = x.matmul_packed_ws(&fc.weight().data(), ws);
     if let Some(b) = fc.bias() {
         let bd = b.data();
         let k = bd.data().len();
@@ -399,6 +452,150 @@ mod tests {
         let a = apply_dynamic_vertex_op(&xt, &Tensor::constant(dops.clone())).array();
         let b = apply_dynamic_vertex_op_eval(&x, &dops, &mut ws);
         assert!(a.allclose(&b, 1e-5, 1e-6));
+    }
+
+    /// Deterministic values in `[lo, hi)` (an LCG, so the suite needs no RNG).
+    fn fill(seed: u64, len: usize, lo: f32, hi: f32) -> Vec<f32> {
+        let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..len)
+            .map(|_| {
+                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                lo + (hi - lo) * ((s >> 40) as f32 / (1u64 << 24) as f32)
+            })
+            .collect()
+    }
+
+    /// `blocks` row-stochastic `[V, V]` operators, like the normalised
+    /// hypergraph operators the models mix with.
+    fn stochastic_ops(seed: u64, blocks: usize, v: usize) -> Vec<f32> {
+        let mut d = fill(seed, blocks * v * v, 0.0, 1.0);
+        for row in d.chunks_mut(v) {
+            let sum: f32 = row.iter().sum();
+            row.iter_mut().for_each(|w| *w /= sum);
+        }
+        d
+    }
+
+    /// The three eval vertex mixes, named by operator granularity.
+    type EvalMix = fn(&NdArray, &NdArray, &mut Workspace) -> NdArray;
+    const MIXES: [(&str, EvalMix); 3] = [
+        ("static", apply_vertex_op_eval),
+        ("per-sample", apply_per_sample_vertex_op_eval),
+        ("per-frame", apply_dynamic_vertex_op_eval),
+    ];
+
+    fn op_for(kind: &str, seed: u64, n: usize, t: usize, v: usize) -> NdArray {
+        match kind {
+            "static" => NdArray::from_vec(stochastic_ops(seed, 1, v), &[v, v]),
+            "per-sample" => NdArray::from_vec(stochastic_ops(seed, n, v), &[n, v, v]),
+            _ => NdArray::from_vec(stochastic_ops(seed, n * t, v), &[n, t, v, v]),
+        }
+    }
+
+    /// `y[n,c,t,v] = Σ_u op[.., v, u] · x[n,c,t,u]` straight from the
+    /// index formula, accumulated in f64.
+    fn naive_mix(kind: &str, x: &NdArray, op: &NdArray) -> NdArray {
+        let s = x.shape();
+        let (n, c, t, v) = (s[0], s[1], s[2], s[3]);
+        let block = |ni: usize, ti: usize| match kind {
+            "static" => 0,
+            "per-sample" => ni * v * v,
+            _ => (ni * t + ti) * v * v,
+        };
+        let (xd, od) = (x.data(), op.data());
+        let mut y = vec![0.0f32; x.len()];
+        for ni in 0..n {
+            for ci in 0..c {
+                for ti in 0..t {
+                    let row = ((ni * c + ci) * t + ti) * v;
+                    for vi in 0..v {
+                        let acc: f64 = (0..v)
+                            .map(|u| od[block(ni, ti) + vi * v + u] as f64 * xd[row + u] as f64)
+                            .sum();
+                        y[row + vi] = acc as f32;
+                    }
+                }
+            }
+        }
+        NdArray::from_vec(y, s)
+    }
+
+    fn bits(a: &NdArray) -> Vec<u32> {
+        a.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn eval_mixes_match_the_index_formula() {
+        let mut ws = Workspace::new();
+        let mut seed = 0;
+        for v in [18, 25] {
+            for c in [3, 24, 48] {
+                for t in [1, 7, 32] {
+                    for n in [1, 3] {
+                        seed += 1;
+                        let x = NdArray::from_vec(fill(seed, n * c * t * v, -1.0, 1.0), &[n, c, t, v]);
+                        for (kind, mix) in MIXES {
+                            let op = op_for(kind, seed + 1000, n, t, v);
+                            let got = mix(&x, &op, &mut ws);
+                            let want = naive_mix(kind, &x, &op);
+                            assert!(
+                                got.allclose(&want, 1e-5, 1e-6),
+                                "{kind} mix diverged at [N={n}, C={c}, T={t}, V={v}]"
+                            );
+                            ws.recycle(got);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn eval_mix_rows_are_bitwise_batch_invariant_beside_sparse_neighbours() {
+        // A sample's rows must carry the same bits alone and inside a batch
+        // whose other samples are ReLU-sparse (7 of 8 values zero): a
+        // density-probed dispatch over the whole batch would see a mostly
+        // zero operand and switch kernels for the batch but not the solo run.
+        let (c, t, v) = (24, 7, 25);
+        let per = c * t * v;
+        let dense = fill(11, per, -1.0, 1.0);
+        let sparse = |seed| -> Vec<f32> {
+            let mut d = fill(seed, per, 0.0, 1.0);
+            d.iter_mut().enumerate().filter(|(i, _)| i % 8 != 0).for_each(|(_, w)| *w = 0.0);
+            d
+        };
+        let batch: Vec<f32> = [sparse(12), dense.clone(), sparse(13)].concat();
+        let alone = NdArray::from_vec(dense, &[1, c, t, v]);
+        let batch = NdArray::from_vec(batch, &[3, c, t, v]);
+        let mut ws = Workspace::new();
+        for (kind, mix) in MIXES {
+            let op3 = op_for(kind, 21, 3, t, v);
+            // sample 1's own operator, cut out of the batch operator
+            let op1 = if kind == "static" { op3.clone() } else { op3.slice_axis(0, 1, 1) };
+            let solo = mix(&alone, &op1, &mut ws);
+            let batched = mix(&batch, &op3, &mut ws);
+            assert_eq!(
+                bits(&solo),
+                bits(&batched.slice_axis(0, 1, 1)),
+                "{kind} mix: a sample's bits changed with its batch neighbours"
+            );
+        }
+    }
+
+    #[test]
+    fn eval_mixes_are_bitwise_identical_across_thread_counts() {
+        let (n, c, t, v) = (3, 48, 32, 25);
+        let x = NdArray::from_vec(fill(5, n * c * t * v, -1.0, 1.0), &[n, c, t, v]);
+        for (kind, mix) in MIXES {
+            let op = op_for(kind, 6, n, t, v);
+            let run = |threads| {
+                dhg_tensor::parallel::with_threads(threads, || bits(&mix(&x, &op, &mut Workspace::new())))
+            };
+            let reference = run(1);
+            for threads in [2, 8] {
+                assert_eq!(run(threads), reference, "{kind} mix differs at {threads} threads");
+            }
+        }
     }
 
     #[test]

@@ -273,7 +273,7 @@ impl DhstBlock {
             p.ws_give(&format!("{anchor_name}.ret"));
         }
         let residual_out = match &self.residual_proj {
-            Some(proj) => proj.plan(input).output().clone(),
+            Some(proj) => p.adopt("residual_proj", &proj.plan(input)),
             None => input.clone(),
         };
         if residual_out != main_out {
@@ -472,6 +472,37 @@ mod tests {
         // and the caches drop when training resumes
         b.set_training(true);
         assert!(b.inference.is_none());
+    }
+
+    #[test]
+    fn block_plan_flops_are_the_sum_of_its_branches() {
+        use dhg_nn::{analyze, per_sample_elems, Plan, SymShape};
+        // channel change + stride: all three branches and the residual
+        // projection are live, and only the static branch anchors the chain
+        let mut rng = StdRng::seed_from_u64(5);
+        let b = DhstBlock::new(
+            &op(), 24, 48, 2, 1, BranchConfig::full(), 3, 4, 48,
+            TopologyGranularity::PerSample, 0.0, &mut rng,
+        );
+        let flops = |p: &Plan| analyze(p).cost_summary().flops;
+        let input = SymShape::nctv(24, 32, 25);
+        let spatial = SymShape::nctv(48, 32, 25);
+        let out = SymShape::nctv(48, 16, 25);
+        let branches = [
+            flops(&b.static_branch.as_ref().unwrap().plan(&input)),
+            flops(&b.joint_weight_branch.as_ref().unwrap().plan(&input)),
+            flops(&b.topology_branch.as_ref().unwrap().plan(&input)),
+        ];
+        let residual = flops(&b.residual_proj.as_ref().unwrap().plan(&input));
+        let tail = flops(&b.bn.plan(&spatial))
+            + per_sample_elems(&spatial) // relu
+            + flops(&b.tcn.plan(&spatial))
+            + per_sample_elems(&out); // residual add + relu
+        let plan = b.plan(&input);
+        assert!(analyze(&plan).ok(), "{}", analyze(&plan));
+        assert_eq!(flops(&plan), branches.iter().sum::<u64>() + residual + tail);
+        // the adopted side branches carry most of the spatial arithmetic
+        assert!(branches[1] + branches[2] + residual > branches[0]);
     }
 
     #[test]

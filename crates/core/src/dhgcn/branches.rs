@@ -2,7 +2,8 @@
 
 use crate::common::{
     apply_dynamic_vertex_op, apply_dynamic_vertex_op_eval, apply_per_sample_vertex_op,
-    apply_per_sample_vertex_op_eval, apply_vertex_op, apply_vertex_op_eval,
+    apply_per_sample_vertex_op_eval, apply_vertex_op, apply_vertex_op_eval, plan_vertex_mix,
+    MixOperator,
 };
 use dhg_hypergraph::{stacked_operators, stacked_operators_with, TopologyConfig};
 use dhg_nn::{Conv2d, EvalConv, Module};
@@ -48,8 +49,8 @@ impl StaticBranch {
     }
 
     /// Static shape plan mirroring [`StaticBranch::forward`]; workspace
-    /// events mirror the compiled eval path (mixed → theta out, with the
-    /// returned `ret` buffer owned by the caller).
+    /// events mirror the compiled eval path (vertex mix → mixed → theta
+    /// out, with the returned `ret` buffer owned by the caller).
     pub fn plan(&self, input: &dhg_nn::SymShape) -> dhg_nn::Plan {
         use dhg_nn::{DiagCode, OpCost, Plan};
         let mut p = Plan::new(input);
@@ -68,11 +69,11 @@ impl StaticBranch {
             input.known(2).unwrap_or(1) as u64,
             op_v as u64,
         );
-        p.ws_take("mixed", input);
-        p.push_op_costed(
+        plan_vertex_mix(
+            &mut p,
             "vertex_op",
             format!("static hypergraph operator [{op_v}, {op_v}]"),
-            input.clone(),
+            MixOperator::Shared,
             vcost,
         );
         p.extend("theta", self.theta.plan(&p.output().clone()));
@@ -147,7 +148,8 @@ impl JointWeightBranch {
 
     /// Static shape plan mirroring [`JointWeightBranch::forward`];
     /// workspace events mirror the compiled eval path (weighted operator
-    /// copy → mixed → theta out, `ret` owned by the caller).
+    /// copy → per-frame vertex mix → mixed → theta out, `ret` owned by the
+    /// caller).
     pub fn plan(&self, input: &dhg_nn::SymShape) -> dhg_nn::Plan {
         use dhg_nn::{DiagCode, OpCost, Plan, SymShape};
         let mut p = Plan::new(input);
@@ -166,9 +168,14 @@ impl JointWeightBranch {
         let vcost = OpCost::vertex_op(c, t, op_v as u64)
             .plus(OpCost::elementwise(&ops_shape));
         p.ws_take("weighted", &ops_shape);
-        p.ws_take("mixed", input);
+        plan_vertex_mix(
+            &mut p,
+            "dynamic_vertex_op",
+            "per-frame Eq. 9 operators",
+            MixOperator::PerFrame,
+            vcost,
+        );
         p.ws_give("weighted");
-        p.push_op_costed("dynamic_vertex_op", "per-frame Eq. 9 operators", input.clone(), vcost);
         p.extend("theta", self.theta.plan(&p.output().clone()));
         p.ws_take("ret", &p.output().clone());
         p.ws_give("mixed");
@@ -300,8 +307,8 @@ impl TopologyBranch {
     }
 
     /// Static shape plan mirroring [`TopologyBranch::forward`];
-    /// workspace events mirror the compiled eval path (embedded → mixed →
-    /// theta out, `ret` owned by the caller).
+    /// workspace events mirror the compiled eval path (embedded → vertex
+    /// mix → mixed → theta out, `ret` owned by the caller).
     pub fn plan(&self, input: &dhg_nn::SymShape) -> dhg_nn::Plan {
         use dhg_nn::{DiagCode, OpCost, Plan};
         let mut p = Plan::new(input);
@@ -321,23 +328,23 @@ impl TopologyBranch {
             return p;
         }
         p.push_op("relu", "", p.output().clone());
-        let mode = match self.granularity {
-            TopologyGranularity::PerSample => "per-sample",
-            TopologyGranularity::PerFrame => "per-frame",
+        let (mode, operator) = match self.granularity {
+            TopologyGranularity::PerSample => ("per-sample", MixOperator::PerSample),
+            TopologyGranularity::PerFrame => ("per-frame", MixOperator::PerFrame),
         };
         let vcost = OpCost::vertex_op(
             self.embed_channels as u64,
             input.known(2).unwrap_or(1) as u64,
             op_v as u64,
         );
-        p.ws_take("mixed", &p.output().clone());
-        p.ws_give("embedded");
-        p.push_op_costed(
+        plan_vertex_mix(
+            &mut p,
             "topology_vertex_op",
             format!("{mode} k-NN(k={}) + k-means(k={}) hyperedges", self.kn, self.km),
-            p.output().clone(),
+            operator,
             vcost,
         );
+        p.ws_give("embedded");
         p.extend("theta", self.theta.plan(&p.output().clone()));
         p.ws_take("ret", &p.output().clone());
         p.ws_give("mixed");

@@ -16,8 +16,8 @@
 //!    (`C → C/r → C_out`), shrinking the dominant parameter mass.
 
 use crate::common::{
-    apply_per_sample_vertex_op, apply_per_sample_vertex_op_eval, linear_eval, DataBn, ModelDims,
-    StageSpec,
+    apply_per_sample_vertex_op, apply_per_sample_vertex_op_eval, linear_eval, plan_vertex_mix,
+    DataBn, MixOperator, ModelDims, StageSpec,
 };
 use crate::tcn::TemporalConv;
 use dhg_hypergraph::{
@@ -243,15 +243,20 @@ impl LiteBlock {
             );
             return p;
         }
-        // workspace events mirror forward_eval: mixed → spatial → ret,
-        // with `ret` owned by the caller
+        // workspace events mirror forward_eval: vertex mix → mixed →
+        // spatial → ret, with `ret` owned by the caller
         let vcost = OpCost::vertex_op(
             input.known(1).unwrap_or(1) as u64,
             input.known(2).unwrap_or(1) as u64,
             input.known(3).unwrap_or(1) as u64,
         );
-        p.ws_take("mixed", input);
-        p.push_op_costed("fused_vertex_op", "per-sample fused operator", input.clone(), vcost);
+        plan_vertex_mix(
+            &mut p,
+            "fused_vertex_op",
+            "per-sample fused operator",
+            MixOperator::PerSample,
+            vcost,
+        );
         p.extend("theta", self.theta.plan(&p.output().clone()));
         if p.has_errors() {
             return p;
@@ -268,7 +273,7 @@ impl LiteBlock {
         p.ws_take("ret", &main_out);
         p.ws_give("spatial");
         let residual_out = match &self.residual_proj {
-            Some(proj) => proj.plan(input).output().clone(),
+            Some(proj) => p.adopt("residual_proj", &proj.plan(input)),
             None => input.clone(),
         };
         if residual_out != main_out {

@@ -545,6 +545,32 @@ mod tests {
     }
 
     #[test]
+    fn experiment_scale_plan_flops_count_every_branch() {
+        use dhg_nn::{analyze, per_sample_elems, Plan, SymShape};
+        // the experiment-scale backbone (24-24-48, one stride-2 stage)
+        let mut config = DhgcnConfig::small(dims());
+        config.stages = vec![StageSpec::new(24, 1), StageSpec::new(24, 1), StageSpec::new(48, 2)];
+        let m = Dhgcn::for_topology(config, &SkeletonTopology::ntu25(), &mut StdRng::seed_from_u64(0));
+        let flops = |p: &Plan| analyze(p).cost_summary().flops;
+        let input = SymShape::nctv(3, 32, 25);
+        let mut want = flops(&m.input_bn.plan(&input));
+        let mut shape = input.clone();
+        for b in &m.blocks {
+            let bp = b.plan(&shape);
+            want += flops(&bp);
+            shape = bp.output().clone();
+        }
+        let pooled = SymShape::batched(&[48]);
+        want += per_sample_elems(&pooled) + flops(&m.fc.plan(&pooled));
+        let plan = m.plan(&input);
+        assert_eq!(flops(&plan), want);
+        // side branches (joint-weight, topology, residual projection) are
+        // more than half of the total: a chain-only count misses them
+        let chain: u64 = plan.ops().iter().map(|op| op.cost.flops).sum();
+        assert!(2 * chain < want, "chain {chain} of {want} FLOPs");
+    }
+
+    #[test]
     fn model_buffers_cover_every_batchnorm() {
         let m = small_model(BranchConfig::full());
         // DataBn (2) + per block BN (2) + TCN BN (2)

@@ -179,7 +179,7 @@ impl Module for PbBlock {
         }
         let main_out = p.output().clone();
         let residual_out = match &self.residual_proj {
-            Some(proj) => proj.plan(input).output().clone(),
+            Some(proj) => p.adopt("residual_proj", &proj.plan(input)),
             None => input.clone(),
         };
         if residual_out != main_out {

@@ -1,7 +1,10 @@
 //! ST-GCN \[37\]: the first graph-convolutional skeleton model (§3.1) and
 //! the reference GCN baseline of Tabs. 6–7.
 
-use crate::common::{apply_vertex_op, apply_vertex_op_eval, linear_eval, ModelDims, StageSpec};
+use crate::common::{
+    apply_vertex_op, apply_vertex_op_eval, linear_eval, plan_vertex_mix, MixOperator, ModelDims,
+    StageSpec,
+};
 use crate::tcn::TemporalConv;
 use dhg_nn::{global_avg_pool, BatchNorm2d, Buffer, Conv2d, EvalConv, Linear, Module};
 use dhg_tensor::ops::Conv2dSpec;
@@ -163,19 +166,19 @@ impl Module for StGcnBlock {
                 return p;
             }
         }
-        // workspace events mirror forward_eval: mixed → spatial → ret,
-        // each recycled as soon as its consumer has run; the caller owns
-        // (and eventually gives) `ret`
+        // workspace events mirror forward_eval: vertex mix → mixed →
+        // spatial → ret, each recycled as soon as its consumer has run;
+        // the caller owns (and eventually gives) `ret`
         let vcost = OpCost::vertex_op(
             input.known(1).unwrap_or(1) as u64,
             input.known(2).unwrap_or(1) as u64,
             op_v as u64,
         );
-        p.ws_take("mixed", input);
-        p.push_op_costed(
+        plan_vertex_mix(
+            &mut p,
             "vertex_op",
             format!("importance-weighted [{op_v}, {op_v}] operator"),
-            input.clone(),
+            MixOperator::Shared,
             vcost,
         );
         p.extend("theta", self.theta.plan(&p.output().clone()));
@@ -194,7 +197,7 @@ impl Module for StGcnBlock {
         p.ws_take("ret", &main_out);
         p.ws_give("spatial");
         let residual_out = match &self.residual_proj {
-            Some(proj) => proj.plan(input).output().clone(),
+            Some(proj) => p.adopt("residual_proj", &proj.plan(input)),
             None => input.clone(),
         };
         if residual_out != main_out {

@@ -67,9 +67,7 @@ impl<M: Module> TwoStream<M> {
         let mut p = Plan::new(joint_input);
         p.extend("joint", self.joint.plan(joint_input));
         let joint_out = p.output().clone();
-        let bone_plan = self.bone.plan(bone_input);
-        let bone_out = bone_plan.output().clone();
-        p.adopt("bone", &bone_plan);
+        let bone_out = p.adopt("bone", &self.bone.plan(bone_input));
         if joint_out != bone_out {
             p.error(
                 DiagCode::FusionMismatch,

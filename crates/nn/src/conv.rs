@@ -125,8 +125,7 @@ impl Module for Conv2d {
                         let cost = OpCost::conv2d(
                             self.in_channels as u64,
                             self.out_channels as u64,
-                            kh as u64,
-                            kw as u64,
+                            &self.spec,
                             ho as u64,
                             wo as u64,
                         );

@@ -38,7 +38,7 @@ pub use metrics::{
 pub use module::{collect_buffers, collect_parameters, Buffer, Module};
 pub use optim::{clip_gradient_norm, CosineLr, Sgd, SgdConfig, StepLr};
 pub use plan::{
-    analyze, bn_stats_cold, per_sample_elems, CostSummary, DiagCode, Diagnostic, Dim, OpCost,
-    Plan, PlanOp, Report, Severity, SymShape, WsEvent, WsEventKind,
+    analyze, bn_stats_cold, packed_b_bytes, per_sample_elems, CostSummary, DiagCode, Diagnostic,
+    Dim, OpCost, Plan, PlanOp, Report, Severity, SymShape, WsEvent, WsEventKind,
 };
 pub use pool::global_avg_pool;

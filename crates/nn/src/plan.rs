@@ -14,6 +14,7 @@
 //! [`dhg_tensor::ShapeError`] diagnostics so that a plan rejected here and
 //! an eager forward that panics report the same failure category.
 
+use dhg_tensor::ops::Conv2dSpec;
 use dhg_tensor::NdArray;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -226,6 +227,13 @@ pub fn per_sample_elems(shape: &SymShape) -> u64 {
     shape.dims().iter().map(|d| d.known().unwrap_or(1) as u64).product()
 }
 
+/// Bytes of the packed-GEMM image of a `[k, n]` right-hand operand
+/// ([`dhg_tensor::gemm::packed_b_len`]): the scratch every packed product
+/// draws from the workspace while it runs.
+pub fn packed_b_bytes(k: u64, n: u64) -> u64 {
+    4 * dhg_tensor::gemm::packed_b_len(k as usize, n as usize) as u64
+}
+
 /// Static per-sample cost of one plan op. All figures are for a batch of
 /// one (the symbolic `N` counts as 1); scale by the batch size at the
 /// call site. `f32` everywhere, so bytes are `4 × elements`.
@@ -253,12 +261,13 @@ impl OpCost {
         OpCost { flops: o, bytes: 4 * (i + o), scratch: 0, graph_nodes: 0 }
     }
 
-    /// A dense `[m, k] × [k, n]` matmul.
+    /// A dense `[m, k] × [k, n]` matmul on the packed GEMM; the scratch
+    /// term is the packed image of the `[k, n]` right-hand operand.
     pub fn matmul(m: u64, k: u64, n: u64) -> Self {
         OpCost {
             flops: 2 * m * k * n,
             bytes: 4 * (m * k + k * n + m * n),
-            scratch: 0,
+            scratch: packed_b_bytes(k, n),
             graph_nodes: 0,
         }
     }
@@ -268,15 +277,20 @@ impl OpCost {
         Self::matmul(rows, in_features, out_features)
     }
 
-    /// A 2-D convolution `cin → cout` with a `kh × kw` kernel producing
-    /// a `ho × wo` map. The scratch term is the im2col column buffer the
-    /// runtime materialises for non-pointwise kernels.
-    pub fn conv2d(cin: u64, cout: u64, kh: u64, kw: u64, ho: u64, wo: u64) -> Self {
+    /// A 2-D convolution `cin → cout` of geometry `spec` producing a
+    /// `ho × wo` map, run as one GEMM per sample. The scratch term is what
+    /// the runtime materialises beside the output: the im2col column
+    /// buffer — unless the input already is its own column matrix
+    /// ([`Conv2dSpec::columns_are_input`]) — and the packed image of the
+    /// columns.
+    pub fn conv2d(cin: u64, cout: u64, spec: &Conv2dSpec, ho: u64, wo: u64) -> Self {
+        let (kh, kw) = (spec.kernel.0 as u64, spec.kernel.1 as u64);
         let cols = cin * kh * kw * ho * wo;
+        let im2col = if spec.columns_are_input() { 0 } else { 4 * cols };
         OpCost {
             flops: 2 * cout * cols,
             bytes: 4 * (cols + cout * cin * kh * kw + cout * ho * wo),
-            scratch: if kh * kw > 1 { 4 * cols } else { 0 },
+            scratch: im2col + packed_b_bytes(cin * kh * kw, ho * wo),
             graph_nodes: 0,
         }
     }
@@ -367,6 +381,8 @@ pub struct PlanOp {
 pub struct Plan {
     input: SymShape,
     ops: Vec<PlanOp>,
+    /// Ops of adopted side branches: costed, but outside the chain.
+    side_ops: Vec<PlanOp>,
     diagnostics: Vec<Diagnostic>,
     ws_events: Vec<WsEvent>,
     output: SymShape,
@@ -378,6 +394,7 @@ impl Plan {
         Plan {
             input: input.clone(),
             ops: Vec::new(),
+            side_ops: Vec::new(),
             diagnostics: Vec::new(),
             ws_events: Vec::new(),
             output: input.clone(),
@@ -409,6 +426,13 @@ impl Plan {
     /// The recorded ops in execution order.
     pub fn ops(&self) -> &[PlanOp] {
         &self.ops
+    }
+
+    /// Ops of side branches carried in by [`Plan::adopt`], re-scoped
+    /// under their branch. They run and are costed, but are not part of
+    /// the sequential chain.
+    pub fn side_ops(&self) -> &[PlanOp] {
+        &self.side_ops
     }
 
     /// All diagnostics recorded so far.
@@ -498,21 +522,24 @@ impl Plan {
         self.diagnostics.push(Diagnostic { code, severity, message: message.into(), scope });
     }
 
-    /// Carry over a side branch's diagnostics and workspace events
+    /// Carry over a side branch's ops, diagnostics and workspace events
     /// (re-scoped under `scope.`) without splicing its ops into the chain
     /// — for parallel paths such as the bone stream of a two-stream
-    /// fusion or the non-anchor branches of a branch sum, whose ops would
-    /// otherwise violate the sequential-chain invariant [`analyze`]
-    /// checks. The events land at the current chain position, modelling
-    /// the branch running while the main chain's buffers are live.
-    pub fn adopt(&mut self, scope: &str, child: &Plan) {
+    /// fusion, the non-anchor branches of a branch sum or a residual
+    /// projection, whose ops would otherwise violate the sequential-chain
+    /// invariant [`analyze`] checks. The ops land in
+    /// [`Plan::side_ops`], so their costs count; the events land at the
+    /// current chain position, modelling the branch running while the
+    /// main chain's buffers are live. Returns the branch's output shape.
+    pub fn adopt(&mut self, scope: &str, child: &Plan) -> SymShape {
+        for op in child.ops.iter().chain(&child.side_ops) {
+            let mut op = op.clone();
+            op.name = scoped(scope, &op.name);
+            self.side_ops.push(op);
+        }
         for d in &child.diagnostics {
             let mut d = d.clone();
-            d.scope = if d.scope.is_empty() {
-                scope.to_string()
-            } else {
-                format!("{scope}.{}", d.scope)
-            };
+            d.scope = scoped(scope, &d.scope);
             self.diagnostics.push(d);
         }
         for ev in &child.ws_events {
@@ -521,6 +548,7 @@ impl Plan {
             ev.id = format!("{scope}.{}", ev.id);
             self.ws_events.push(ev);
         }
+        child.output.clone()
     }
 
     /// Splice a sub-module's plan in: its ops and workspace events are
@@ -529,12 +557,12 @@ impl Plan {
     pub fn extend(&mut self, scope: &str, child: Plan) {
         let base = self.ops.len();
         for mut op in child.ops {
-            op.name = if op.name.is_empty() {
-                scope.to_string()
-            } else {
-                format!("{scope}.{}", op.name)
-            };
+            op.name = scoped(scope, &op.name);
             self.ops.push(op);
+        }
+        for mut op in child.side_ops {
+            op.name = scoped(scope, &op.name);
+            self.side_ops.push(op);
         }
         for mut ev in child.ws_events {
             ev.op_index += base;
@@ -542,11 +570,7 @@ impl Plan {
             self.ws_events.push(ev);
         }
         for mut d in child.diagnostics {
-            d.scope = if d.scope.is_empty() {
-                scope.to_string()
-            } else {
-                format!("{scope}.{}", d.scope)
-            };
+            d.scope = scoped(scope, &d.scope);
             self.diagnostics.push(d);
         }
         self.output = child.output;
@@ -585,6 +609,15 @@ impl Plan {
             }
         }
         true
+    }
+}
+
+/// `scope.name`, or `scope` alone for an unnamed op.
+fn scoped(scope: &str, name: &str) -> String {
+    if name.is_empty() {
+        scope.to_string()
+    } else {
+        format!("{scope}.{name}")
     }
 }
 
@@ -693,7 +726,10 @@ impl fmt::Display for Report {
 pub fn analyze(plan: &Plan) -> Report {
     let mut diagnostics = plan.diagnostics().to_vec();
     let mut current = plan.input().clone();
-    let mut cost = CostSummary { n_ops: plan.ops().len(), ..CostSummary::default() };
+    let mut cost = CostSummary {
+        n_ops: plan.ops().len() + plan.side_ops().len(),
+        ..CostSummary::default()
+    };
     let mut max_footprint = 0u64;
     let mut max_scratch = 0u64;
     for op in plan.ops() {
@@ -706,6 +742,10 @@ pub fn analyze(plan: &Plan) -> Report {
             });
         }
         current = op.output.clone();
+    }
+    // side-branch ops run too: they count toward every total, but only
+    // the chain is checked for connectivity
+    for op in plan.ops().iter().chain(plan.side_ops()) {
         cost.flops += op.cost.flops;
         cost.bytes += op.cost.bytes;
         cost.graph_nodes += op.cost.graph_nodes;
@@ -898,10 +938,19 @@ mod tests {
         let mm = OpCost::matmul(6, 10, 4);
         assert_eq!(mm.flops, 2 * 6 * 10 * 4);
         assert_eq!(mm.bytes, 4 * (60 + 40 + 24));
-        let conv = OpCost::conv2d(3, 8, 5, 1, 12, 25);
+        assert_eq!(mm.scratch, 4 * 10 * 16, "packed [10, 4] rhs: one 16-wide panel");
+        let conv = OpCost::conv2d(3, 8, &Conv2dSpec::temporal(5, 1, 1), 12, 25);
         assert_eq!(conv.flops, 2 * 8 * 3 * 5 * 12 * 25);
-        assert_eq!(conv.scratch, 4 * 3 * 5 * 12 * 25, "im2col columns");
-        assert_eq!(OpCost::conv2d(3, 8, 1, 1, 16, 25).scratch, 0, "pointwise skips im2col");
+        let packed_cols = 4 * 3 * 5 * 304; // 300 columns pad to 19 panels
+        assert_eq!(conv.scratch, 4 * 3 * 5 * 12 * 25 + packed_cols, "im2col columns + packed image");
+        let pointwise = OpCost::conv2d(3, 8, &Conv2dSpec::pointwise(), 16, 25);
+        assert_eq!(pointwise.scratch, 4 * 3 * 400, "1x1: no columns, packed input only");
+        let strided = Conv2dSpec { stride: (2, 1), ..Conv2dSpec::pointwise() };
+        assert_eq!(
+            OpCost::conv2d(3, 8, &strided, 8, 25).scratch,
+            4 * 3 * 200 + 4 * 3 * 208,
+            "a strided 1x1 builds its columns"
+        );
         let v = OpCost::vertex_op(16, 8, 25);
         assert_eq!(v.flops, 2 * 16 * 8 * 25 * 25);
     }
@@ -924,6 +973,34 @@ mod tests {
         assert_eq!(doubled.workspace_peak, 2 * c.workspace_peak);
         assert_eq!(doubled.n_ops, c.n_ops);
         assert!(c.to_string().contains("MFLOP"));
+    }
+
+    #[test]
+    fn adopted_side_branches_are_costed_outside_the_chain() {
+        let input = SymShape::nctv(3, 16, 25);
+        let mut side = Plan::new(&input);
+        side.push_op_costed("proj", "", SymShape::nctv(8, 16, 25), OpCost::matmul(400, 3, 8));
+        let mut nested = Plan::new(&input);
+        nested.push_op_costed("inner", "", input.clone(), OpCost::vertex_op(3, 16, 25));
+        side.adopt("nested", &nested);
+        let mut p = Plan::new(&input);
+        p.push_op("relu", "", input.clone());
+        assert_eq!(p.adopt("residual", &side), SymShape::nctv(8, 16, 25), "the branch output");
+        let r = analyze(&p);
+        // the side ops do not connect to the chain, yet the chain is sound
+        assert!(r.ok(), "{r}");
+        assert_eq!(r.n_ops, 1);
+        let names: Vec<&str> = p.side_ops().iter().map(|op| op.name.as_str()).collect();
+        assert_eq!(names, ["residual.proj", "residual.nested.inner"]);
+        let c = r.cost_summary();
+        let want = 3 * 16 * 25 + 2 * 400 * 3 * 8 + 2 * 3 * 16 * 25 * 25;
+        assert_eq!(c.flops, want);
+        assert_eq!(c.n_ops, 3);
+        // a parent that splices the plan in carries its side ops along
+        let mut outer = Plan::new(&input);
+        outer.extend("blocks[0]", p);
+        assert_eq!(outer.side_ops()[0].name, "blocks[0].residual.proj");
+        assert_eq!(analyze(&outer).cost_summary().flops, want);
     }
 
     #[test]

@@ -396,7 +396,24 @@ impl NdArray {
 
     /// Materialise a permutation of the axes. `perm` must be a permutation of
     /// `0..ndim`.
+    ///
+    /// A permutation that swaps two adjacent axis groups and keeps the
+    /// axes around them in place (`[0, 2, 3, 1]`, `[0, 3, 1, 2]`,
+    /// `[0, 1, 3, 2]`, `[0, 2, 1, 3]`, `[1, 0, 2]`, …) is a batched block
+    /// transpose and runs as a cache-tiled copy; every other permutation
+    /// walks an index odometer. Both only move elements, so the result is
+    /// the same bits either way.
     pub fn permute(&self, perm: &[usize]) -> Self {
+        self.permute_impl(perm, None)
+    }
+
+    /// [`NdArray::permute`] with the output buffer drawn from a
+    /// [`Workspace`]. Bitwise identical to `permute`.
+    pub fn permute_ws(&self, perm: &[usize], ws: &mut Workspace) -> Self {
+        self.permute_impl(perm, Some(ws))
+    }
+
+    fn permute_impl(&self, perm: &[usize], ws: Option<&mut Workspace>) -> Self {
         let nd = self.ndim();
         assert_eq!(perm.len(), nd, "permute rank mismatch");
         let mut seen = vec![false; nd];
@@ -405,15 +422,23 @@ impl NdArray {
             seen[p] = true;
         }
         let out_shape: Vec<usize> = perm.iter().map(|&p| self.shape[p]).collect();
+        let n = self.len();
+        // every element is overwritten below, so a dirty buffer is fine
+        let mut data = match ws {
+            Some(ws) => ws.take(n),
+            None => vec![0.0f32; n],
+        };
+        if let Some((rows, cols, inner)) = adjacent_group_swap(&self.shape, perm) {
+            swap_axis_groups(&self.data, &mut data, rows, cols, inner);
+            return NdArray { shape: out_shape, data };
+        }
         let in_strides = contiguous_strides(&self.shape);
         // stride of output dim d in the *input* buffer
         let strides: Vec<usize> = perm.iter().map(|&p| in_strides[p]).collect();
-        let n = self.len();
-        let mut data = Vec::with_capacity(n);
         let mut idx = vec![0usize; nd];
         let mut off = 0usize;
-        for _ in 0..n {
-            data.push(self.data[off]);
+        for o in data.iter_mut() {
+            *o = self.data[off];
             for d in (0..nd).rev() {
                 idx[d] += 1;
                 off += strides[d];
@@ -668,7 +693,7 @@ impl NdArray {
     /// `allclose(1e-5)` (pinned by the property suite) but not bit-for-bit,
     /// which is why [`NdArray::matmul_reference`] stays available.
     pub fn matmul(&self, other: &Self) -> Self {
-        self.try_matmul_impl(other, None).unwrap_or_else(|e| panic!("{e}"))
+        self.view().matmul_with(other.view(), None, MatmulKernel::Auto)
     }
 
     /// [`NdArray::matmul`] forced onto the retained reference `ikj` row
@@ -676,9 +701,7 @@ impl NdArray {
     /// baseline the packed kernel is pinned against in the property suite
     /// and the "before" side of the GEMM benchmarks.
     pub fn matmul_reference(&self, other: &Self) -> Self {
-        crate::shape_check::check_matmul(&self.shape, &other.shape)
-            .unwrap_or_else(|e| panic!("{e}"));
-        self.matmul_impl(other, None, MatmulKernel::Reference)
+        self.view().matmul_with(other.view(), None, MatmulKernel::Reference)
     }
 
     /// [`NdArray::matmul`] forced onto the packed cache-blocked kernel,
@@ -687,9 +710,16 @@ impl NdArray {
     /// tests use this to exercise the packed kernel on shapes the automatic
     /// dispatch would route elsewhere.
     pub fn matmul_packed(&self, other: &Self) -> Self {
-        crate::shape_check::check_matmul(&self.shape, &other.shape)
-            .unwrap_or_else(|e| panic!("{e}"));
-        self.matmul_impl(other, None, MatmulKernel::Packed)
+        self.view().matmul_with(other.view(), None, MatmulKernel::Packed)
+    }
+
+    /// [`NdArray::matmul_packed`] with the output and packing buffers drawn
+    /// from a [`Workspace`]. Bitwise identical to `matmul_packed`.
+    ///
+    /// This is the entry point for products whose *left* operand is
+    /// activation data (see [`ArrayView::matmul_packed_ws`]).
+    pub fn matmul_packed_ws(&self, other: &Self, ws: &mut Workspace) -> Self {
+        self.view().matmul_packed_ws(other.view(), ws)
     }
 
     /// [`NdArray::matmul`] with the output buffer drawn from (and other
@@ -697,7 +727,7 @@ impl NdArray {
     /// forwards reuse storage instead of allocating per call. Bitwise
     /// identical to `matmul`.
     pub fn matmul_ws(&self, other: &Self, ws: &mut Workspace) -> Self {
-        self.try_matmul_impl(other, Some(ws)).unwrap_or_else(|e| panic!("{e}"))
+        self.view().matmul_ws(other.view(), ws)
     }
 
     /// [`NdArray::matmul`] returning a typed [`ShapeError`] instead of
@@ -705,147 +735,20 @@ impl NdArray {
     /// text the panicking entry point raises, so the static analyzer and
     /// the runtime report one diagnostic.
     pub fn try_matmul(&self, other: &Self) -> Result<Self, ShapeError> {
-        self.try_matmul_impl(other, None)
-    }
-
-    fn try_matmul_impl(&self, other: &Self, ws: Option<&mut Workspace>) -> Result<Self, ShapeError> {
         crate::shape_check::check_matmul(&self.shape, &other.shape)?;
-        Ok(self.matmul_impl(other, ws, MatmulKernel::Auto))
+        Ok(matmul_impl(self.view(), other.view(), None, MatmulKernel::Auto))
     }
 
-    fn matmul_impl(&self, other: &Self, ws: Option<&mut Workspace>, kernel: MatmulKernel) -> Self {
-        debug_assert!(self.ndim() >= 2 && other.ndim() >= 2, "matmul needs rank >= 2");
-        let (m, k1) = (self.shape[self.ndim() - 2], self.shape[self.ndim() - 1]);
-        let n = other.shape[other.ndim() - 1];
-        debug_assert_eq!(
-            k1,
-            other.shape[other.ndim() - 2],
-            "matmul inner-dim mismatch: {:?} x {:?}",
-            self.shape,
-            other.shape
-        );
-        let batch_a = &self.shape[..self.ndim() - 2];
-        let batch_b = &other.shape[..other.ndim() - 2];
-        let batch = broadcast_shape(batch_a, batch_b).unwrap_or_else(|| {
-            panic!("matmul batch broadcast mismatch: {:?} x {:?}", self.shape, other.shape)
-        });
-        let nb = numel(&batch);
-        let sa = broadcast_strides(batch_a, &batch);
-        let sb = broadcast_strides(batch_b, &batch);
-        // per-batch element counts
-        let ea = m * k1;
-        let eb = k1 * n;
-        let mut out_shape = batch.clone();
-        out_shape.push(m);
-        out_shape.push(n);
-        // both kernels fully overwrite their output span (matmul_row zeroes
-        // the row, gemm assigns on the first k-block), so the buffer may
-        // come back dirty from the workspace — no memset needed
-        let mut ws = ws;
-        let mut out = match ws.as_mut() {
-            Some(ws) => ws.take(nb * m * n),
-            None => vec![0.0f32; nb * m * n],
-        };
-        // walk the broadcast odometer once to precompute each batch's
-        // operand offsets; workers then index instead of iterating
-        let nd = batch.len();
-        let mut abases = Vec::with_capacity(nb);
-        let mut bbases = Vec::with_capacity(nb);
-        let mut idx = vec![0usize; nd];
-        let (mut oa, mut ob) = (0usize, 0usize);
-        for _ in 0..nb {
-            abases.push(oa * ea);
-            bbases.push(ob * eb);
-            for d in (0..nd).rev() {
-                idx[d] += 1;
-                oa += sa[d];
-                ob += sb[d];
-                if idx[d] < batch[d] {
-                    break;
-                }
-                idx[d] = 0;
-                oa -= sa[d] * batch[d];
-                ob -= sb[d] * batch[d];
-            }
-        }
-        let work = nb
-            .saturating_mul(m)
-            .saturating_mul(n)
-            .saturating_mul(k1.max(1));
-        // Dispatch. The packed kernel takes every dense product — including
-        // m = 1, where packing B costs more than it saves, because serving
-        // depends on batch-size invariance: a request's logits must be
-        // bitwise identical whether it runs alone (an [1, F] FC product) or
-        // inside a micro-batch ([B, F]). Both kernels fix each output row's
-        // bits as a function of that row and B alone, so invariance holds
-        // exactly when the *kernel choice* cannot differ between those two
-        // calls — no shape test on m is allowed. The zero-skipping row
-        // kernel keeps sparse incidence products (constant operands, stable
-        // density) off the packed path. Nothing here reads the thread
-        // count, so dispatch never breaks thread-count determinism either.
-        let skip_zeros = kernel != MatmulKernel::Packed && m > 0 && mostly_zero(&self.data);
-        let packed = match kernel {
-            MatmulKernel::Packed => true,
-            MatmulKernel::Reference => false,
-            MatmulKernel::Auto => !skip_zeros && k1 > 0,
-        };
-        if packed {
-            // Pack each *distinct* rhs matrix once, before sharding: a
-            // broadcast B (the common conv/FC case) packs a single time no
-            // matter how many batches or row-blocks consume it. Workers
-            // share the packed image read-only and pack only their own A
-            // row-block, so the sharding grain can shrink with the thread
-            // count without multiplying pack work.
-            let mut uniq = bbases.clone();
-            uniq.sort_unstable();
-            uniq.dedup();
-            let bp_len = crate::gemm::packed_b_len(k1, n);
-            let mut bpack = match ws.as_mut() {
-                Some(ws) => ws.take(uniq.len() * bp_len),
-                None => vec![0.0f32; uniq.len() * bp_len],
-            };
-            for (u, &bb) in uniq.iter().enumerate() {
-                crate::gemm::pack_b_full(
-                    &other.data[bb..bb + eb],
-                    &mut bpack[u * bp_len..(u + 1) * bp_len],
-                    n,
-                    k1,
-                );
-            }
-            // Shard (batch, row-block) spans; each span multiplies up to
-            // `rb` rows of A against its batch's packed B.
-            let rb = crate::gemm::row_block(m, nb, crate::parallel::num_threads());
-            let nbk = m.div_ceil(rb);
-            let mut ends = Vec::with_capacity(nb * nbk);
-            for b in 0..nb {
-                for ib in 0..nbk {
-                    let i1 = ((ib + 1) * rb).min(m);
-                    ends.push(b * m * n + i1 * n);
-                }
-            }
-            crate::parallel::for_each_span(&mut out, &ends, work, |item, cspan| {
-                let (b, ib) = (item / nbk, item % nbk);
-                let i0 = ib * rb;
-                let i1 = (i0 + rb).min(m);
-                let abase = abases[b];
-                let ablock = &self.data[abase + i0 * k1..abase + i1 * k1];
-                let u = uniq.binary_search(&bbases[b]).unwrap();
-                let bp = &bpack[u * bp_len..(u + 1) * bp_len];
-                crate::gemm::gemm_block_prepacked(ablock, bp, cspan, i1 - i0, n, k1);
-            });
-            if let Some(ws) = ws.as_mut() {
-                ws.give(bpack);
-            }
-        } else {
-            crate::parallel::for_each_block(&mut out, n.max(1), work, |item, orow| {
-                let (b, i) = (item / m, item % m);
-                let abase = abases[b];
-                let arow = &self.data[abase + i * k1..abase + (i + 1) * k1];
-                let bm = &other.data[bbases[b]..bbases[b] + eb];
-                matmul_row(arow, bm, orow, n, skip_zeros);
-            });
-        }
-        NdArray { shape: out_shape, data: out }
+    /// This array as a borrowed [`ArrayView`] of its own shape.
+    pub fn view(&self) -> ArrayView<'_> {
+        ArrayView { shape: &self.shape, data: &self.data }
+    }
+
+    /// This array's buffer read under `shape`, which must hold the same
+    /// number of elements — a reshape that copies nothing.
+    pub fn view_as<'a>(&'a self, shape: &'a [usize]) -> ArrayView<'a> {
+        assert_eq!(numel(shape), self.len(), "view_as {shape:?} from {:?}", self.shape);
+        ArrayView { shape, data: &self.data }
     }
 
     // ------------------------------------------------------------------
@@ -1003,6 +906,176 @@ impl NdArray {
     }
 }
 
+/// A borrowed, read-only look at an array's buffer under a shape with the
+/// same element count — how a kernel consumes a reshaped operand without
+/// copying it, e.g. a `[N, C, H, W]` feature map as the `[N, C, H·W]`
+/// right-hand side of a 1×1 convolution's GEMM. Made by
+/// [`NdArray::view`] / [`NdArray::view_as`].
+#[derive(Clone, Copy, Debug)]
+pub struct ArrayView<'a> {
+    shape: &'a [usize],
+    data: &'a [f32],
+}
+
+impl ArrayView<'_> {
+    /// [`NdArray::matmul_ws`] on views: automatic kernel dispatch, output
+    /// and packing buffers from `ws`.
+    pub fn matmul_ws(self, other: ArrayView<'_>, ws: &mut Workspace) -> NdArray {
+        self.matmul_with(other, Some(ws), MatmulKernel::Auto)
+    }
+
+    /// [`NdArray::matmul_packed`] on views, with the output and packing
+    /// buffers from `ws`.
+    ///
+    /// Products whose *left* operand is activation data must come here
+    /// rather than through [`ArrayView::matmul_ws`]: the automatic
+    /// dispatch probes the left operand's density over the whole batch, so
+    /// a ReLU-sparse neighbour in a serving micro-batch could flip the
+    /// kernel — and with it a request's bits — between a batch and a
+    /// solo run. Forcing the packed kernel keeps every output row a
+    /// function of its own row and the right operand alone.
+    pub fn matmul_packed_ws(self, other: ArrayView<'_>, ws: &mut Workspace) -> NdArray {
+        self.matmul_with(other, Some(ws), MatmulKernel::Packed)
+    }
+
+    fn matmul_with(self, other: ArrayView<'_>, ws: Option<&mut Workspace>, kernel: MatmulKernel) -> NdArray {
+        crate::shape_check::check_matmul(self.shape, other.shape).unwrap_or_else(|e| panic!("{e}"));
+        matmul_impl(self, other, ws, kernel)
+    }
+}
+
+/// The shared matmul kernel behind every [`NdArray`] / [`ArrayView`]
+/// product entry point; operands are shape-checked by the caller.
+fn matmul_impl(a: ArrayView<'_>, b: ArrayView<'_>, ws: Option<&mut Workspace>, kernel: MatmulKernel) -> NdArray {
+    let (rank_a, rank_b) = (a.shape.len(), b.shape.len());
+    debug_assert!(rank_a >= 2 && rank_b >= 2, "matmul needs rank >= 2");
+    let (m, k1) = (a.shape[rank_a - 2], a.shape[rank_a - 1]);
+    let n = b.shape[rank_b - 1];
+    debug_assert_eq!(k1, b.shape[rank_b - 2], "matmul inner-dim mismatch: {:?} x {:?}", a.shape, b.shape);
+    let batch_a = &a.shape[..rank_a - 2];
+    let batch_b = &b.shape[..rank_b - 2];
+    let batch = broadcast_shape(batch_a, batch_b).unwrap_or_else(|| {
+        panic!("matmul batch broadcast mismatch: {:?} x {:?}", a.shape, b.shape)
+    });
+    let nb = numel(&batch);
+    let sa = broadcast_strides(batch_a, &batch);
+    let sb = broadcast_strides(batch_b, &batch);
+    // per-batch element counts
+    let ea = m * k1;
+    let eb = k1 * n;
+    let mut out_shape = batch.clone();
+    out_shape.push(m);
+    out_shape.push(n);
+    // both kernels fully overwrite their output span (matmul_row zeroes
+    // the row, gemm assigns on the first k-block), so the buffer may
+    // come back dirty from the workspace — no memset needed
+    let mut ws = ws;
+    let mut out = match ws.as_mut() {
+        Some(ws) => ws.take(nb * m * n),
+        None => vec![0.0f32; nb * m * n],
+    };
+    // walk the broadcast odometer once to precompute each batch's
+    // operand offsets; workers then index instead of iterating
+    let nd = batch.len();
+    let mut abases = Vec::with_capacity(nb);
+    let mut bbases = Vec::with_capacity(nb);
+    let mut idx = vec![0usize; nd];
+    let (mut oa, mut ob) = (0usize, 0usize);
+    for _ in 0..nb {
+        abases.push(oa * ea);
+        bbases.push(ob * eb);
+        for d in (0..nd).rev() {
+            idx[d] += 1;
+            oa += sa[d];
+            ob += sb[d];
+            if idx[d] < batch[d] {
+                break;
+            }
+            idx[d] = 0;
+            oa -= sa[d] * batch[d];
+            ob -= sb[d] * batch[d];
+        }
+    }
+    let work = nb
+        .saturating_mul(m)
+        .saturating_mul(n)
+        .saturating_mul(k1.max(1));
+    // Dispatch. The packed kernel takes every dense product — including
+    // m = 1, where packing B costs more than it saves, because serving
+    // depends on batch-size invariance: a request's logits must be
+    // bitwise identical whether it runs alone (an [1, F] FC product) or
+    // inside a micro-batch ([B, F]). Both kernels fix each output row's
+    // bits as a function of that row and B alone, so invariance holds
+    // exactly when the *kernel choice* cannot differ between those two
+    // calls — no shape test on m is allowed. The zero-skipping row
+    // kernel keeps sparse incidence products (constant operands, stable
+    // density) off the packed path. Nothing here reads the thread
+    // count, so dispatch never breaks thread-count determinism either.
+    let skip_zeros = kernel != MatmulKernel::Packed && m > 0 && mostly_zero(a.data);
+    let packed = match kernel {
+        MatmulKernel::Packed => true,
+        MatmulKernel::Reference => false,
+        MatmulKernel::Auto => !skip_zeros && k1 > 0,
+    };
+    if packed {
+        // Pack each *distinct* rhs matrix once, before sharding: a
+        // broadcast B (the common conv/FC case) packs a single time no
+        // matter how many batches or row-blocks consume it. Workers
+        // share the packed image read-only and pack only their own A
+        // row-block, so the sharding grain can shrink with the thread
+        // count without multiplying pack work.
+        let mut uniq = bbases.clone();
+        uniq.sort_unstable();
+        uniq.dedup();
+        let bp_len = crate::gemm::packed_b_len(k1, n);
+        let mut bpack = match ws.as_mut() {
+            Some(ws) => ws.take(uniq.len() * bp_len),
+            None => vec![0.0f32; uniq.len() * bp_len],
+        };
+        for (u, &bb) in uniq.iter().enumerate() {
+            crate::gemm::pack_b_full(
+                &b.data[bb..bb + eb],
+                &mut bpack[u * bp_len..(u + 1) * bp_len],
+                n,
+                k1,
+            );
+        }
+        // Shard (batch, row-block) spans; each span multiplies up to
+        // `rb` rows of A against its batch's packed B.
+        let rb = crate::gemm::row_block(m, nb, crate::parallel::num_threads());
+        let nbk = m.div_ceil(rb);
+        let mut ends = Vec::with_capacity(nb * nbk);
+        for bi in 0..nb {
+            for ib in 0..nbk {
+                let i1 = ((ib + 1) * rb).min(m);
+                ends.push(bi * m * n + i1 * n);
+            }
+        }
+        crate::parallel::for_each_span(&mut out, &ends, work, |item, cspan| {
+            let (bi, ib) = (item / nbk, item % nbk);
+            let i0 = ib * rb;
+            let i1 = (i0 + rb).min(m);
+            let abase = abases[bi];
+            let ablock = &a.data[abase + i0 * k1..abase + i1 * k1];
+            let u = uniq.binary_search(&bbases[bi]).unwrap();
+            let bp = &bpack[u * bp_len..(u + 1) * bp_len];
+            crate::gemm::gemm_block_prepacked(ablock, bp, cspan, i1 - i0, n, k1);
+        });
+        if let Some(ws) = ws.as_mut() {
+            ws.give(bpack);
+        }
+    } else {
+        crate::parallel::for_each_block(&mut out, n.max(1), work, |item, orow| {
+            let (bi, i) = (item / m, item % m);
+            let abase = abases[bi];
+            let arow = &a.data[abase + i * k1..abase + (i + 1) * k1];
+            let bm = &b.data[bbases[bi]..bbases[bi] + eb];
+            matmul_row(arow, bm, orow, n, skip_zeros);
+        });
+    }
+    NdArray { shape: out_shape, data: out }
+}
+
 /// Which matmul inner kernel [`NdArray::matmul_impl`] runs. `Auto` is the
 /// production dispatch; the forced variants back the public
 /// [`NdArray::matmul_reference`] / [`NdArray::matmul_packed`] entry points
@@ -1080,6 +1153,62 @@ fn matmul_row(arow: &[f32], bm: &[f32], orow: &mut [f32], n: usize, skip_zeros: 
             let brow = &bm[p * n..(p + 1) * n];
             for (ov, &bv) in orow.iter_mut().zip(brow) {
                 *ov += av * bv;
+            }
+        }
+    }
+}
+
+/// If `perm` keeps a prefix and a suffix of the axes in place and swaps
+/// the two adjacent axis groups between them — `[.., B, A, ..]` from
+/// `[.., A, B, ..]` — the `(rows, cols, inner)` extents of the batched
+/// block transpose it amounts to: the input read as
+/// `[outer, rows, cols, inner]` becomes `[outer, cols, rows, inner]`.
+/// `None` for the identity and for every other permutation.
+fn adjacent_group_swap(shape: &[usize], perm: &[usize]) -> Option<(usize, usize, usize)> {
+    let moved = |(i, &p): (usize, &usize)| i != p;
+    let a = perm.iter().enumerate().position(moved)?;
+    let c = perm.len() - perm.iter().enumerate().rev().position(moved)?;
+    // axes before `a` are fixed, so the group moved to the front starts at
+    // perm[a] > a and runs to `c`; the group it displaces is a..b
+    let b = perm[a];
+    let front = c - b;
+    let swapped = (0..front).all(|i| perm[a + i] == b + i)
+        && (0..b - a).all(|i| perm[a + front + i] == a + i);
+    swapped.then(|| {
+        let rows = shape[a..b].iter().product();
+        let cols = shape[b..c].iter().product();
+        (rows, cols, shape[c..].iter().product())
+    })
+}
+
+/// Side of the square tiles [`swap_axis_groups`] walks: a 16×16 block of
+/// `f32` reads and writes whole cache lines on both sides.
+const TRANSPOSE_TILE: usize = 16;
+
+/// `dst[o][j][i][..] = src[o][i][j][..]` for every `[rows, cols]` plane of
+/// `inner`-long runs, visited in square tiles so both sides stay
+/// cache-resident. Pure data movement: the output bits are the input's.
+fn swap_axis_groups(src: &[f32], dst: &mut [f32], rows: usize, cols: usize, inner: usize) {
+    let plane = rows * cols * inner;
+    if plane == 0 {
+        return;
+    }
+    for (s, d) in src.chunks_exact(plane).zip(dst.chunks_exact_mut(plane)) {
+        for i0 in (0..rows).step_by(TRANSPOSE_TILE) {
+            let i1 = (i0 + TRANSPOSE_TILE).min(rows);
+            for j0 in (0..cols).step_by(TRANSPOSE_TILE) {
+                let j1 = (j0 + TRANSPOSE_TILE).min(cols);
+                for i in i0..i1 {
+                    for j in j0..j1 {
+                        let from = (i * cols + j) * inner;
+                        let to = (j * rows + i) * inner;
+                        if inner == 1 {
+                            d[to] = s[from];
+                        } else {
+                            d[to..to + inner].copy_from_slice(&s[from..from + inner]);
+                        }
+                    }
+                }
             }
         }
     }
@@ -1189,6 +1318,90 @@ mod tests {
         // permute twice with inverse perm is identity
         let back = p.permute(&[1, 2, 0]);
         assert_eq!(back, a);
+    }
+
+    /// Every permutation of `0..n`, in lexicographic order.
+    fn permutations(n: usize) -> Vec<Vec<usize>> {
+        if n == 0 {
+            return vec![vec![]];
+        }
+        let mut out = Vec::new();
+        for rest in permutations(n - 1) {
+            for pos in 0..n {
+                let mut p = rest.clone();
+                p.insert(pos, n - 1);
+                out.push(p);
+            }
+        }
+        out.sort();
+        out
+    }
+
+    /// `out[i₀, …] = x[j]` where `j` holds `i_d` at axis `perm[d]` — the
+    /// permute definition written as an index formula.
+    fn permute_reference(x: &NdArray, perm: &[usize]) -> Vec<f32> {
+        let out_shape: Vec<usize> = perm.iter().map(|&p| x.shape()[p]).collect();
+        let in_strides = contiguous_strides(x.shape());
+        (0..x.len())
+            .map(|flat| {
+                let (mut rem, mut src) = (flat, 0);
+                for d in (0..perm.len()).rev() {
+                    src += (rem % out_shape[d]) * in_strides[perm[d]];
+                    rem /= out_shape[d];
+                }
+                x.data()[src]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn permute_matches_the_index_formula_for_every_permutation() {
+        let mut state = 0x5EED_u64;
+        let mut next = move |bound: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        let mut ws = Workspace::new();
+        for rank in 2..=5 {
+            for perm in permutations(rank) {
+                // random extents in 1..=5 (size-1 axes included), then one
+                // shape with an axis long enough to cross transpose tiles
+                let mut shapes: Vec<Vec<usize>> =
+                    (0..3).map(|_| (0..rank).map(|_| 1 + next(5) as usize).collect()).collect();
+                let mut long: Vec<usize> = (0..rank).map(|_| 1 + next(3) as usize).collect();
+                long[perm[0]] = 37;
+                long[perm[rank - 1]] = 19;
+                shapes.push(long);
+                for shape in shapes {
+                    let n = numel(&shape);
+                    let x = NdArray::from_vec((0..n).map(|i| (i as f32 * 0.37).sin()).collect(), &shape);
+                    let want: Vec<u32> = permute_reference(&x, &perm).iter().map(|v| v.to_bits()).collect();
+                    let got = x.permute(&perm);
+                    let got_bits: Vec<u32> = got.data().iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(got_bits, want, "permute {perm:?} of {shape:?}");
+                    // the workspace variant fully overwrites a dirty buffer
+                    ws.give(vec![f32::NAN; n + 3]);
+                    let from_ws = x.permute_ws(&perm, &mut ws);
+                    assert_eq!(from_ws, got, "permute_ws {perm:?} of {shape:?}");
+                    ws.recycle(from_ws);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn adjacent_group_swaps_are_recognised() {
+        let shape = [2, 3, 4, 5];
+        // the layout changes of the serving path: (rows, cols, inner)
+        assert_eq!(adjacent_group_swap(&shape, &[0, 2, 3, 1]), Some((3, 20, 1)));
+        assert_eq!(adjacent_group_swap(&shape, &[0, 3, 1, 2]), Some((12, 5, 1)));
+        assert_eq!(adjacent_group_swap(&shape, &[0, 1, 3, 2]), Some((4, 5, 1)));
+        assert_eq!(adjacent_group_swap(&shape, &[0, 2, 1, 3]), Some((3, 4, 5)));
+        assert_eq!(adjacent_group_swap(&shape[..3], &[1, 0, 2]), Some((2, 3, 4)));
+        // identity and interleaving permutations take the odometer
+        assert_eq!(adjacent_group_swap(&shape, &[0, 1, 2, 3]), None);
+        assert_eq!(adjacent_group_swap(&shape, &[2, 0, 3, 1]), None);
+        assert_eq!(adjacent_group_swap(&shape, &[3, 2, 1, 0]), None);
     }
 
     #[test]

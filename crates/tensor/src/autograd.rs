@@ -22,14 +22,15 @@ use crate::NdArray;
 
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
-/// Count of autograd op nodes (nodes carrying a backward function) created
-/// since process start. The inference tests assert this stays constant
-/// across a [`no_grad`] forward pass.
-static GRAPH_NODES: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
     /// Whether [`Tensor::from_op`] records graph edges on this thread.
     static GRAD_ENABLED: Cell<bool> = const { Cell::new(true) };
+    /// Autograd op nodes (nodes carrying a backward function) created on
+    /// this thread. Per thread, like [`GRAD_ENABLED`]: a graph is built on
+    /// one thread (`Tensor` is `!Send`), so a before/after reading around
+    /// a forward pass counts exactly that pass's nodes, whatever other
+    /// threads are building concurrently.
+    static GRAPH_NODES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Whether operations on the current thread record autograd graph nodes.
@@ -37,11 +38,12 @@ pub fn is_grad_enabled() -> bool {
     GRAD_ENABLED.with(|g| g.get())
 }
 
-/// Total autograd op nodes created so far (process-wide). Take a reading
-/// before and after a forward pass to measure how many graph nodes it
-/// allocated; under [`no_grad`] the difference must be zero.
+/// Autograd op nodes created so far on the calling thread. Take a reading
+/// before and after a forward pass on the same thread to measure how many
+/// graph nodes it allocated; under [`no_grad`] the difference must be
+/// zero.
 pub fn graph_nodes_created() -> u64 {
-    GRAPH_NODES.load(Ordering::Relaxed)
+    GRAPH_NODES.with(Cell::get)
 }
 
 /// RAII guard returned by [`no_grad`]; restores the previous grad mode
@@ -156,7 +158,7 @@ impl Tensor {
         if !requires_grad {
             return Tensor::constant(data);
         }
-        GRAPH_NODES.fetch_add(1, Ordering::Relaxed);
+        GRAPH_NODES.with(|n| n.set(n.get() + 1));
         Tensor {
             inner: Rc::new(Inner {
                 id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
@@ -394,6 +396,20 @@ mod tests {
     fn backward_on_constant_panics() {
         let a = Tensor::constant(NdArray::ones(&[1]));
         a.backward();
+    }
+
+    #[test]
+    fn graph_node_count_is_per_thread() {
+        let before = graph_nodes_created();
+        std::thread::spawn(|| {
+            let x = Tensor::param(NdArray::ones(&[2]));
+            let start = graph_nodes_created();
+            let _y = x.mul(&x);
+            assert_eq!(graph_nodes_created(), start + 1);
+        })
+        .join()
+        .expect("graph-building thread");
+        assert_eq!(graph_nodes_created(), before, "another thread's nodes leaked into this count");
     }
 
     #[test]

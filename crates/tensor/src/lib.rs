@@ -33,7 +33,7 @@ pub mod parallel;
 pub mod shape_check;
 pub mod workspace;
 
-pub use array::NdArray;
+pub use array::{ArrayView, NdArray};
 pub use autograd::{graph_nodes_created, is_grad_enabled, no_grad, NoGradGuard, Tensor};
 pub use shape_check::{check_conv_out_size, check_im2col, check_matmul, ShapeError};
 pub use workspace::{Workspace, DEFAULT_BYTE_BUDGET};

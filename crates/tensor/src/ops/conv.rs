@@ -49,6 +49,13 @@ impl Conv2dSpec {
         Conv2dSpec { kernel: (1, 1), stride: (1, 1), padding: (0, 0), dilation: (1, 1) }
     }
 
+    /// Whether `im2col` under this geometry is a pure reshape (`1×1`
+    /// kernel, unit stride, no padding): the `[N, C, H, W]` input already
+    /// *is* its `[N, C, H·W]` column matrix, so no columns need building.
+    pub fn columns_are_input(&self) -> bool {
+        self.kernel == (1, 1) && self.stride == (1, 1) && self.padding == (0, 0)
+    }
+
     /// Output spatial size for an input of height `h` and width `w`.
     pub fn out_size(&self, h: usize, w: usize) -> (usize, usize) {
         crate::array::conv_out_size(

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate: everything that must stay green on every change.
 #   1. release build of the whole workspace
-#   2. the full test suite (unit + integration + property tests)
+#   2. the full test suite (unit + integration + property tests); with
+#      --no-fail-fast one run lists every failing crate, not just the first
 #   3. clippy with warnings denied
 #   4. a smoke pass over the criterion benches (--test runs each bench
 #      once without measuring, catching bit-rot in bench code; the
@@ -39,7 +40,7 @@ echo "== tier1: cargo build --release =="
 cargo build --workspace --release
 
 echo "== tier1: cargo test =="
-cargo test -q --workspace
+cargo test -q --workspace --no-fail-fast
 
 echo "== tier1: clippy -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
