@@ -18,11 +18,7 @@
 //!    window shape the plan was audited for,
 //! 6. **memory budget** (`--budget [BYTES]`) — every model's predicted
 //!    peak workspace (from the plan IR's static cost model) must fit the
-//!    serve workspace cap (default: `dhg_tensor::DEFAULT_BYTE_BUDGET`),
-//! 7. **cost cross-check** (`--bench PATH`) — predicted FLOPs divided by
-//!    a measured `BENCH_*.json` serve latency must not imply a rate above
-//!    the machine's own measured peak GEMM throughput (a predicted-FLOP
-//!    overcount would).
+//!    serve workspace cap (default: `dhg_tensor::DEFAULT_BYTE_BUDGET`).
 //!
 //! Exit status is non-zero if *any* diagnostic (warning or error)
 //! survives. `analyze --self-test` instead seeds known-bad inputs and
@@ -31,7 +27,6 @@
 //! ```text
 //! cargo run --release -p dhg-bench --bin analyze
 //! cargo run --release -p dhg-bench --bin analyze -- --budget
-//! cargo run --release -p dhg-bench --bin analyze -- --bench BENCH_9.json
 //! cargo run --release -p dhg-bench --bin analyze -- --self-test
 //! ```
 
@@ -361,85 +356,9 @@ fn self_test() -> usize {
     missed
 }
 
-/// Cross-check predicted FLOPs against measured wall-clock rates from a
-/// `BENCH_*.json` snapshot: the DHGCN-lite serve p50 latency and the
-/// snapshot's own peak GEMM throughput bound each other — a predicted
-/// rate above the measured peak would mean the static cost model
-/// overcounts. Returns the number of failed checks.
-fn cross_check_bench(path: &str) -> usize {
-    use dhg_train::json::Value;
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            println!("FAIL bench cross-check: cannot read {path}: {e}");
-            return 1;
-        }
-    };
-    let root = match Value::parse(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            println!("FAIL bench cross-check: cannot parse {path}: {e}");
-            return 1;
-        }
-    };
-    let peak_gflops = root
-        .get("gemm")
-        .and_then(Value::as_arr)
-        .map(|rows| {
-            rows.iter()
-                .filter_map(|r| r.get("gflops").and_then(Value::as_f64))
-                .fold(0.0f64, f64::max)
-        })
-        .unwrap_or(0.0);
-    let p50_us = root.get("serve").and_then(|s| s.get("p50_us")).and_then(Value::as_f64);
-    let (Some(p50_us), true) = (p50_us, peak_gflops > 0.0) else {
-        println!("FAIL bench cross-check: {path} lacks gemm/serve sections");
-        return 1;
-    };
-
-    // the serve section scores DHGCN-lite singles at [3, 16, 25] (8 in
-    // smoke runs — use the snapshot's window if recorded)
-    let frames = root
-        .get("serve")
-        .and_then(|s| s.get("frames"))
-        .and_then(Value::as_f64)
-        .map(|f| f as usize)
-        .unwrap_or(16);
-    let zoo = Zoo::tiny(SkeletonTopology::ntu25(), 4, 0);
-    let mut m = zoo.dhgcn_lite();
-    m.forward(&batch(1, frames, 25));
-    m.prepare_inference();
-    let cost = analyze(&m.plan(&SymShape::nctv(3, frames, 25))).cost_summary();
-    let predicted_gflop = cost.flops as f64 / 1e9;
-    let achieved = predicted_gflop / (p50_us / 1e6);
-    // p50 includes queueing and dispatch, so achieved should be well
-    // under peak; 1.0× is a generous one-sided bound on overcounting
-    let ratio = achieved / peak_gflops;
-    if ratio <= 1.0 {
-        println!(
-            "ok   bench cross-check: predicted {:.3} MFLOP / p50 {:.0} us => {:.2} GFLOP/s, \
-             {:.1}% of measured peak {:.2} GFLOP/s",
-            predicted_gflop * 1e3,
-            p50_us,
-            achieved,
-            ratio * 100.0,
-            peak_gflops
-        );
-        0
-    } else {
-        println!(
-            "FAIL bench cross-check: predicted FLOPs imply {achieved:.2} GFLOP/s at p50 \
-             {p50_us:.0} us, above the measured peak {peak_gflops:.2} GFLOP/s — the cost \
-             model overcounts"
-        );
-        1
-    }
-}
-
 fn main() -> ExitCode {
     let mut self_test_mode = false;
     let mut budget: Option<u64> = None;
-    let mut bench_path: Option<String> = None;
     let mut args = std::env::args().skip(1).peekable();
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -455,7 +374,6 @@ fn main() -> ExitCode {
                     None => dhg_tensor::DEFAULT_BYTE_BUDGET as u64,
                 });
             }
-            "--bench" => bench_path = args.next(),
             other => {
                 eprintln!("analyze: unknown argument `{other}`");
                 return ExitCode::FAILURE;
@@ -468,14 +386,10 @@ fn main() -> ExitCode {
         self_test()
     } else {
         println!("== analyze: static audit of the model zoo ==");
-        let mut n = audit_topology("NTU-25", SkeletonTopology::ntu25(), 16, budget)
+        audit_topology("NTU-25", SkeletonTopology::ntu25(), 16, budget)
             + audit_topology("OpenPose-18", SkeletonTopology::openpose18(), 16, budget)
             + audit_streaming("NTU-25", SkeletonTopology::ntu25(), 16, budget)
-            + audit_streaming("OpenPose-18", SkeletonTopology::openpose18(), 16, budget);
-        if let Some(path) = &bench_path {
-            n += cross_check_bench(path);
-        }
-        n
+            + audit_streaming("OpenPose-18", SkeletonTopology::openpose18(), 16, budget)
     };
     if failures == 0 {
         println!("== analyze: OK ==");

@@ -6,11 +6,10 @@
 //! coordinates of consecutive frames barely move, so this module makes
 //! construction *stateful*:
 //!
-//! * [`TopologyBuilder`] — the abstraction every model consumes. A builder
-//!   turns one coordinate set `[V, D]` into the union kNN ∪ k-medoid
-//!   normalised operator `[V, V]`.
-//! * [`FromScratch`] — the existing behaviour, bit-for-bit: reseeded
-//!   k-medoids, full kNN sweep, no state.
+//! * [`from_scratch_operator`] — the stateless construction every model
+//!   calls: one coordinate set `[V, D]` to the union kNN ∪ k-medoid
+//!   normalised operator `[V, V]`, with reseeded k-medoids and a full kNN
+//!   sweep.
 //! * [`Incremental`] — caches per-anchor kNN edges, the converged medoids
 //!   and the assembled operator between calls. Anchors are re-searched
 //!   only when accumulated movement exceeds
@@ -18,7 +17,7 @@
 //!   previous medoids ([`crate::kmeans::kmeans_hyperedges_seeded`]).
 //!   Threshold `0.0` is an exact-equality escape hatch: any movement at
 //!   all forces a full from-scratch rebuild, so the output is
-//!   bitwise-identical to [`FromScratch`] (pinned in
+//!   bitwise-identical to [`from_scratch_operator`] (pinned in
 //!   `crates/hypergraph/tests/incremental_props.rs`).
 //! * [`WindowTopology`] — a ring of per-frame cached operators over a
 //!   sliding window: pushing a frame builds one topology instead of
@@ -68,7 +67,8 @@ pub struct TopologyConfig {
     pub seed: u64,
     /// Movement budget before an anchor's kNN edge is recomputed
     /// (Euclidean distance in the embedding space). `0.0` means "exact":
-    /// the incremental builder is bitwise-identical to [`FromScratch`].
+    /// the incremental builder is bitwise-identical to
+    /// [`from_scratch_operator`].
     pub rebuild_threshold: f32,
 }
 
@@ -86,7 +86,7 @@ impl TopologyConfig {
     }
 }
 
-/// What one [`TopologyBuilder::build`] call actually did.
+/// What one [`Incremental::build`] call actually did.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct BuildStats {
     /// kNN anchors re-searched this build.
@@ -105,20 +105,6 @@ pub struct BuildStats {
     pub reused_everything: bool,
 }
 
-/// A source of union kNN ∪ k-medoid hypergraph operators.
-///
-/// `build` maps coordinates `[n_vertices, dim]` (row-major) to the
-/// normalised `[V, V]` convolution operator of the union hypergraph. A
-/// builder may carry state between calls; [`FromScratch`] does not,
-/// [`Incremental`] does.
-pub trait TopologyBuilder {
-    /// Build the operator for one coordinate set.
-    fn build(&mut self, coords: &[f32], n_vertices: usize, dim: usize) -> NdArray;
-
-    /// What the most recent `build` call did.
-    fn stats(&self) -> BuildStats;
-}
-
 /// Build the union operator with no cached state — the historical
 /// behaviour of the private `union_topology_operator` helpers in
 /// `dhg-core`. The k-medoid initialisation is reseeded per call, so
@@ -130,41 +116,6 @@ pub fn from_scratch_operator(coords: &[f32], v: usize, d: usize, config: &Topolo
     let mut rng = StdRng::seed_from_u64(config.seed);
     let kmeans = crate::kmeans_hyperedges(coords, v, d, config.km.min(v), &mut rng);
     knn.union(&kmeans).operator()
-}
-
-/// The stateless builder: every call is [`from_scratch_operator`].
-#[derive(Clone, Debug)]
-pub struct FromScratch {
-    config: TopologyConfig,
-    stats: BuildStats,
-}
-
-impl FromScratch {
-    /// A builder over the given hyper-parameters.
-    pub fn new(config: TopologyConfig) -> Self {
-        FromScratch { config, stats: BuildStats::default() }
-    }
-
-    /// The builder's configuration.
-    pub fn config(&self) -> &TopologyConfig {
-        &self.config
-    }
-}
-
-impl TopologyBuilder for FromScratch {
-    fn build(&mut self, coords: &[f32], n_vertices: usize, dim: usize) -> NdArray {
-        let op = from_scratch_operator(coords, n_vertices, dim, &self.config);
-        self.stats = BuildStats {
-            knn_recomputed: n_vertices,
-            full_rebuild: true,
-            ..BuildStats::default()
-        };
-        op
-    }
-
-    fn stats(&self) -> BuildStats {
-        self.stats
-    }
 }
 
 /// Cached state between two [`Incremental::build`] calls.
@@ -210,6 +161,11 @@ impl Incremental {
         self.state = None;
     }
 
+    /// What the most recent [`build`](Incremental::build) call did.
+    pub fn stats(&self) -> BuildStats {
+        self.stats
+    }
+
     #[inline]
     fn dist(a: &[f32], b: &[f32]) -> f32 {
         a.iter().zip(b).map(|(&x, &y)| (x - y) * (x - y)).sum::<f32>().sqrt()
@@ -240,10 +196,11 @@ impl Incremental {
         });
         operator
     }
-}
 
-impl TopologyBuilder for Incremental {
-    fn build(&mut self, coords: &[f32], n_vertices: usize, dim: usize) -> NdArray {
+    /// Build the normalised `[V, V]` operator of the union hypergraph for
+    /// coordinates `[n_vertices, dim]` (row-major), reusing whatever the
+    /// dirty rule allows from the previous call.
+    pub fn build(&mut self, coords: &[f32], n_vertices: usize, dim: usize) -> NdArray {
         assert_eq!(coords.len(), n_vertices * dim, "coords must be [n_vertices, dim]");
         let v = n_vertices;
         // shape change invalidates everything
@@ -293,7 +250,7 @@ impl TopologyBuilder for Incremental {
         if dirty.len() == v {
             // every anchor is past budget (always the case at τ = 0 with
             // any movement): fall back to the exact from-scratch path so
-            // the result cannot drift from FromScratch
+            // the result cannot drift from `from_scratch_operator`
             return self.rebuild(coords, v, dim);
         }
 
@@ -323,10 +280,6 @@ impl TopologyBuilder for Incremental {
         };
         operator
     }
-
-    fn stats(&self) -> BuildStats {
-        self.stats
-    }
 }
 
 /// A ring of per-frame topology operators over a sliding window.
@@ -337,8 +290,8 @@ impl TopologyBuilder for Incremental {
 /// of that frame's coordinates). `push` therefore builds exactly one
 /// topology — via an [`Incremental`] builder warm-started from the
 /// previous frame — and evicts the oldest. This 1-build-per-frame vs.
-/// `T`-builds-per-window ratio is the streaming speedup measured in
-/// `BENCH_7.json`.
+/// `T`-builds-per-window ratio is the streaming speedup;
+/// `tests/streaming.rs` holds it to at least 3× at `T = 64`.
 pub struct WindowTopology {
     window: usize,
     builder: Incremental,
@@ -470,20 +423,10 @@ mod tests {
     }
 
     #[test]
-    fn from_scratch_matches_free_function() {
-        let coords = cloud(25, 8, 1);
-        let mut b = FromScratch::new(config());
-        let op = b.build(&coords, 25, 8);
-        assert_eq!(op, from_scratch_operator(&coords, 25, 8, &config()));
-        assert!(b.stats().full_rebuild);
-    }
-
-    #[test]
     fn incremental_first_build_matches_from_scratch() {
         let coords = cloud(25, 8, 2);
         let mut inc = Incremental::new(config());
-        let mut fs = FromScratch::new(config());
-        assert_eq!(inc.build(&coords, 25, 8), fs.build(&coords, 25, 8));
+        assert_eq!(inc.build(&coords, 25, 8), from_scratch_operator(&coords, 25, 8, &config()));
         assert!(inc.stats().full_rebuild);
     }
 

@@ -19,11 +19,11 @@
 //!   `Imp·Impᵀ` (Eq. 9), plus rolling per-frame maintenance of both for
 //!   streaming windows ([`dynamic::RollingDistance`],
 //!   [`dynamic::RollingOperators`]).
-//! * [`incremental`] — stateful dynamic-topology construction: the
-//!   [`TopologyBuilder`] abstraction with [`FromScratch`] and
-//!   [`Incremental`] (dirty-set kNN invalidation + warm-started
-//!   k-medoids) implementations, and the [`incremental::WindowTopology`]
-//!   per-frame operator ring for sliding windows.
+//! * [`incremental`] — dynamic-topology construction: the stateless
+//!   [`from_scratch_operator`] every model calls, the stateful
+//!   [`Incremental`] builder (dirty-set kNN invalidation + warm-started
+//!   k-medoids), and the [`incremental::WindowTopology`] per-frame
+//!   operator ring for sliding windows.
 //! * [`sparse`] — a CSR matrix used to contrast sparse vs. dense operator
 //!   application as the vertex count grows (benchmarked in `dhg-bench`).
 //! * [`validate`] — static checks of the incidence invariants everything
@@ -50,8 +50,8 @@ pub use dynamic::{
 pub use graph::Graph;
 pub use hypergraph::Hypergraph;
 pub use incremental::{
-    from_scratch_operator, stacked_operators, stacked_operators_with, BuildStats, FromScratch,
-    Incremental, TopologyBuilder, TopologyConfig, TopologyGranularity, WindowTopology,
+    from_scratch_operator, stacked_operators, stacked_operators_with, BuildStats, Incremental,
+    TopologyConfig, TopologyGranularity, WindowTopology,
 };
 pub use kmeans::{
     kmeans_counters, kmeans_hyperedges, kmeans_hyperedges_outcome, kmeans_hyperedges_seeded,

@@ -1,14 +1,12 @@
 //! Property suite for the incremental topology builder: the
 //! [`Incremental`] builder at `rebuild_threshold = 0` must be
-//! **bitwise-identical** to [`FromScratch`] on every build — across
+//! **bitwise-identical** to [`from_scratch_operator`] on every build — across
 //! coordinate drift histories, kNN/k-medoid configurations, seeds and
 //! `DHGCN_THREADS ∈ {1, 2, 8}` — and at small positive thresholds its
 //! divergence must stay bounded and collapse back to zero the moment
 //! every anchor trips the threshold (full resync).
 
-use dhg_hypergraph::{
-    from_scratch_operator, FromScratch, Incremental, TopologyBuilder, TopologyConfig,
-};
+use dhg_hypergraph::{from_scratch_operator, Incremental, TopologyConfig};
 use dhg_tensor::parallel::with_threads;
 use dhg_tensor::NdArray;
 use proptest::prelude::*;
@@ -49,9 +47,8 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
         let mut coords = cloud(v, d, &mut rng);
         let mut inc = Incremental::new(config);
-        let mut scratch = FromScratch::new(config);
         for step in 0..steps {
-            let want = scratch.build(&coords, v, d);
+            let want = from_scratch_operator(&coords, v, d, &config);
             let got = inc.build(&coords, v, d);
             prop_assert_eq!(
                 got.data(), want.data(),

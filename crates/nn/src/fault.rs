@@ -15,10 +15,10 @@
 //!   test (e.g. `ServeConfig::faults`). Preferred in tests: plans stay
 //!   isolated per engine, and parallel tests cannot see each other's
 //!   faults.
-//! * **Global** — [`install`] a plan process-wide (or let a binary call
-//!   [`install_from_env`], which reads `DHGCN_FAULTS`). Free-function
-//!   hooks ([`fire`], [`checkpoint_io`]) consult it; this is how the
-//!   chaos binary drives faults through code it does not construct.
+//! * **Global** — [`install`] a plan process-wide. Code that takes no
+//!   explicit plan reads it through [`installed`] (e.g.
+//!   `checkpoint::save_file`) or the free-function hooks ([`fire`],
+//!   [`checkpoint_io`]).
 //!
 //! Decisions are a pure function of `(seed, site, per-site call index)`
 //! — two runs with the same plan and the same call interleaving per site
@@ -89,7 +89,7 @@ impl FaultSite {
         FaultSite::AcceptReject,
     ];
 
-    /// Stable kebab-case name (used by `DHGCN_FAULTS` and reports).
+    /// Stable kebab-case name (used by reports and panic payloads).
     pub fn name(self) -> &'static str {
         match self {
             FaultSite::WorkerDeath => "worker-death",
@@ -104,10 +104,6 @@ impl FaultSite {
             FaultSite::ReplyDelay => "reply-delay",
             FaultSite::AcceptReject => "accept-reject",
         }
-    }
-
-    fn from_name(name: &str) -> Option<FaultSite> {
-        FaultSite::ALL.iter().copied().find(|s| s.name() == name)
     }
 }
 
@@ -138,52 +134,6 @@ impl Default for FaultConfig {
             limits: [u64::MAX; FAULT_SITES],
             delay: Duration::from_millis(20),
         }
-    }
-}
-
-impl FaultConfig {
-    /// Parse the `DHGCN_FAULTS` grammar: comma/semicolon-separated
-    /// `key=value` entries. `seed=N` and `delay-ms=N` set globals; a site
-    /// name maps to `rate` or `rate:limit`, e.g.
-    /// `seed=42,worker-death=0.05:2,batch-delay=0.5,delay-ms=10`.
-    pub fn parse(spec: &str) -> Result<FaultConfig, String> {
-        let mut config = FaultConfig::default();
-        for entry in spec.split([',', ';']).map(str::trim).filter(|e| !e.is_empty()) {
-            let (key, value) = entry
-                .split_once('=')
-                .ok_or_else(|| format!("fault entry {entry:?} is not key=value"))?;
-            let (key, value) = (key.trim(), value.trim());
-            match key {
-                "seed" => {
-                    config.seed =
-                        value.parse().map_err(|_| format!("bad seed {value:?}"))?;
-                }
-                "delay-ms" => {
-                    let ms: u64 =
-                        value.parse().map_err(|_| format!("bad delay-ms {value:?}"))?;
-                    config.delay = Duration::from_millis(ms);
-                }
-                site_name => {
-                    let site = FaultSite::from_name(site_name)
-                        .ok_or_else(|| format!("unknown fault site {site_name:?}"))?;
-                    let (rate_str, limit) = match value.split_once(':') {
-                        Some((r, l)) => (
-                            r,
-                            l.parse().map_err(|_| format!("bad limit in {entry:?}"))?,
-                        ),
-                        None => (value, u64::MAX),
-                    };
-                    let rate: f64 =
-                        rate_str.parse().map_err(|_| format!("bad rate in {entry:?}"))?;
-                    if !(0.0..=1.0).contains(&rate) {
-                        return Err(format!("rate {rate} out of [0, 1] in {entry:?}"));
-                    }
-                    config.rates[site as usize] = rate;
-                    config.limits[site as usize] = limit;
-                }
-            }
-        }
-        Ok(config)
     }
 }
 
@@ -448,20 +398,6 @@ pub fn installed() -> Option<Arc<FaultPlan>> {
     global_slot().read().unwrap_or_else(|e| e.into_inner()).clone()
 }
 
-/// Install a plan from the `DHGCN_FAULTS` environment variable (see
-/// [`FaultConfig::parse`]). `Ok(None)` when the variable is unset,
-/// `Err` when it is set but malformed.
-pub fn install_from_env() -> Result<Option<Arc<FaultPlan>>, String> {
-    match std::env::var("DHGCN_FAULTS") {
-        Ok(spec) => {
-            let plan = Arc::new(FaultPlan::new(FaultConfig::parse(&spec)?));
-            install(plan.clone());
-            Ok(Some(plan))
-        }
-        Err(_) => Ok(None),
-    }
-}
-
 /// Global-plan hook: does this call of `site` fail? False (one relaxed
 /// load) when no plan is installed.
 pub fn fire(site: FaultSite) -> bool {
@@ -568,60 +504,12 @@ mod tests {
     }
 
     #[test]
-    fn env_grammar_parses_sites_rates_and_limits() {
-        let config = FaultConfig::parse(
-            "seed=42, worker-death=0.05:2; batch-delay=0.5, delay-ms=7",
-        )
-        .expect("valid spec");
-        assert_eq!(config.seed, 42);
-        assert_eq!(config.delay, Duration::from_millis(7));
-        assert_eq!(config.rates[FaultSite::WorkerDeath as usize], 0.05);
-        assert_eq!(config.limits[FaultSite::WorkerDeath as usize], 2);
-        assert_eq!(config.rates[FaultSite::BatchDelay as usize], 0.5);
-        assert_eq!(config.limits[FaultSite::BatchDelay as usize], u64::MAX);
-        assert_eq!(config.rates[FaultSite::BatchPanic as usize], 0.0);
-    }
-
-    #[test]
-    fn env_grammar_rejects_garbage() {
-        assert!(FaultConfig::parse("not-a-site=0.5").is_err());
-        assert!(FaultConfig::parse("worker-death").is_err());
-        assert!(FaultConfig::parse("worker-death=1.5").is_err());
-        assert!(FaultConfig::parse("worker-death=x").is_err());
-        assert!(FaultConfig::parse("seed=abc").is_err());
-        assert!(FaultConfig::parse("worker-death=0.5:abc").is_err());
-    }
-
-    #[test]
-    fn empty_spec_is_a_disabled_plan() {
-        let config = FaultConfig::parse("").expect("empty spec");
-        assert_eq!(config, FaultConfig::default());
-        let plan = FaultPlan::new(config);
-        assert!(!plan.should_fire(FaultSite::WorkerDeath));
-    }
-
-    #[test]
     fn report_names_active_sites() {
         let plan = FaultPlan::builder(9).rate(FaultSite::BatchPanic, 1.0).build();
         plan.should_fire(FaultSite::BatchPanic);
         let report = plan.report();
         assert!(report.contains("batch-panic: tripped 1/1"), "{report}");
         assert_eq!(FaultPlan::disabled().report(), "no fault sites active\n");
-    }
-
-    #[test]
-    fn wire_sites_parse_and_report_by_name() {
-        let config = FaultConfig::parse(
-            "seed=9,conn-drop=0.5:3,frame-truncate=0.1,frame-corrupt=0.2,\
-             reply-delay=0.3,accept-reject=0.4",
-        )
-        .expect("valid wire spec");
-        assert_eq!(config.rates[FaultSite::ConnDrop as usize], 0.5);
-        assert_eq!(config.limits[FaultSite::ConnDrop as usize], 3);
-        assert_eq!(config.rates[FaultSite::AcceptReject as usize], 0.4);
-        for site in FaultSite::WIRE {
-            assert_eq!(FaultSite::from_name(site.name()), Some(site));
-        }
     }
 
     #[test]

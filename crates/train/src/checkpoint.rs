@@ -5,19 +5,16 @@
 //! restores into an *existing* model whose parameter list must match
 //! shape-for-shape (the same constructor + seed produces it).
 //!
-//! Version 2 (`DHGCKPT2`, written by [`save`]) appends the model's
+//! The format (`DHGCKPT2`, written by [`save`]) stores the model's
 //! [`dhg_nn::Module::buffers`] — BatchNorm running statistics — after the
 //! parameters, so a restored model evaluates identically to the saved one
 //! and [`dhg_nn::Module::prepare_inference`] folds the same weights.
-//! Version-1 blobs (parameters only) still load; buffers then keep their
-//! current values.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use dhg_nn::fault::FaultPlan;
 use dhg_nn::Module;
 use dhg_tensor::NdArray;
 
-const MAGIC_V1: &[u8; 8] = b"DHGCKPT1";
 const MAGIC_V2: &[u8; 8] = b"DHGCKPT2";
 const MAGIC_TRAIN: &[u8; 8] = b"DHGTRNS1";
 
@@ -139,19 +136,16 @@ fn read_section(
     Ok(())
 }
 
-/// Restore parameters (and, for version-2 blobs, buffers) into a
-/// structurally identical model.
+/// Restore parameters and buffers into a structurally identical model.
 pub fn load(model: &dyn Module, mut bytes: Bytes) -> Result<(), CheckpointError> {
     if bytes.remaining() < MAGIC_V2.len() + 4 {
         return Err(CheckpointError::Truncated);
     }
     let mut magic = [0u8; 8];
     bytes.copy_to_slice(&mut magic);
-    let with_buffers = match &magic {
-        m if m == MAGIC_V2 => true,
-        m if m == MAGIC_V1 => false,
-        _ => return Err(CheckpointError::BadMagic),
-    };
+    if &magic != MAGIC_V2 {
+        return Err(CheckpointError::BadMagic);
+    }
     let params = model.parameters();
     let mut param_refs: Vec<_> = params.iter().map(|p| p.data_mut()).collect();
     {
@@ -160,13 +154,11 @@ pub fn load(model: &dyn Module, mut bytes: Bytes) -> Result<(), CheckpointError>
         read_section(&mut bytes, &mut targets)?;
     }
     drop(param_refs);
-    if with_buffers {
-        let buffers = model.buffers();
-        let mut buffer_refs: Vec<_> = buffers.iter().map(|b| b.borrow_mut()).collect();
-        let mut targets: Vec<&mut dhg_tensor::NdArray> =
-            buffer_refs.iter_mut().map(|r| &mut **r).collect();
-        read_section(&mut bytes, &mut targets)?;
-    }
+    let buffers = model.buffers();
+    let mut buffer_refs: Vec<_> = buffers.iter().map(|b| b.borrow_mut()).collect();
+    let mut targets: Vec<&mut dhg_tensor::NdArray> =
+        buffer_refs.iter_mut().map(|r| &mut **r).collect();
+    read_section(&mut bytes, &mut targets)?;
     if bytes.has_remaining() {
         return Err(CheckpointError::Truncated);
     }
@@ -257,48 +249,6 @@ pub fn load_file_prepared(
     load_file(model, path)?;
     model.prepare_inference();
     Ok(())
-}
-
-/// What [`load_with_report`] found while restoring a checkpoint.
-#[derive(Debug)]
-pub struct LoadReport {
-    /// Checkpoint format version (1 = parameters only, 2 = + buffers).
-    pub version: u8,
-    /// Analyzer warnings — non-fatal, but serving a model that triggers
-    /// them silently degrades accuracy (the v1 cold-BN failure mode).
-    pub warnings: Vec<String>,
-}
-
-/// [`load`] plus a static post-load audit: version-1 blobs carry no
-/// BatchNorm running statistics, so if any (mean, var) buffer pair still
-/// holds its initialisation values after loading, the report warns with
-/// [`dhg_nn::DiagCode::BnStatsCold`] — eval-mode forwards would normalise
-/// with made-up statistics.
-pub fn load_with_report(model: &dyn Module, bytes: Bytes) -> Result<LoadReport, CheckpointError> {
-    let version = if bytes.len() >= 8 && &bytes[..8] == MAGIC_V1 { 1 } else { 2 };
-    load(model, bytes)?;
-    let mut warnings = Vec::new();
-    if version == 1 {
-        let buffers = model.buffers();
-        if !buffers.is_empty() {
-            warnings.push(format!(
-                "checkpoint is version 1 (parameters only): {} buffer(s) were not restored",
-                buffers.len()
-            ));
-        }
-        for (i, pair) in buffers.chunks(2).enumerate() {
-            if let [rm, rv] = pair {
-                if dhg_nn::bn_stats_cold(&rm.borrow(), &rv.borrow()) {
-                    warnings.push(format!(
-                        "{}: BatchNorm pair {i} still holds init statistics (mean=0, var=1); \
-                         eval-mode output will be wrong until stats are warmed",
-                        dhg_nn::DiagCode::BnStatsCold
-                    ));
-                }
-            }
-        }
-    }
-    Ok(LoadReport { version, warnings })
 }
 
 /// Everything beyond the model needed to resume a training run exactly
@@ -449,26 +399,6 @@ mod tests {
     }
 
     #[test]
-    fn version1_blobs_without_buffers_still_load() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let a = Linear::new(4, 3, &mut rng);
-        // hand-build a v1 blob: old magic + parameter section only
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC_V1);
-        let params = a.parameters();
-        buf.put_u32_le(params.len() as u32);
-        for p in &params {
-            put_array(&mut buf, &p.data());
-        }
-        let mut rng2 = StdRng::seed_from_u64(77);
-        let b = Linear::new(4, 3, &mut rng2);
-        load(&b, buf.freeze()).expect("v1 load");
-        for (pa, pb) in a.parameters().iter().zip(b.parameters()) {
-            assert_eq!(pa.array(), pb.array());
-        }
-    }
-
-    #[test]
     fn roundtrip_preserves_running_stats_and_compiled_logits() {
         use dhg_core::common::{ModelDims, StageSpec};
         use dhg_core::StGcn;
@@ -505,51 +435,20 @@ mod tests {
     }
 
     #[test]
-    fn v1_load_report_warns_about_cold_bn_stats() {
-        use dhg_core::common::{ModelDims, StageSpec};
-        use dhg_core::StGcn;
-        use dhg_skeleton::SkeletonTopology;
-
-        let dims = ModelDims { in_channels: 3, n_joints: 25, n_classes: 4 };
-        let adjacency = SkeletonTopology::ntu25().graph().normalized_adjacency();
-        let mut rng = StdRng::seed_from_u64(3);
-        let a = StGcn::new(dims, adjacency.clone(), &[StageSpec::new(8, 1)], 0.0, &mut rng);
-
-        // hand-build a v1 blob: parameters only, no running statistics
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC_V1);
-        let params = a.parameters();
-        buf.put_u32_le(params.len() as u32);
-        for p in &params {
-            put_array(&mut buf, &p.data());
-        }
-
-        let mut rng2 = StdRng::seed_from_u64(71);
-        let b = StGcn::new(dims, adjacency, &[StageSpec::new(8, 1)], 0.0, &mut rng2);
-        let report = load_with_report(&b, buf.freeze()).expect("v1 load");
-        assert_eq!(report.version, 1);
-        assert!(
-            report.warnings.iter().any(|w| w.contains("bn-stats-cold")),
-            "expected a bn-stats-cold warning, got {:?}",
-            report.warnings
-        );
-    }
-
-    #[test]
-    fn v2_load_report_is_clean() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let a = Linear::new(5, 3, &mut rng);
-        let report = load_with_report(&a, save(&a)).expect("v2 load");
-        assert_eq!(report.version, 2);
-        assert!(report.warnings.is_empty(), "{:?}", report.warnings);
-    }
-
-    #[test]
     fn bad_magic_is_rejected() {
         let mut rng = StdRng::seed_from_u64(0);
         let m = Linear::new(2, 2, &mut rng);
         let err = load(&m, Bytes::from_static(b"NOTACKPTxxxxxxxxxxxx")).unwrap_err();
         assert_eq!(err, CheckpointError::BadMagic);
+        // the retired parameters-only `DHGCKPT1` format is refused typed
+        let mut v1 = BytesMut::new();
+        v1.put_slice(b"DHGCKPT1");
+        let params = m.parameters();
+        v1.put_u32_le(params.len() as u32);
+        for p in &params {
+            put_array(&mut v1, &p.data());
+        }
+        assert_eq!(load(&m, v1.freeze()).unwrap_err(), CheckpointError::BadMagic);
     }
 
     #[test]
@@ -570,26 +469,12 @@ mod tests {
         assert_eq!(err, CheckpointError::CountMismatch { found: 2, expected: 1 });
     }
 
-    /// A v1 (parameters-only) blob for `model`, as written by the
-    /// pre-buffer format.
-    fn v1_blob(model: &dyn Module) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC_V1);
-        let params = model.parameters();
-        buf.put_u32_le(params.len() as u32);
-        for p in &params {
-            put_array(&mut buf, &p.data());
-        }
-        buf.freeze()
-    }
-
     /// The long-running-server regression: *every* truncation of a valid
     /// artifact — mid-magic, mid-header, mid-shape, mid-data, mid-buffer
-    /// section — must come back as a typed error, never a panic. Covers
-    /// both format versions (v2 via a BatchNorm-carrying model so the
-    /// buffer section is non-empty).
+    /// section — must come back as a typed error, never a panic (a
+    /// BatchNorm-carrying model keeps the buffer section non-empty).
     #[test]
-    fn every_truncation_is_a_typed_error_v1_and_v2() {
+    fn every_truncation_is_a_typed_error() {
         use dhg_core::common::{ModelDims, StageSpec};
         use dhg_core::StGcn;
         use dhg_skeleton::SkeletonTopology;
@@ -605,7 +490,6 @@ mod tests {
             &mut rng,
         );
         for (model, blob) in [
-            (&lin as &dyn Module, v1_blob(&lin)),
             (&lin as &dyn Module, save(&lin)),
             (&st as &dyn Module, save(&st)),
         ] {
@@ -624,19 +508,18 @@ mod tests {
     fn every_single_byte_flip_never_panics() {
         let mut rng = StdRng::seed_from_u64(22);
         let m = Linear::new(4, 3, &mut rng);
-        for blob in [v1_blob(&m), save(&m)] {
-            for i in 0..blob.len() {
-                let mut corrupt = BytesMut::from(&blob[..]);
-                corrupt[i] ^= 0xFF;
-                let _ = load(&m, corrupt.freeze()); // Ok or typed Err, no panic
-            }
-            // header corruption specifically must be *detected*, not merely
-            // survived
-            for i in 0..8 {
-                let mut corrupt = BytesMut::from(&blob[..]);
-                corrupt[i] ^= 0xFF;
-                assert_eq!(load(&m, corrupt.freeze()).unwrap_err(), CheckpointError::BadMagic);
-            }
+        let blob = save(&m);
+        for i in 0..blob.len() {
+            let mut corrupt = BytesMut::from(&blob[..]);
+            corrupt[i] ^= 0xFF;
+            let _ = load(&m, corrupt.freeze()); // Ok or typed Err, no panic
+        }
+        // header corruption specifically must be *detected*, not merely
+        // survived
+        for i in 0..8 {
+            let mut corrupt = BytesMut::from(&blob[..]);
+            corrupt[i] ^= 0xFF;
+            assert_eq!(load(&m, corrupt.freeze()).unwrap_err(), CheckpointError::BadMagic);
         }
     }
 

@@ -1101,6 +1101,7 @@ mod tests {
         }
         let m = engine.metrics();
         assert_eq!(m.completed.get(), 8);
+        assert_eq!(m.shed.get(), 0, "no request may be shed below the queue bound");
         assert!(
             m.batches.get() < 8,
             "8 concurrent requests must coalesce into fewer than 8 batches (got {})",
@@ -1275,21 +1276,23 @@ mod tests {
         let mut reference = InferenceSession::new(zoo.stgcn());
         let engine = engine(ServeConfig::default());
         let stream = engine.open_stream(1).expect("open");
+        // generate each frame once and feed the same buffer to both sides:
+        // recomputing it for the reference can differ in the last bit
+        // under release optimisation
+        let frames: Vec<Vec<f32>> = (0..10).map(frame).collect();
         // warmup: T-1 frames in, nothing out
-        for t in 0..7 {
-            assert!(engine.push_frame(stream, &frame(t)).expect("push").is_none());
+        for f in &frames[..7] {
+            assert!(engine.push_frame(stream, f).expect("push").is_none());
         }
         // frame 8 completes the window; every later frame slides it
         for t in 7..10 {
             let pending = engine
-                .push_frame(stream, &frame(t))
+                .push_frame(stream, &frames[t])
                 .expect("push")
                 .expect("full window must submit");
             let got = pending.wait().expect("scored");
             // offline reference over the same [C, T, V] window
-            let rows: Vec<f32> =
-                (t + 1 - 8..=t).flat_map(frame).collect();
-            let window = NdArray::from_vec(rows, &[8, 3, 25])
+            let window = NdArray::from_vec(frames[t + 1 - 8..=t].concat(), &[8, 3, 25])
                 .permute(&[1, 0, 2])
                 .reshape(&[1, 3, 8, 25]);
             let want = reference.logits(&Tensor::constant(window));
@@ -1579,10 +1582,13 @@ mod tests {
             }
         };
         let stream = engine.open_stream(1).expect("open");
-        for t in 0..7 {
-            assert!(engine.push_frame(stream, &frame(t)).expect("warmup").is_none());
+        // one buffer per frame for both sides (see
+        // stream_warms_up_then_scores_sliding_windows)
+        let frames: Vec<Vec<f32>> = (0..8).map(frame).collect();
+        for f in &frames[..7] {
+            assert!(engine.push_frame(stream, f).expect("warmup").is_none());
         }
-        let err = engine.push_frame(stream, &frame(7)).expect_err("queue is full");
+        let err = engine.push_frame(stream, &frames[7]).expect_err("queue is full");
         assert!(matches!(err, ServeError::Rejected { .. }), "{err:?}");
         // transactional: the failed push must not have advanced the ring
         assert_eq!(engine.metrics().stream_frames.get(), 7);
@@ -1590,7 +1596,7 @@ mod tests {
         // retry the SAME frame until the wedge clears and it is accepted
         let mut pending = None;
         for _ in 0..500 {
-            match engine.push_frame(stream, &frame(7)) {
+            match engine.push_frame(stream, &frames[7]) {
                 Ok(Some(p)) => {
                     pending = Some(p);
                     break;
@@ -1605,8 +1611,7 @@ mod tests {
         let got = pending.expect("retry must eventually be accepted").wait().expect("scored");
         // the accepted window must be frames 0..8 exactly once each; a
         // non-transactional push would have double-inserted frame 7
-        let rows: Vec<f32> = (0..8).flat_map(frame).collect();
-        let window = NdArray::from_vec(rows, &[8, 3, 25])
+        let window = NdArray::from_vec(frames.concat(), &[8, 3, 25])
             .permute(&[1, 0, 2])
             .reshape(&[1, 3, 8, 25]);
         let want = reference.logits(&Tensor::constant(window));

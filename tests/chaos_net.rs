@@ -1,16 +1,16 @@
 //! Wire-level chaos integration suite: the TCP serving stack under
 //! seeded transport fault injection.
 //!
-//! Contracts (the bench `chaos-net` driver checks the same ones at
-//! larger scale and more worker counts):
+//! Contracts:
 //!
 //! - Under a seeded storm of `conn-drop` / `frame-truncate` /
-//!   `frame-corrupt` / `reply-delay` / `accept-reject`, every request a
-//!   self-healing [`NetClient`] sends resolves to logits bitwise-equal
-//!   to in-process [`InferenceSession::logits`] or to a typed
-//!   [`NetError`] — never a hang, never silent corruption — and the
-//!   router's accounting conserves (retries are replayed from the reply
-//!   cache, not re-executed).
+//!   `frame-corrupt` / `reply-delay` / `accept-reject`, at 1, 2 and 8
+//!   serve workers, every request a self-healing [`NetClient`] sends
+//!   resolves to logits bitwise-equal to in-process
+//!   [`InferenceSession::logits`] or to a typed [`NetError`] — never a
+//!   hang, never silent corruption — and the router's accounting
+//!   conserves (retries are replayed from the reply cache, not
+//!   re-executed).
 //! - A client with retries disabled surfaces wire damage as a typed
 //!   error immediately (the fault machinery itself never panics).
 //! - A hot-swap whose reply is lost executes exactly once.
@@ -79,73 +79,75 @@ fn healing_client(addr: std::net::SocketAddr) -> NetClient {
 
 #[test]
 fn storm_replies_are_bitwise_or_typed_and_accounting_conserves() {
-    let faults = FaultPlan::builder(SEED)
-        .rate(FaultSite::ConnDrop, 0.05)
-        .rate(FaultSite::FrameCorrupt, 0.08)
-        .rate(FaultSite::FrameTruncate, 0.05)
-        .rate(FaultSite::ReplyDelay, 0.10)
-        .delay(Duration::from_millis(1))
-        .rate(FaultSite::AcceptReject, 0.25)
-        .limit(FaultSite::AcceptReject, 6)
-        .build();
-    let (router, server) = start_stack(2, Some(faults.clone()));
-    let addr = server.addr();
+    for workers in [1, 2, 8] {
+        let faults = FaultPlan::builder(SEED)
+            .rate(FaultSite::ConnDrop, 0.05)
+            .rate(FaultSite::FrameCorrupt, 0.08)
+            .rate(FaultSite::FrameTruncate, 0.05)
+            .rate(FaultSite::ReplyDelay, 0.10)
+            .delay(Duration::from_millis(1))
+            .rate(FaultSite::AcceptReject, 0.25)
+            .limit(FaultSite::AcceptReject, 6)
+            .build();
+        let (router, server) = start_stack(workers, Some(faults.clone()));
+        let addr = server.addr();
 
-    let per_tenant = 16usize;
-    let handles: Vec<_> = TENANTS
-        .iter()
-        .map(|tenant| {
-            let tenant = tenant.to_string();
-            std::thread::spawn(move || {
-                let mut client = healing_client(addr);
-                let mut served = 0usize;
-                let mut typed = 0usize;
-                for s in 0..per_tenant {
-                    let model = MODELS[s % MODELS.len()];
-                    match client.infer(&tenant, model, &sample(s)) {
-                        Ok(got) => {
-                            assert_eq!(
-                                got,
-                                reference_logits(model, &sample(s)),
-                                "surviving reply diverged under the storm"
-                            );
-                            served += 1;
+        let per_tenant = 16usize;
+        let handles: Vec<_> = TENANTS
+            .iter()
+            .map(|tenant| {
+                let tenant = tenant.to_string();
+                std::thread::spawn(move || {
+                    let mut client = healing_client(addr);
+                    let mut served = 0usize;
+                    let mut typed = 0usize;
+                    for s in 0..per_tenant {
+                        let model = MODELS[s % MODELS.len()];
+                        match client.infer(&tenant, model, &sample(s)) {
+                            Ok(got) => {
+                                assert_eq!(
+                                    got,
+                                    reference_logits(model, &sample(s)),
+                                    "{workers} workers: surviving reply diverged under the storm"
+                                );
+                                served += 1;
+                            }
+                            // typed errors are within contract; a panic or
+                            // a hang would fail the test harness instead
+                            Err(_) => typed += 1,
                         }
-                        // typed errors are within contract; a panic or a
-                        // hang would fail the test harness instead
-                        Err(_) => typed += 1,
                     }
-                }
-                (served, typed)
+                    (served, typed)
+                })
             })
-        })
-        .collect();
-    let mut served = 0usize;
-    for h in handles {
-        served += h.join().expect("client thread survives the storm").0;
-    }
-    assert!(served > 0, "the storm starved every request");
+            .collect();
+        let mut served = 0usize;
+        for h in handles {
+            served += h.join().expect("client thread survives the storm").0;
+        }
+        assert!(served > 0, "{workers} workers: the storm starved every request");
 
-    // the storm must have actually fired on the wire
-    let wire_trips: u64 = FaultSite::WIRE.iter().map(|&s| faults.trips(s)).sum();
-    assert!(wire_trips > 0, "no wire fault tripped — the storm proved nothing");
+        // the storm must have actually fired on the wire
+        let wire_trips: u64 = FaultSite::WIRE.iter().map(|&s| faults.trips(s)).sum();
+        assert!(wire_trips > 0, "{workers} workers: no wire fault tripped — the storm proved nothing");
 
-    // conservation: everything the engines accepted resolved exactly
-    // once; replayed retries came from the reply cache
-    let parsed = dhgcn::train::json::Value::parse(&router.health_json()).expect("json");
-    let models = parsed.get("models").expect("models");
-    for model in MODELS {
-        let m = models.get(model).expect("model entry");
-        let count = |k: &str| m.get(k).and_then(|v| v.as_f64()).unwrap_or(0.0) as u64;
-        assert_eq!(
-            count("accepted"),
-            count("completed") + count("failed") + count("bad_output")
-                + count("deadline_exceeded"),
-            "{model}: accepted work leaked under the storm"
-        );
+        // conservation: everything the engines accepted resolved exactly
+        // once; replayed retries came from the reply cache
+        let parsed = dhgcn::train::json::Value::parse(&router.health_json()).expect("json");
+        let models = parsed.get("models").expect("models");
+        for model in MODELS {
+            let m = models.get(model).expect("model entry");
+            let count = |k: &str| m.get(k).and_then(|v| v.as_f64()).unwrap_or(0.0) as u64;
+            assert_eq!(
+                count("accepted"),
+                count("completed") + count("failed") + count("bad_output")
+                    + count("deadline_exceeded"),
+                "{workers} workers: {model}: accepted work leaked under the storm"
+            );
+        }
+        server.shutdown();
+        router.shutdown();
     }
-    server.shutdown();
-    router.shutdown();
 }
 
 #[test]

@@ -6,8 +6,9 @@
 //! inputs, for every model and tenant concurrently. Hot-swap must lose
 //! zero accepted requests — every request in flight across the switch
 //! gets either a correct reply (from the version that accepted it) or a
-//! typed error — and a vet-failing checkpoint must be refused with the
-//! old version still serving.
+//! typed error — a vet-failing checkpoint must be refused with the
+//! old version still serving, and a canary whose output breaches quality
+//! must roll back with the stable version still serving bitwise.
 
 use dhgcn::skeleton::SkeletonTopology;
 use dhgcn::tensor::{NdArray, Tensor};
@@ -88,19 +89,22 @@ fn serves_two_models_to_two_tenants_bitwise_identical_over_tcp() {
     }
 
     // streaming over the wire: the first emitted window is bitwise the
-    // offline window logits
+    // offline window logits. Each frame is generated once and the same
+    // buffer feeds both sides: recomputing it for the reference can
+    // differ in the last bit under release optimisation
+    let frames: Vec<Vec<f32>> = (0..8).map(frame).collect();
     let mut client = NetClient::connect(addr).expect("connect");
     let stream = client.open_stream("acme", "ST-GCN", 1).expect("open stream");
-    for t in 0..7 {
-        assert_eq!(client.push_frame("acme", stream, &frame(t)).expect("warmup"), None);
+    for f in &frames[..7] {
+        assert_eq!(client.push_frame("acme", stream, f).expect("warmup"), None);
     }
     let got = client
-        .push_frame("acme", stream, &frame(7))
+        .push_frame("acme", stream, &frames[7])
         .expect("emit")
         .expect("full window emits");
-    let rows: Vec<f32> = (0..8).flat_map(frame).collect();
-    let window =
-        NdArray::from_vec(rows, &[8, 3, 25]).permute(&[1, 0, 2]).reshape(&[1, 3, 8, 25]);
+    let window = NdArray::from_vec(frames.concat(), &[8, 3, 25])
+        .permute(&[1, 0, 2])
+        .reshape(&[1, 3, 8, 25]);
     let mut session = InferenceSession::new(zoo.by_name("ST-GCN").expect("zoo"));
     let want = session.logits(&Tensor::constant(window));
     assert_eq!(got, want.data()[..4].to_vec(), "streamed window diverged over TCP");
@@ -260,6 +264,30 @@ fn canary_lifecycle_over_the_wire() {
     let entry = parsed.get("models").and_then(|m| m.get(model)).expect("model entry");
     assert!(matches!(entry.get("canary"), Some(dhgcn::train::json::Value::Null)));
     assert_eq!(entry.get("canary_promotions").and_then(|v| v.as_f64()), Some(1.0));
+
+    // a poisoned candidate: finite weights the vet accepts, but the last
+    // two parameters at f32::MAX overflow the forward
+    let poisoned = Zoo::tiny(SkeletonTopology::ntu25(), 4, 0).by_name(model).expect("zoo");
+    for p in poisoned.parameters().iter().rev().take(2) {
+        p.data_mut().data_mut().fill(f32::MAX);
+    }
+    let poison_bytes = checkpoint::save(&poisoned).to_vec();
+    let candidate = client.swap_canary(model, &poison_bytes, 1.0).expect("vet accepts the poison");
+    assert_eq!(candidate, 3);
+    // its first reply is a typed quality breach, which rolls it back
+    let err = client.infer("acme", model, &sample(99)).expect_err("poisoned reply");
+    assert!(matches!(&err, NetError::Remote { status: Status::BadOutput, .. }), "{err:?}");
+    assert_eq!(router.version(model), Some(2), "rollback must keep the stable version");
+    let x = sample(7);
+    let got = client.infer("acme", model, &x).expect("stable version serves after rollback");
+    assert_eq!(got, reference_logits(&mut v2_session, &x), "stable reply is not v2 after rollback");
+    // health observed both transitions and shows no staged canary
+    let parsed =
+        dhgcn::train::json::Value::parse(&client.health().expect("health")).expect("json");
+    let entry = parsed.get("models").and_then(|m| m.get(model)).expect("model entry");
+    assert!(matches!(entry.get("canary"), Some(dhgcn::train::json::Value::Null)));
+    assert_eq!(entry.get("canary_promotions").and_then(|v| v.as_f64()), Some(1.0));
+    assert_eq!(entry.get("canary_rollbacks").and_then(|v| v.as_f64()), Some(1.0));
 
     server.shutdown();
 }

@@ -1,15 +1,20 @@
 //! Cross-crate streaming invariance: frame-at-a-time scoring through
 //! [`StreamingSession`] and [`ServeEngine`] streams must agree with
-//! offline window scoring, and the rolling Eq. 9 operator maintenance
-//! must match `dynamic_operators` slices of the full stream.
+//! offline window scoring, the rolling Eq. 9 operator maintenance must
+//! match `dynamic_operators` slices of the full stream, and per-frame
+//! maintenance must stay far cheaper than per-window reconstruction.
 
 use dhgcn::core::StreamableModel;
-use dhgcn::hypergraph::dynamic_operators;
-use dhgcn::skeleton::SkeletonTopology;
+use dhgcn::hypergraph::{
+    dynamic_operators, from_scratch_operator, RollingOperators, TopologyConfig, WindowTopology,
+};
+use dhgcn::skeleton::{static_hypergraph, SkeletonTopology};
 use dhgcn::tensor::{NdArray, Tensor};
 use dhgcn::train::serve::{ServeConfig, ServeEngine};
 use dhgcn::train::zoo::Zoo;
 use dhgcn::train::{InferenceSession, StreamingConfig, StreamingSession};
+use std::hint::black_box;
+use std::time::Instant;
 
 const C: usize = 3;
 const T: usize = 8;
@@ -184,4 +189,80 @@ fn streaming_session_cadence_and_serve_metrics_agree() {
     assert_eq!(engine.metrics().stream_windows.get(), 4);
     assert_eq!(engine.metrics().stream_frames.get(), (T + 6) as u64);
     engine.shutdown();
+}
+
+/// One frame of a drifting synthetic skeleton as `[V, D]` coordinates: a
+/// fixed base pose plus slow per-joint sinusoidal motion.
+fn drifting_pose(t: usize, v: usize, d: usize) -> Vec<f32> {
+    (0..v * d)
+        .map(|i| {
+            let (vi, ci) = (i / d, i % d);
+            let base = ((vi * 37 + ci * 11) as f32 * 0.31).sin();
+            base + (t as f32 * 0.08 + vi as f32 * 0.5 + ci as f32).sin() * 0.05
+        })
+        .collect()
+}
+
+/// Median wall time in µs of `f(0)`, …, `f(reps - 1)`, each call timed on
+/// its own so a preempted call cannot decide the result.
+fn median_us(reps: usize, mut f: impl FnMut(usize)) -> f64 {
+    let mut times: Vec<f64> = (0..reps)
+        .map(|i| {
+            let start = Instant::now();
+            f(i);
+            start.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    times[reps / 2]
+}
+
+/// The streaming floor: at `T = 64` on NTU-25, pushing one frame must be
+/// at least 3× cheaper than rebuilding the whole window from scratch, for
+/// both the §3.4 kNN/k-medoid window topology and the Eq. 9 joint-weight
+/// operators. A window shares `T − 1` frames with its predecessor, so the
+/// structural ratio is about `T`.
+#[test]
+fn per_frame_maintenance_is_at_least_3x_cheaper_than_window_rebuild() {
+    const FLOOR: f64 = 3.0;
+    let (t, v, d) = (64usize, 25usize, 3usize);
+    let (pushes, windows) = (64usize, 4usize);
+    let frames: Vec<Vec<f32>> = (0..t + pushes).map(|ti| drifting_pose(ti, v, d)).collect();
+
+    // §3.4 window topology: one incremental build per push, T builds per
+    // from-scratch window
+    let config = TopologyConfig::new(4, 8, 7).with_threshold(0.02);
+    let mut ring = WindowTopology::new(t, config);
+    for f in &frames[..t] {
+        ring.push(f, v, d);
+    }
+    let maintain = median_us(pushes, |i| ring.push(&frames[t + i], v, d));
+    let rebuild = median_us(windows, |w| {
+        for f in &frames[w..w + t] {
+            black_box(from_scratch_operator(f, v, d, &config));
+        }
+    });
+    // libtest shows this line when the assert below fails
+    println!(
+        "window topology: {maintain:.1} us/frame vs {rebuild:.1} us/window, {:.1}x",
+        rebuild / maintain
+    );
+    assert!(rebuild >= FLOOR * maintain, "window topology is below the {FLOOR}x floor");
+
+    // Eq. 9 moving-distance joint-weight operators
+    let hg = static_hypergraph(&SkeletonTopology::ntu25());
+    let mut rolling = RollingOperators::new(t, hg.clone(), d);
+    for f in &frames[..t] {
+        rolling.push(f);
+    }
+    let maintain = median_us(pushes, |i| rolling.push(&frames[t + i]));
+    let rebuild = median_us(windows, |w| {
+        let coords = NdArray::from_vec(frames[w..w + t].concat(), &[t, v, d]);
+        black_box(dynamic_operators(&hg, &coords));
+    });
+    println!(
+        "rolling operators: {maintain:.1} us/frame vs {rebuild:.1} us/window, {:.1}x",
+        rebuild / maintain
+    );
+    assert!(rebuild >= FLOOR * maintain, "rolling operators is below the {FLOOR}x floor");
 }
