@@ -1,9 +1,9 @@
 //! Operator application micro-benchmarks: graph vs hypergraph operators
-//! at skeleton scale, and the dense-vs-CSR crossover as the vertex count
-//! grows (the DESIGN.md ablation for the sparse backend).
+//! at skeleton scale, and dense operator application as the vertex count
+//! grows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dhg_hypergraph::{CsrMatrix, Graph, Hypergraph};
+use dhg_hypergraph::{Graph, Hypergraph};
 use dhg_skeleton::{static_hypergraph, SkeletonTopology};
 use dhg_tensor::NdArray;
 use std::hint::black_box;
@@ -50,13 +50,9 @@ fn bench_operator_application(c: &mut Criterion) {
     let mut group = c.benchmark_group("operator_apply");
     for &v in &[25usize, 100, 400] {
         let op = synthetic_hypergraph(v).operator();
-        let csr = CsrMatrix::from_dense(&op);
         let x = NdArray::from_vec((0..v * 64).map(|i| (i as f32 * 0.1).sin()).collect(), &[v, 64]);
         group.bench_with_input(BenchmarkId::new("dense", v), &v, |b, _| {
             b.iter(|| black_box(op.matmul(&x)))
-        });
-        group.bench_with_input(BenchmarkId::new("csr", v), &v, |b, _| {
-            b.iter(|| black_box(csr.matmul_dense(&x)))
         });
         group.bench_with_input(BenchmarkId::new("graph_dense", v), &v, |b, _| {
             let gop = synthetic_graph(v).normalized_adjacency();

@@ -10,13 +10,8 @@
 //! 3. **hypergraph incidence invariants** — binary `H`, full joint
 //!    coverage, normalised `Imp` weights, non-singular degree matrices,
 //! 4. **workspace aliasing** — one audited `forward_inference` pass per
-//!    model must report zero buffer-alias hazards.
-//!
-//! 5. **streaming window paths** — the `StreamableModel::plan_window`
-//!    plans (with and without injected rolling operators) must be clean,
-//!    and a live `StreamingSession` ring must materialise exactly the
-//!    window shape the plan was audited for,
-//! 6. **memory budget** (`--budget [BYTES]`) — every model's predicted
+//!    model must report zero buffer-alias hazards,
+//! 5. **memory budget** (`--budget [BYTES]`) — every model's predicted
 //!    peak workspace (from the plan IR's static cost model) must fit the
 //!    serve workspace cap (default: `dhg_tensor::DEFAULT_BYTE_BUDGET`).
 //!
@@ -30,12 +25,10 @@
 //! cargo run --release -p dhg-bench --bin analyze -- --self-test
 //! ```
 
-use dhg_core::streaming::StreamableModel;
 use dhg_core::TwoStream;
 use dhg_nn::{analyze, DiagCode, Module, Plan, SymShape};
 use dhg_skeleton::SkeletonTopology;
 use dhg_tensor::{NdArray, Tensor, Workspace};
-use dhg_train::streaming::{StreamingConfig, StreamingSession};
 use dhg_train::zoo::Zoo;
 use std::process::ExitCode;
 
@@ -146,70 +139,6 @@ fn audit_topology(label: &str, topology: SkeletonTopology, t: usize, budget: Opt
             failures += 1;
         }
     }
-    failures
-}
-
-/// Audit the streaming window paths: every streamable model's
-/// `plan_window` must be clean (with injected rolling operators where
-/// the model consumes them), fit the budget, and agree with the window
-/// shape a live `StreamingSession` ring actually materialises.
-fn audit_streaming(label: &str, topology: SkeletonTopology, t: usize, budget: Option<u64>) -> usize {
-    let v = topology.n_joints();
-    let zoo = Zoo::tiny(topology, 4, 0);
-    let x = batch(2, t, v);
-    let window = SymShape::nctv(3, t, v);
-    let mut failures = 0;
-
-    // typed accessors: plan_window is a StreamableModel method, which the
-    // Box<dyn Module> registry erases
-    let mut audit = |name: &str, mut m: Box<dyn StreamableModel>| {
-        m.forward(&x);
-        m.prepare_inference();
-        let ops_shape = SymShape::batched(&[t, v, v]);
-        let injected = m.consumes_window_ops().then_some(&ops_shape);
-        let plan = m.plan_window(&window, injected);
-        let report = analyze(&plan);
-        if report.ok() {
-            println!("ok   {label:<12} {name:<12} window: {report}");
-        } else {
-            println!("FAIL {label:<12} {name:<12} window:\n{report}");
-            failures += 1;
-        }
-        failures += check_budget(label, name, &plan, budget);
-
-        // ring audit: the session's materialised window must be exactly
-        // the [1, C, T, V] shape the plan above was audited for, and a
-        // full ring must emit [K] logits
-        let mut session = StreamingSession::new(m, 3, v, StreamingConfig::new(t));
-        let mut logits = None;
-        for ti in 0..t {
-            let frame: Vec<f32> =
-                (0..3 * v).map(|i| ((ti * 31 + i) as f32 * 0.013).sin()).collect();
-            logits = session.push(&frame);
-        }
-        let ring = session.window_input();
-        if ring.shape() != [1, 3, t, v] {
-            println!(
-                "FAIL {label:<12} {name:<12} ring shape {:?} != audited window [1, 3, {t}, {v}]",
-                ring.shape()
-            );
-            failures += 1;
-        }
-        match logits {
-            Some(y) if y.shape() == [4] => {}
-            Some(y) => {
-                println!("FAIL {label:<12} {name:<12} stream logits shape {:?}", y.shape());
-                failures += 1;
-            }
-            None => {
-                println!("FAIL {label:<12} {name:<12} full ring emitted nothing");
-                failures += 1;
-            }
-        }
-    };
-    audit("ST-GCN", Box::new(zoo.stgcn()));
-    audit("DHGCN", Box::new(zoo.dhgcn()));
-    audit("DHGCN-lite", Box::new(zoo.dhgcn_lite()));
     failures
 }
 
@@ -342,17 +271,6 @@ fn self_test() -> usize {
         !analyze(&p).with_code(DiagCode::WorkspaceAlias).is_empty(),
     );
 
-    // streaming path: misaligned rolling operators must be refused
-    let mut dh = zoo.dhgcn();
-    dh.forward(&x);
-    dh.prepare_inference();
-    let bad_ops = dh.plan_window(&shape, Some(&SymShape::batched(&[t, v + 1, v + 1])));
-    expect(
-        &mut missed,
-        "misaligned rolling operators are flagged",
-        !analyze(&bad_ops).with_code(DiagCode::ShapeMismatch).is_empty(),
-    );
-
     missed
 }
 
@@ -388,8 +306,6 @@ fn main() -> ExitCode {
         println!("== analyze: static audit of the model zoo ==");
         audit_topology("NTU-25", SkeletonTopology::ntu25(), 16, budget)
             + audit_topology("OpenPose-18", SkeletonTopology::openpose18(), 16, budget)
-            + audit_streaming("NTU-25", SkeletonTopology::ntu25(), 16, budget)
-            + audit_streaming("OpenPose-18", SkeletonTopology::openpose18(), 16, budget)
     };
     if failures == 0 {
         println!("== analyze: OK ==");

@@ -196,13 +196,6 @@ impl Dhgcn {
         Self::new(config, hg, rng)
     }
 
-    /// The static hypergraph the joint-weight operators are built over —
-    /// streaming sessions use it to maintain the Eq. 9 operators
-    /// incrementally outside the model.
-    pub fn static_hypergraph(&self) -> &Hypergraph {
-        &self.static_hg
-    }
-
     /// The model configuration.
     pub fn config(&self) -> &DhgcnConfig {
         &self.config
@@ -215,7 +208,7 @@ impl Dhgcn {
 
     /// Compute the Eq. 9 operators `[N, T, V, V]` from a raw coordinate
     /// batch `[N, 3, T, V]`.
-    pub fn dynamic_joint_weight_ops(&self, x: &NdArray) -> NdArray {
+    fn dynamic_joint_weight_ops(&self, x: &NdArray) -> NdArray {
         let s = x.shape();
         let (n, t, v) = (s[0], s[2], s[3]);
         let positions = x.permute(&[0, 2, 3, 1]); // [N, T, V, 3]
@@ -226,96 +219,6 @@ impl Dhgcn {
         }
         let refs: Vec<&NdArray> = per_sample.iter().collect();
         NdArray::concat(&refs, 0)
-    }
-
-    /// The training/eval forward with an optional override for the Eq. 9
-    /// joint-weight operators. `ops_override` must be `[N, T, V, V]` at the
-    /// input temporal resolution; streaming sessions pass rolling operators
-    /// maintained outside the model, offline callers pass `None` and the
-    /// model derives them from the raw coordinates.
-    fn forward_with_ops(&self, x: &Tensor, ops_override: Option<&NdArray>) -> Tensor {
-        let shape = x.shape();
-        assert_eq!(shape.len(), 4, "input must be [N, C, T, V]");
-        assert_eq!(shape[1], self.config.dims.in_channels, "channel mismatch");
-        assert_eq!(shape[3], self.config.dims.n_joints, "joint mismatch");
-        // Dynamic joint-weight operators come from the *raw coordinates*
-        // (moving distance, Eq. 6) — computed once, shared by all blocks
-        // at the same temporal resolution (no per-block copies), and
-        // subsampled whenever a block strides over time.
-        let needs_ops = self.blocks.iter().any(|b| b.needs_dynamic_ops());
-        let mut ops: Option<Tensor> = if needs_ops {
-            Some(match ops_override {
-                Some(o) => Tensor::constant(o.clone()),
-                None => Tensor::constant(self.dynamic_joint_weight_ops(&x.data())),
-            })
-        } else {
-            None
-        };
-
-        let mut h = self.input_bn.forward(x);
-        for block in &self.blocks {
-            let ops_tensor =
-                block.needs_dynamic_ops().then(|| ops.as_ref().expect("ops precomputed"));
-            h = block.forward(&h, ops_tensor);
-            if block.stride() > 1 {
-                if let Some(o) = &ops {
-                    let t_out = h.shape()[2];
-                    let sub = Self::subsample_ops(&o.data(), t_out, block.stride());
-                    ops = Some(Tensor::constant(sub));
-                }
-            }
-        }
-        self.fc.forward(&global_avg_pool(&h))
-    }
-
-    /// Grad-free serving forward with an optional override for the Eq. 9
-    /// joint-weight operators (`ops_override`, shape `[N, T, V, V]`,
-    /// one normalized operator per frame). [`Module::forward_inference`]
-    /// delegates here with `None`; streaming sessions inject rolling
-    /// operators instead.
-    pub fn forward_serving(
-        &self,
-        x: &Tensor,
-        ops_override: Option<&NdArray>,
-        ws: &mut Workspace,
-    ) -> Tensor {
-        let _guard = dhg_tensor::no_grad();
-        let Some((bn_scale, bn_shift)) = &self.inference else {
-            // not compiled: grad-free but otherwise identical to forward
-            return self.forward_with_ops(x, ops_override);
-        };
-        let shape = x.shape();
-        assert_eq!(shape.len(), 4, "input must be [N, C, T, V]");
-        assert_eq!(shape[1], self.config.dims.in_channels, "channel mismatch");
-        assert_eq!(shape[3], self.config.dims.n_joints, "joint mismatch");
-        let xnd = x.data();
-        let needs_ops = self.blocks.iter().any(|b| b.needs_dynamic_ops());
-        let mut ops: Option<NdArray> = if needs_ops {
-            Some(match ops_override {
-                Some(o) => o.clone(),
-                None => self.dynamic_joint_weight_ops(&xnd),
-            })
-        } else {
-            None
-        };
-        let mut h = self.input_bn.forward_affine(&xnd, bn_scale, bn_shift, ws);
-        for block in &self.blocks {
-            let block_ops = block
-                .needs_dynamic_ops()
-                .then(|| ops.as_ref().expect("ops precomputed"));
-            let next = block.forward_eval(&h, block_ops, ws);
-            ws.recycle(h);
-            h = next;
-            if block.stride() > 1 {
-                if let Some(o) = &ops {
-                    let t_out = h.shape()[2];
-                    ops = Some(Self::subsample_ops(o, t_out, block.stride()));
-                }
-            }
-        }
-        let pooled = h.mean_axes(&[2, 3], false); // [N, C]
-        ws.recycle(h);
-        Tensor::constant(crate::common::linear_eval(&self.fc, &pooled, ws))
     }
 
     /// Subsample per-frame operators to a coarser temporal resolution
@@ -334,7 +237,32 @@ impl Dhgcn {
 
 impl Module for Dhgcn {
     fn forward(&self, x: &Tensor) -> Tensor {
-        self.forward_with_ops(x, None)
+        let shape = x.shape();
+        assert_eq!(shape.len(), 4, "input must be [N, C, T, V]");
+        assert_eq!(shape[1], self.config.dims.in_channels, "channel mismatch");
+        assert_eq!(shape[3], self.config.dims.n_joints, "joint mismatch");
+        // Dynamic joint-weight operators come from the *raw coordinates*
+        // (moving distance, Eq. 6) — computed once, shared by all blocks
+        // at the same temporal resolution (no per-block copies), and
+        // subsampled whenever a block strides over time.
+        let needs_ops = self.blocks.iter().any(|b| b.needs_dynamic_ops());
+        let mut ops: Option<Tensor> =
+            needs_ops.then(|| Tensor::constant(self.dynamic_joint_weight_ops(&x.data())));
+
+        let mut h = self.input_bn.forward(x);
+        for block in &self.blocks {
+            let ops_tensor =
+                block.needs_dynamic_ops().then(|| ops.as_ref().expect("ops precomputed"));
+            h = block.forward(&h, ops_tensor);
+            if block.stride() > 1 {
+                if let Some(o) = &ops {
+                    let t_out = h.shape()[2];
+                    let sub = Self::subsample_ops(&o.data(), t_out, block.stride());
+                    ops = Some(Tensor::constant(sub));
+                }
+            }
+        }
+        self.fc.forward(&global_avg_pool(&h))
     }
 
     fn parameters(&self) -> Vec<Tensor> {
@@ -403,7 +331,7 @@ impl Module for Dhgcn {
         if p.has_errors() {
             return p;
         }
-        // mirror forward_serving: each block's input buffer is recycled
+        // mirror forward_inference: each block's input buffer is recycled
         // as soon as the block has produced its successor
         p.ws_take("h0", input);
         p.extend("input_bn", self.input_bn.plan(input));
@@ -431,7 +359,36 @@ impl Module for Dhgcn {
     }
 
     fn forward_inference(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        self.forward_serving(x, None, ws)
+        let _guard = dhg_tensor::no_grad();
+        let Some((bn_scale, bn_shift)) = &self.inference else {
+            // not compiled: grad-free but otherwise identical to forward
+            return self.forward(x);
+        };
+        let shape = x.shape();
+        assert_eq!(shape.len(), 4, "input must be [N, C, T, V]");
+        assert_eq!(shape[1], self.config.dims.in_channels, "channel mismatch");
+        assert_eq!(shape[3], self.config.dims.n_joints, "joint mismatch");
+        let xnd = x.data();
+        let needs_ops = self.blocks.iter().any(|b| b.needs_dynamic_ops());
+        let mut ops: Option<NdArray> = needs_ops.then(|| self.dynamic_joint_weight_ops(&xnd));
+        let mut h = self.input_bn.forward_affine(&xnd, bn_scale, bn_shift, ws);
+        for block in &self.blocks {
+            let block_ops = block
+                .needs_dynamic_ops()
+                .then(|| ops.as_ref().expect("ops precomputed"));
+            let next = block.forward_eval(&h, block_ops, ws);
+            ws.recycle(h);
+            h = next;
+            if block.stride() > 1 {
+                if let Some(o) = &ops {
+                    let t_out = h.shape()[2];
+                    ops = Some(Self::subsample_ops(o, t_out, block.stride()));
+                }
+            }
+        }
+        let pooled = h.mean_axes(&[2, 3], false); // [N, C]
+        ws.recycle(h);
+        Tensor::constant(crate::common::linear_eval(&self.fc, &pooled, ws))
     }
 }
 

@@ -30,7 +30,6 @@ pub mod lstm_baseline;
 pub mod pbgcn;
 pub mod shift_gcn;
 pub mod stgcn;
-pub mod streaming;
 pub mod tcn;
 pub mod tcn_baseline;
 pub mod two_stream;
@@ -43,7 +42,6 @@ pub use lstm_baseline::LstmClassifier;
 pub use pbgcn::{PartBasedModel, PartConv};
 pub use shift_gcn::ShiftGcn;
 pub use stgcn::StGcn;
-pub use streaming::StreamableModel;
 pub use tcn::TemporalConv;
 pub use tcn_baseline::TcnClassifier;
 pub use two_stream::{fuse_scores, TwoStream};

@@ -3,7 +3,7 @@
 //! and their prediction scores are summed at test time (Tabs. 1 and 5).
 
 use dhg_nn::{DiagCode, Module, Plan, SymShape};
-use dhg_tensor::{NdArray, Tensor, Workspace};
+use dhg_tensor::{NdArray, Tensor};
 
 /// Sum two score matrices `[N, K]` (the paper's late fusion).
 pub fn fuse_scores(joint_scores: &NdArray, bone_scores: &NdArray) -> NdArray {
@@ -32,18 +32,6 @@ impl<M: Module> TwoStream<M> {
     pub fn predict(&self, joint_batch: &Tensor, bone_batch: &Tensor) -> NdArray {
         let js = self.joint.forward(joint_batch).array();
         let bs = self.bone.forward(bone_batch).array();
-        fuse_scores(&js, &bs)
-    }
-
-    /// Grad-free fused scores via each stream's compiled inference path.
-    pub fn predict_inference(
-        &self,
-        joint_batch: &Tensor,
-        bone_batch: &Tensor,
-        ws: &mut Workspace,
-    ) -> NdArray {
-        let js = self.joint.forward_inference(joint_batch, ws).array();
-        let bs = self.bone.forward_inference(bone_batch, ws).array();
         fuse_scores(&js, &bs)
     }
 

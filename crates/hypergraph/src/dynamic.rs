@@ -76,8 +76,6 @@ pub fn weighted_incidence_operator(hg: &Hypergraph, distances: &[f32]) -> NdArra
     imp.matmul(&imp.transpose_last2())
 }
 
-/// Stack [`weighted_incidence_operator`] over every frame of a sequence:
-/// `positions` is `[T, V, D]`, the result is `[T, V, V]`.
 /// Normalise each row of a `[V, V]` operator to sum to 1 (rows of zeros
 /// stay zero). `Imp·Impᵀ` entries scale like `1/|e|²`, which would make
 /// the joint-weight branch orders of magnitude weaker than the
@@ -118,182 +116,6 @@ pub fn dynamic_operators(hg: &Hypergraph, positions: &NdArray) -> NdArray {
         blk.copy_from_slice(op.data());
     });
     out
-}
-
-/// Rolling per-frame moving distances over a sliding window — Eq. 6
-/// maintained one frame at a time instead of recomputed per window.
-///
-/// Pushing frame `t` computes a single `[V]` distance row against the true
-/// predecessor frame (with the same all-zero missing-detection skip as
-/// [`moving_distance`]); a window starting at stream position `s` then
-/// holds exactly `moving_distance(full stream)[s..s + T]`. At stream
-/// start, once frame 1 arrives, row 0 is backfilled with row 1 — the same
-/// no-predecessor convention [`moving_distance`] uses — so for `s = 0` the
-/// window is bitwise-identical to the offline computation. Later windows
-/// are *better* than offline recomputation: their first row carries the
-/// true predecessor distance instead of a copied one.
-pub struct RollingDistance {
-    window: usize,
-    v: usize,
-    d: usize,
-    /// Per-frame `[V]` distance rows, oldest first.
-    rows: std::collections::VecDeque<Vec<f32>>,
-    /// The previous frame's raw coordinates `[V, D]`.
-    prev: Option<Vec<f32>>,
-    frames_seen: usize,
-}
-
-impl RollingDistance {
-    /// A ring holding the distances of the last `window` frames of a
-    /// `[V, D]`-jointed stream.
-    pub fn new(window: usize, n_joints: usize, dim: usize) -> Self {
-        assert!(window >= 1, "window must be at least one frame");
-        RollingDistance {
-            window,
-            v: n_joints,
-            d: dim,
-            rows: std::collections::VecDeque::with_capacity(window),
-            prev: None,
-            frames_seen: 0,
-        }
-    }
-
-    /// Append one frame `[V, D]` and update the ring.
-    pub fn push(&mut self, frame: &[f32]) {
-        assert_eq!(frame.len(), self.v * self.d, "frame must be [V, D]");
-        let row = match &self.prev {
-            None => vec![0.0; self.v], // stream frame 0: no predecessor yet
-            Some(prev) => {
-                let mut row = vec![0.0; self.v];
-                for vi in 0..self.v {
-                    let cur = &frame[vi * self.d..(vi + 1) * self.d];
-                    let pre = &prev[vi * self.d..(vi + 1) * self.d];
-                    // missing detections (all-zero joints) would
-                    // otherwise register as huge teleports
-                    if cur.iter().all(|&c| c == 0.0) || pre.iter().all(|&c| c == 0.0) {
-                        continue;
-                    }
-                    row[vi] =
-                        cur.iter().zip(pre).map(|(&a, &b)| (a - b) * (a - b)).sum::<f32>().sqrt();
-                }
-                row
-            }
-        };
-        self.frames_seen += 1;
-        if self.rows.len() == self.window {
-            self.rows.pop_front();
-        }
-        self.rows.push_back(row);
-        // offline convention: the very first stream frame copies frame 1's
-        // distance instead of carrying a dead zero
-        if self.frames_seen == 2 && self.rows.len() == 2 {
-            let second = self.rows[1].clone();
-            self.rows[0] = second;
-        }
-        self.prev = Some(frame.to_vec());
-    }
-
-    /// Frames currently held.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether no frames have been pushed yet.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Whether a full window of rows is available.
-    pub fn is_full(&self) -> bool {
-        self.rows.len() == self.window
-    }
-
-    /// The distance row of the most recently pushed frame.
-    pub fn latest(&self) -> &[f32] {
-        self.rows.back().expect("no frames pushed yet")
-    }
-
-    /// Stack the held rows into `[len, V]`, oldest first.
-    pub fn distances(&self) -> NdArray {
-        assert!(!self.rows.is_empty(), "no frames pushed yet");
-        let t = self.rows.len();
-        let mut out = NdArray::zeros(&[t, self.v]);
-        for (ti, row) in self.rows.iter().enumerate() {
-            out.data_mut()[ti * self.v..(ti + 1) * self.v].copy_from_slice(row);
-        }
-        out
-    }
-}
-
-/// Rolling Eq. 9 operators over a sliding window: a [`RollingDistance`]
-/// ring plus one cached row-normalised `[V, V]` operator per frame, so
-/// each pushed frame costs a single [`weighted_incidence_operator`] build
-/// instead of a full [`dynamic_operators`] sweep. [`RollingOperators::stacked`]
-/// matches `dynamic_operators` slices of the full stream the same way
-/// [`RollingDistance::distances`] matches [`moving_distance`].
-pub struct RollingOperators {
-    hg: Hypergraph,
-    dist: RollingDistance,
-    /// Cached `[V * V]` operators, oldest first, aligned with `dist.rows`.
-    ops: std::collections::VecDeque<Vec<f32>>,
-}
-
-impl RollingOperators {
-    /// A ring over the given (static) hypergraph.
-    pub fn new(window: usize, hg: Hypergraph, dim: usize) -> Self {
-        let v = hg.n_vertices();
-        RollingOperators {
-            hg,
-            dist: RollingDistance::new(window, v, dim),
-            ops: std::collections::VecDeque::with_capacity(window),
-        }
-    }
-
-    fn op_row(&self, row: &[f32]) -> Vec<f32> {
-        normalize_rows(&weighted_incidence_operator(&self.hg, row)).data().to_vec()
-    }
-
-    /// Append one frame `[V, D]`: one distance row + one operator build.
-    pub fn push(&mut self, frame: &[f32]) {
-        let had = self.dist.frames_seen;
-        self.dist.push(frame);
-        if self.ops.len() == self.dist.window {
-            self.ops.pop_front();
-        }
-        self.ops.push_back(self.op_row(self.dist.latest()));
-        // frame 0's row was backfilled from frame 1: refresh its operator
-        if had == 1 && self.ops.len() == 2 {
-            let first = self.op_row(&self.dist.rows[0]);
-            self.ops[0] = first;
-        }
-    }
-
-    /// Frames currently held.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Whether no frames have been pushed yet.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// Whether a full window of operators is available.
-    pub fn is_full(&self) -> bool {
-        self.ops.len() == self.dist.window
-    }
-
-    /// Stack the cached operators into `[len, V, V]`, oldest first.
-    pub fn stacked(&self) -> NdArray {
-        assert!(!self.ops.is_empty(), "no frames pushed yet");
-        let v = self.hg.n_vertices();
-        let t = self.ops.len();
-        let mut out = NdArray::zeros(&[t, v, v]);
-        for (ti, op) in self.ops.iter().enumerate() {
-            out.data_mut()[ti * v * v..(ti + 1) * v * v].copy_from_slice(op);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -423,90 +245,6 @@ mod tests {
                 assert!((sum - 1.0).abs() < 1e-5, "row ({t},{r}) sums to {sum}");
             }
         }
-    }
-
-    /// A deterministic [T, V, D] stream with one joint dropping out.
-    fn stream(t: usize, v: usize, d: usize) -> NdArray {
-        let mut data = Vec::with_capacity(t * v * d);
-        for ti in 0..t {
-            for vi in 0..v {
-                for di in 0..d {
-                    if vi == 1 && ti % 5 == 3 {
-                        data.push(0.0); // missing detection
-                    } else {
-                        data.push(((ti * 31 + vi * 7 + di) as f32 * 0.37).sin() + 1.5);
-                    }
-                }
-            }
-        }
-        NdArray::from_vec(data, &[t, v, d])
-    }
-
-    #[test]
-    fn rolling_distance_first_window_matches_offline() {
-        let (t, v, d) = (6, 4, 3);
-        let p = stream(t, v, d);
-        let mut roll = RollingDistance::new(t, v, d);
-        for ti in 0..t {
-            roll.push(&p.data()[ti * v * d..(ti + 1) * v * d]);
-        }
-        assert!(roll.is_full());
-        assert_eq!(roll.distances(), moving_distance(&p), "first window must be bitwise offline");
-    }
-
-    #[test]
-    fn rolling_distance_later_windows_are_full_stream_slices() {
-        let (t, v, d, w) = (10, 4, 3, 4);
-        let p = stream(t, v, d);
-        let full = moving_distance(&p);
-        let mut roll = RollingDistance::new(w, v, d);
-        for ti in 0..t {
-            roll.push(&p.data()[ti * v * d..(ti + 1) * v * d]);
-        }
-        // the window now covers stream frames t-w..t; each row must equal
-        // the full-stream row (true-predecessor distances, not the
-        // window-local frame-0 copy)
-        let got = roll.distances();
-        for (slot, ti) in (t - w..t).enumerate() {
-            for vi in 0..v {
-                assert_eq!(got.at(&[slot, vi]), full.at(&[ti, vi]), "row {ti} joint {vi}");
-            }
-        }
-    }
-
-    #[test]
-    fn rolling_operators_match_dynamic_operators() {
-        let (t, v, d, w) = (9, 5, 3, 4);
-        let hg = Hypergraph::new(5, vec![vec![0, 1, 2], vec![2, 3, 4], vec![0, 4]]);
-        let p = stream(t, v, d);
-        let full_dist = moving_distance(&p);
-        let mut roll = RollingOperators::new(w, hg.clone(), d);
-        for ti in 0..t {
-            roll.push(&p.data()[ti * v * d..(ti + 1) * v * d]);
-            if ti + 1 >= w {
-                // every held frame's operator equals the offline Eq. 9
-                // operator of the full-stream distance row
-                let got = roll.stacked();
-                for (slot, si) in (ti + 1 - w..=ti).enumerate() {
-                    let row = &full_dist.data()[si * v..(si + 1) * v];
-                    let want = normalize_rows(&weighted_incidence_operator(&hg, row));
-                    let block = got.slice_axis(0, slot, 1).reshape(&[v, v]);
-                    assert_eq!(block, want, "frame {si} operator diverged");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn rolling_operators_first_window_matches_dynamic_operators() {
-        let (t, v, d) = (5, 4, 3);
-        let hg = Hypergraph::new(4, vec![vec![0, 1], vec![1, 2, 3]]);
-        let p = stream(t, v, d);
-        let mut roll = RollingOperators::new(t, hg.clone(), d);
-        for ti in 0..t {
-            roll.push(&p.data()[ti * v * d..(ti + 1) * v * d]);
-        }
-        assert_eq!(roll.stacked(), dynamic_operators(&hg, &p));
     }
 
     #[test]

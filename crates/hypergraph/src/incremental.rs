@@ -2,8 +2,8 @@
 //!
 //! The paper rebuilds the §3.4 dynamic topology (per-anchor `k_n`-NN
 //! "common information" hyperedges + `k_m`-medoid "global information"
-//! clusters) from scratch for every clip. For streaming workloads the
-//! coordinates of consecutive frames barely move, so this module makes
+//! clusters) from scratch for every clip. Per-frame topology sees
+//! consecutive frames whose coordinates barely move, so this module makes
 //! construction *stateful*:
 //!
 //! * [`from_scratch_operator`] — the stateless construction every model
@@ -19,9 +19,6 @@
 //!   all forces a full from-scratch rebuild, so the output is
 //!   bitwise-identical to [`from_scratch_operator`] (pinned in
 //!   `crates/hypergraph/tests/incremental_props.rs`).
-//! * [`WindowTopology`] — a ring of per-frame cached operators over a
-//!   sliding window: pushing a frame builds one topology instead of
-//!   rebuilding all `T`, which is where the streaming speedup comes from.
 //!
 //! # Dirty rule
 //!
@@ -282,77 +279,6 @@ impl Incremental {
     }
 }
 
-/// A ring of per-frame topology operators over a sliding window.
-///
-/// Offline code rebuilds all `T` per-frame topologies for every window; in
-/// a stream the window shares `T − 1` frames with its predecessor, whose
-/// operators cannot have changed (each frame's topology is a pure function
-/// of that frame's coordinates). `push` therefore builds exactly one
-/// topology — via an [`Incremental`] builder warm-started from the
-/// previous frame — and evicts the oldest. This 1-build-per-frame vs.
-/// `T`-builds-per-window ratio is the streaming speedup;
-/// `tests/streaming.rs` holds it to at least 3× at `T = 64`.
-pub struct WindowTopology {
-    window: usize,
-    builder: Incremental,
-    /// Cached `[V, V]` operators, oldest first.
-    frames: std::collections::VecDeque<NdArray>,
-}
-
-impl WindowTopology {
-    /// A ring of capacity `window` frames.
-    pub fn new(window: usize, config: TopologyConfig) -> Self {
-        assert!(window >= 1, "window must be at least one frame");
-        WindowTopology {
-            window,
-            builder: Incremental::new(config),
-            frames: std::collections::VecDeque::with_capacity(window),
-        }
-    }
-
-    /// Append one frame's coordinates `[V, D]`, building its operator and
-    /// evicting the oldest frame once the ring is full.
-    pub fn push(&mut self, coords: &[f32], n_vertices: usize, dim: usize) {
-        let op = self.builder.build(coords, n_vertices, dim);
-        if self.frames.len() == self.window {
-            self.frames.pop_front();
-        }
-        self.frames.push_back(op);
-    }
-
-    /// Frames currently held.
-    pub fn len(&self) -> usize {
-        self.frames.len()
-    }
-
-    /// Whether the ring holds no frames yet.
-    pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
-    }
-
-    /// Whether a full window of operators is available.
-    pub fn is_full(&self) -> bool {
-        self.frames.len() == self.window
-    }
-
-    /// What the most recent push did.
-    pub fn stats(&self) -> BuildStats {
-        self.builder.stats()
-    }
-
-    /// Stack the cached operators into `[len, V, V]`, oldest first.
-    pub fn stacked(&self) -> NdArray {
-        assert!(!self.frames.is_empty(), "no frames pushed yet");
-        let v = self.frames[0].shape()[0];
-        let t = self.frames.len();
-        let mut out = NdArray::zeros(&[t, v, v]);
-        for (ti, op) in self.frames.iter().enumerate() {
-            out.data_mut()[ti * v * v..(ti + 1) * v * v].copy_from_slice(op.data());
-        }
-        out
-    }
-}
-
 /// Stack per-sample or per-(sample, frame) topology operators for a batch
 /// of embedded features `feats ∈ [N, T, V, E]`, sharded over the worker
 /// pool exactly like the historical in-branch loops (one `[V, V]` block
@@ -507,29 +433,6 @@ mod tests {
         let op = inc.build(&coords, 10, 8);
         assert!(inc.stats().full_rebuild);
         assert_eq!(op, from_scratch_operator(&coords, 10, 8, &config()));
-    }
-
-    #[test]
-    fn window_topology_matches_per_frame_rebuilds() {
-        let (v, d, t) = (12, 3, 6);
-        let mut ring = WindowTopology::new(4, config());
-        let mut frames = Vec::new();
-        for ti in 0..t {
-            frames.push(cloud(v, d, 100 + ti as u64));
-        }
-        for f in &frames {
-            ring.push(f, v, d);
-        }
-        assert!(ring.is_full());
-        assert_eq!(ring.len(), 4);
-        let stacked = ring.stacked();
-        assert_eq!(stacked.shape(), &[4, v, v]);
-        // the ring holds the last 4 frames' exact from-scratch operators
-        for (slot, f) in frames[t - 4..].iter().enumerate() {
-            let want = from_scratch_operator(f, v, d, &config());
-            let got = stacked.slice_axis(0, slot, 1).reshape(&[v, v]);
-            assert_eq!(got, want, "slot {slot} diverged");
-        }
     }
 
     #[test]

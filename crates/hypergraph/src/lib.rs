@@ -16,16 +16,11 @@
 //!   §3.4's iterative centroid update).
 //! * [`dynamic`] — moving-distance joint weights (Eq. 6–7), the weighted
 //!   incidence `Imp = W_all ∘ H` (Eq. 8) and its propagation operator
-//!   `Imp·Impᵀ` (Eq. 9), plus rolling per-frame maintenance of both for
-//!   streaming windows ([`dynamic::RollingDistance`],
-//!   [`dynamic::RollingOperators`]).
+//!   `Imp·Impᵀ` (Eq. 9).
 //! * [`incremental`] — dynamic-topology construction: the stateless
-//!   [`from_scratch_operator`] every model calls, the stateful
+//!   [`from_scratch_operator`] every model calls and the stateful
 //!   [`Incremental`] builder (dirty-set kNN invalidation + warm-started
-//!   k-medoids), and the [`incremental::WindowTopology`] per-frame
-//!   operator ring for sliding windows.
-//! * [`sparse`] — a CSR matrix used to contrast sparse vs. dense operator
-//!   application as the vertex count grows (benchmarked in `dhg-bench`).
+//!   k-medoids).
 //! * [`validate`] — static checks of the incidence invariants everything
 //!   above relies on (binary `H`, full vertex coverage, non-singular
 //!   degrees, normalised `Imp` columns), used by the model-plan analyzer.
@@ -39,25 +34,21 @@ pub mod hypergraph;
 pub mod incremental;
 pub mod kmeans;
 pub mod knn;
-pub mod sparse;
-pub mod spectral;
 pub mod validate;
 
 pub use dynamic::{
     dynamic_operators, joint_weights, moving_distance, normalize_rows,
-    weighted_incidence_operator, RollingDistance, RollingOperators,
+    weighted_incidence_operator,
 };
 pub use graph::Graph;
 pub use hypergraph::Hypergraph;
 pub use incremental::{
     from_scratch_operator, stacked_operators, stacked_operators_with, BuildStats, Incremental,
-    TopologyConfig, TopologyGranularity, WindowTopology,
+    TopologyConfig, TopologyGranularity,
 };
 pub use kmeans::{
     kmeans_counters, kmeans_hyperedges, kmeans_hyperedges_outcome, kmeans_hyperedges_seeded,
     KmeansCounters, KmeansOutcome,
 };
 pub use knn::{knn_edge, knn_hyperedges};
-pub use sparse::CsrMatrix;
-pub use spectral::spectral_radius;
 pub use validate::{validate_hypergraph, validate_imp, validate_incidence, IncidenceIssue};

@@ -16,7 +16,7 @@
 //! | DL002 | wall-clock / entropy calls (`Instant::now`, `thread_rng`, …) outside sanctioned sites |
 //! | DL003 | unordered float reductions (`.sum::<f32>()`) in hot-path crates |
 //! | DL004 | `unsafe` without a `SAFETY:` comment in the preceding lines |
-//! | DL005 | `unwrap`/`expect`/`assert!`/`panic!` on the serve/streaming request path |
+//! | DL005 | `unwrap`/`expect`/`assert!`/`panic!` on the serving request path |
 //! | DL006 | retry loops without a backoff/sleep call on the request path |
 //!
 //! Findings can be suppressed through an allowlist file (`lint.allow` at
@@ -324,11 +324,10 @@ const DETERMINISM_CRATES: [&str; 6] = [
 const HOT_PATH_CRATES: [&str; 2] = ["crates/tensor/", "crates/hypergraph/"];
 
 /// Files forming the serving request path (DL005 scope): the in-process
-/// engine and streaming session, plus the network layers a remote
+/// engine and its frame streams, plus the network layers a remote
 /// request traverses (wire decoding, routing, the TCP frontend).
-const REQUEST_PATH_FILES: [&str; 5] = [
+const REQUEST_PATH_FILES: [&str; 4] = [
     "crates/train/src/serve.rs",
-    "crates/train/src/streaming.rs",
     "crates/train/src/proto.rs",
     "crates/train/src/router.rs",
     "crates/train/src/net.rs",
@@ -796,7 +795,7 @@ pub fn self_test() -> Result<(), String> {
         },
         Case {
             name: "debug_assert does not shadow assert",
-            path: "crates/train/src/streaming.rs",
+            path: "crates/train/src/serve.rs",
             source: "fn f(x: usize) {\n    debug_assert!(x > 0);\n}\n",
             expect: &[],
         },

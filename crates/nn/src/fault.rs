@@ -17,8 +17,7 @@
 //!   faults.
 //! * **Global** — [`install`] a plan process-wide. Code that takes no
 //!   explicit plan reads it through [`installed`] (e.g.
-//!   `checkpoint::save_file`) or the free-function hooks ([`fire`],
-//!   [`checkpoint_io`]).
+//!   `checkpoint::save_file`).
 //!
 //! Decisions are a pure function of `(seed, site, per-site call index)`
 //! — two runs with the same plan and the same call interleaving per site
@@ -372,10 +371,10 @@ fn global_slot() -> &'static RwLock<Option<Arc<FaultPlan>>> {
     GLOBAL_PLAN.get_or_init(|| RwLock::new(None))
 }
 
-/// Install `plan` process-wide; the free-function hooks consult it.
-/// Pass-through code that cannot take an explicit plan (e.g. free
-/// checkpoint functions) observes it immediately. Returns the previously
-/// installed plan, if any.
+/// Install `plan` process-wide. Pass-through code that cannot take an
+/// explicit plan (e.g. free checkpoint functions) observes it through
+/// [`installed`] immediately. Returns the previously installed plan, if
+/// any.
 pub fn install(plan: Arc<FaultPlan>) -> Option<Arc<FaultPlan>> {
     let mut slot = global_slot().write().unwrap_or_else(|e| e.into_inner());
     let previous = slot.replace(plan);
@@ -383,7 +382,7 @@ pub fn install(plan: Arc<FaultPlan>) -> Option<Arc<FaultPlan>> {
     previous
 }
 
-/// Remove the process-wide plan (hooks become no-ops again).
+/// Remove the process-wide plan ([`installed`] returns `None` again).
 pub fn uninstall() -> Option<Arc<FaultPlan>> {
     let mut slot = global_slot().write().unwrap_or_else(|e| e.into_inner());
     GLOBAL_ACTIVE.store(false, Ordering::Release);
@@ -396,21 +395,6 @@ pub fn installed() -> Option<Arc<FaultPlan>> {
         return None;
     }
     global_slot().read().unwrap_or_else(|e| e.into_inner()).clone()
-}
-
-/// Global-plan hook: does this call of `site` fail? False (one relaxed
-/// load) when no plan is installed.
-pub fn fire(site: FaultSite) -> bool {
-    match installed() {
-        Some(plan) => plan.should_fire(site),
-        None => false,
-    }
-}
-
-/// Global-plan hook for checkpoint writers: a synthetic I/O error if the
-/// installed plan trips [`FaultSite::CheckpointIo`].
-pub fn checkpoint_io() -> Option<std::io::Error> {
-    installed().and_then(|plan| plan.maybe_io_error())
 }
 
 #[cfg(test)]
@@ -568,14 +552,14 @@ mod tests {
     #[test]
     fn global_install_round_trips() {
         // single test for the global slot (tests in one binary share it)
-        assert!(fire(FaultSite::BatchPanic) || installed().is_none());
         let plan = FaultPlan::builder(11).rate(FaultSite::BatchPanic, 1.0).build();
         let previous = install(plan.clone());
-        assert!(fire(FaultSite::BatchPanic), "installed plan must drive fire()");
-        assert!(checkpoint_io().is_none(), "checkpoint-io not configured");
+        let active = installed().expect("installed plan is visible");
+        assert!(active.should_fire(FaultSite::BatchPanic), "installed plan must be the one read");
+        assert!(active.maybe_io_error().is_none(), "checkpoint-io not configured");
         let removed = uninstall().expect("was installed");
         assert!(Arc::ptr_eq(&removed, &plan));
-        assert!(!fire(FaultSite::BatchPanic), "uninstalled hooks are no-ops");
+        assert!(installed().is_none(), "uninstalled plan must no longer be visible");
         if let Some(previous) = previous {
             install(previous);
         }

@@ -8,7 +8,6 @@
 //! collection for the optimiser, and a train/eval mode switch (BatchNorm
 //! and Dropout behave differently between the two).
 
-pub mod adam;
 pub mod batchnorm;
 pub mod conv;
 pub mod dropout;
@@ -23,7 +22,6 @@ pub mod optim;
 pub mod plan;
 pub mod pool;
 
-pub use adam::{Adam, AdamConfig};
 pub use batchnorm::BatchNorm2d;
 pub use conv::Conv2d;
 pub use dropout::Dropout;
@@ -36,7 +34,7 @@ pub use metrics::{
     Registry,
 };
 pub use module::{collect_buffers, collect_parameters, Buffer, Module};
-pub use optim::{clip_gradient_norm, CosineLr, Sgd, SgdConfig, StepLr};
+pub use optim::{Sgd, SgdConfig, StepLr};
 pub use plan::{
     analyze, bn_stats_cold, packed_b_bytes, per_sample_elems, CostSummary, DiagCode, Diagnostic,
     Dim, OpCost, Plan, PlanOp, Report, Severity, SymShape, WsEvent, WsEventKind,

@@ -141,56 +141,6 @@ impl StepLr {
     }
 }
 
-/// Cosine-annealing learning-rate schedule from `initial` down to
-/// `floor` over `total_epochs` — a common alternative to the paper's step
-/// schedule, used by the schedule-ablation bench.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CosineLr {
-    initial: f32,
-    floor: f32,
-    total_epochs: usize,
-}
-
-impl CosineLr {
-    /// A schedule over `total_epochs`.
-    pub fn new(initial: f32, floor: f32, total_epochs: usize) -> Self {
-        assert!(total_epochs > 0, "schedule needs at least one epoch");
-        assert!(floor <= initial, "floor above initial lr");
-        CosineLr { initial, floor, total_epochs }
-    }
-
-    /// The learning rate in force during `epoch` (0-based; clamps past the
-    /// end).
-    pub fn lr_at(&self, epoch: usize) -> f32 {
-        let t = (epoch.min(self.total_epochs - 1)) as f32 / (self.total_epochs - 1).max(1) as f32;
-        let cos = 0.5 * (1.0 + (std::f32::consts::PI * t).cos());
-        self.floor + (self.initial - self.floor) * cos
-    }
-}
-
-/// Scale all gradients so their global L2 norm is at most `max_norm`
-/// (no-op when already below). Returns the pre-clip norm.
-pub fn clip_gradient_norm(params: &[Tensor], max_norm: f32) -> f32 {
-    assert!(max_norm > 0.0, "max_norm must be positive");
-    let mut total = 0.0f32;
-    for p in params {
-        if let Some(g) = p.grad() {
-            total += g.data().iter().map(|v| v * v).sum::<f32>();
-        }
-    }
-    let norm = total.sqrt();
-    if norm > max_norm {
-        let scale = max_norm / norm;
-        for p in params {
-            if let Some(mut g) = p.grad() {
-                g.map_inplace(|v| v * scale);
-                p.replace_grad(g);
-            }
-        }
-    }
-    norm
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,43 +251,6 @@ mod tests {
         let x = Tensor::param(NdArray::from_vec(vec![1.0], &[1]));
         let mut opt = Sgd::new(vec![x], SgdConfig::default());
         opt.load_velocities(vec![]);
-    }
-
-    #[test]
-    fn cosine_lr_endpoints_and_monotonicity() {
-        let s = CosineLr::new(0.1, 0.001, 20);
-        assert!((s.lr_at(0) - 0.1).abs() < 1e-6);
-        assert!((s.lr_at(19) - 0.001).abs() < 1e-6);
-        assert!((s.lr_at(100) - 0.001).abs() < 1e-6, "clamps past the end");
-        for e in 1..20 {
-            assert!(s.lr_at(e) <= s.lr_at(e - 1) + 1e-7, "monotone decreasing");
-        }
-    }
-
-    #[test]
-    fn gradient_clipping_rescales_to_max_norm() {
-        let a = Tensor::param(NdArray::from_vec(vec![3.0], &[1]));
-        let b = Tensor::param(NdArray::from_vec(vec![4.0], &[1]));
-        // gradients (6, 8): global norm 10
-        a.square().sum_all().backward();
-        b.square().sum_all().backward();
-        let params = [a.clone(), b.clone()];
-        let before = clip_gradient_norm(&params, 5.0);
-        assert!((before - 10.0).abs() < 1e-4);
-        let ga = a.grad().unwrap().data()[0];
-        let gb = b.grad().unwrap().data()[0];
-        assert!(((ga * ga + gb * gb).sqrt() - 5.0).abs() < 1e-4);
-        // direction preserved
-        assert!((gb / ga - 8.0 / 6.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn gradient_clipping_is_noop_below_threshold() {
-        let a = Tensor::param(NdArray::from_vec(vec![0.1], &[1]));
-        a.square().sum_all().backward();
-        let g_before = a.grad().unwrap();
-        clip_gradient_norm(std::slice::from_ref(&a), 100.0);
-        assert_eq!(a.grad().unwrap(), g_before);
     }
 
     #[test]

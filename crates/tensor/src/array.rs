@@ -135,11 +135,6 @@ impl NdArray {
         a
     }
 
-    /// Evenly spaced values `[0, 1, ..., n-1]` as a rank-1 array.
-    pub fn arange(n: usize) -> Self {
-        NdArray { shape: vec![n], data: (0..n).map(|i| i as f32).collect() }
-    }
-
     // ------------------------------------------------------------------
     // Accessors
     // ------------------------------------------------------------------

@@ -215,17 +215,6 @@ impl Tensor {
         *self.inner.grad.borrow_mut() = None;
     }
 
-    /// Overwrite the accumulated gradient (used by gradient clipping and
-    /// other gradient-surgery utilities). The shape must match the value.
-    pub fn replace_grad(&self, grad: NdArray) {
-        assert_eq!(
-            grad.shape(),
-            self.inner.data.borrow().shape(),
-            "replace_grad shape mismatch"
-        );
-        *self.inner.grad.borrow_mut() = Some(grad);
-    }
-
     /// A constant view of this tensor's current value — gradients do not
     /// flow through the result.
     pub fn detach(&self) -> Tensor {

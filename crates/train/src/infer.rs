@@ -48,13 +48,6 @@ impl<M: Module> InferenceSession<M> {
         &self.model
     }
 
-    /// The compiled model together with the session's scratch workspace —
-    /// for callers (the streaming session) that drive model-specific
-    /// serving entry points while still recycling this session's buffers.
-    pub(crate) fn model_and_workspace(&mut self) -> (&M, &mut Workspace) {
-        (&self.model, &mut self.ws)
-    }
-
     /// Raw class scores `[N, K]` for an input batch `[N, C, T, V]`.
     pub fn logits(&mut self, x: &Tensor) -> NdArray {
         self.model.forward_inference(x, &mut self.ws).array()

@@ -19,9 +19,6 @@
 //!   put metrics, and per-stream frame ingestion
 //!   ([`ServeEngine::open_stream`]) that maps skeleton streams onto the
 //!   same queue machinery.
-//! * [`streaming`] — [`StreamingSession`]: frame-at-a-time sliding-window
-//!   scoring with incrementally maintained dynamic operators (ring
-//!   buffers over frames and Eq. 9 joint-weight operators).
 //! * [`router`] — [`Router`]: multi-model, multi-tenant routing over
 //!   per-model [`ServeEngine`]s — shared worker budget, per-tenant
 //!   in-flight quotas with labeled metrics, and versioned hot-swap with
@@ -44,7 +41,6 @@ pub mod proto;
 pub mod report;
 pub mod router;
 pub mod serve;
-pub mod streaming;
 pub mod trainer;
 pub mod zoo;
 
@@ -56,7 +52,6 @@ pub use router::{
 pub use experiment::{Table, TableRow};
 pub use infer::InferenceSession;
 pub use serve::{Pending, ServeConfig, ServeEngine, ServeError, ServeHealth, ServeMetrics};
-pub use streaming::{StreamingConfig, StreamingSession};
 pub use report::{classification_report, ClassificationReport};
 pub use checkpoint::TrainState;
 pub use trainer::{

@@ -771,19 +771,6 @@ impl NetClient {
         Self::connect_config(addr, ClientConfig::default())
     }
 
-    /// Connect with an explicit reply deadline and frame cap (other
-    /// knobs default).
-    pub fn connect_with(
-        addr: SocketAddr,
-        reply_timeout: Duration,
-        max_frame: usize,
-    ) -> Result<NetClient, NetError> {
-        Self::connect_config(
-            addr,
-            ClientConfig { reply_timeout, max_frame, ..ClientConfig::default() },
-        )
-    }
-
     /// Connect with full control over timeouts, retry schedule and
     /// session tag. Fails fast (no retry) so a bad address is a typed
     /// error here, not on the first request.

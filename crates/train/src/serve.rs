@@ -89,9 +89,8 @@
 //! when the push fully succeeds, so a shed or refused window leaves the
 //! stream exactly as it was and the caller can retry the same frame
 //! without double-inserting it. Workers derive any dynamic operators from the
-//! materialised window itself — per-window offline semantics; the
-//! single-client rolling-operator fast path lives in
-//! [`crate::StreamingSession`].
+//! materialised window itself, so every emitted window scores exactly as
+//! [`InferenceSession::logits`] would score it offline.
 
 use crate::InferenceSession;
 use dhg_nn::fault::{FaultPlan, FaultSite};

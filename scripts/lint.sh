@@ -9,9 +9,8 @@
 #                               #      repo allowlist (lint.allow); any
 #                               #      unallowlisted finding fails
 #                               #   3. analyze --budget: every zoo model's
-#                               #      (and streaming window's) predicted
-#                               #      peak workspace must fit the serve
-#                               #      workspace cap
+#                               #      predicted peak workspace must fit
+#                               #      the serve workspace cap
 #
 # Lint codes (see crates/lint/src/lib.rs for rules and scoping):
 #   DL001  HashMap/HashSet iteration in determinism-critical crates
@@ -30,6 +29,6 @@ cargo run --release -q -p dhg-lint --bin dhg-lint -- --root .
 
 echo "== lint: analyze --budget (predicted peak workspace vs serve cap) =="
 cargo run --release -q -p dhg-bench --bin analyze -- --budget > /dev/null
-echo "budget: every zoo model and streaming window fits the serve workspace cap"
+echo "budget: every zoo model fits the serve workspace cap"
 
 echo "== lint: OK =="

@@ -10,8 +10,7 @@
 #      once without measuring, catching bit-rot in bench code; the
 #      inference_latency bench also asserts the execution-mode contract)
 #   6. the static model-graph analyzer over the whole zoo (clean plans,
-#      clean serving + streaming audit) plus its self-test of seeded
-#      negatives
+#      clean serving audit) plus its self-test of seeded negatives
 #   7. the static-analysis gate (scripts/lint.sh): dhg-lint self-test and
 #      clean-repo scan (DL001-DL006 with lint.allow), and the analyzer's
 #      --budget check that every model's predicted peak workspace fits
