@@ -106,31 +106,23 @@ impl Module for BatchNorm2d {
         let shape = x.shape();
         assert_eq!(shape.len(), 4, "BatchNorm2d expects [N, C, H, W]");
         assert_eq!(shape[1], self.channels, "BatchNorm2d channel mismatch");
-        let view = [1, self.channels, 1, 1];
         if self.training {
-            let mean = x.mean_axes(&[0, 2, 3], true); // [1, C, 1, 1]
-            let centred = x.sub(&mean);
-            let var = centred.square().mean_axes(&[0, 2, 3], true);
+            let (y, mean, var) = x.batch_norm_train(&self.gamma, &self.beta, self.eps);
             // update running stats outside the graph; the batch itself is
             // normalised with the biased variance (standard BN), but the
             // running estimate used at eval time takes Bessel's correction
             // n/(n−1) over the N·H·W reduction count so it is an unbiased
             // estimator of the population variance
-            {
-                let m = self.momentum;
-                let count = (shape[0] * shape[2] * shape[3]) as f32;
-                let bessel = if count > 1.0 { count / (count - 1.0) } else { 1.0 };
-                let mean_a = mean.array().reshape(&[self.channels]);
-                let var_a = var.array().reshape(&[self.channels]);
-                let mut rm = self.running_mean.borrow_mut();
-                let mut rv = self.running_var.borrow_mut();
-                *rm = rm.mul_scalar(1.0 - m).add(&mean_a.mul_scalar(m));
-                *rv = rv.mul_scalar(1.0 - m).add(&var_a.mul_scalar(m * bessel));
-            }
-            let denom = var.add_scalar(self.eps).sqrt();
-            let xhat = centred.div(&denom);
-            xhat.mul(&self.gamma.reshape(&view)).add(&self.beta.reshape(&view))
+            let m = self.momentum;
+            let count = (shape[0] * shape[2] * shape[3]) as f32;
+            let bessel = if count > 1.0 { count / (count - 1.0) } else { 1.0 };
+            let mut rm = self.running_mean.borrow_mut();
+            let mut rv = self.running_var.borrow_mut();
+            *rm = rm.mul_scalar(1.0 - m).add(&mean.mul_scalar(m));
+            *rv = rv.mul_scalar(1.0 - m).add(&var.mul_scalar(m * bessel));
+            y
         } else {
+            let view = [1, self.channels, 1, 1];
             let mean = Tensor::constant(self.running_mean.borrow().reshape(&view));
             let var = Tensor::constant(self.running_var.borrow().reshape(&view));
             let denom = var.add_scalar(self.eps).sqrt();
@@ -259,6 +251,77 @@ mod tests {
         let rv = bn.running_var().data()[0];
         assert!(rv.is_finite(), "running_var became {rv}");
         assert!((rv - 0.9).abs() < 1e-6); // 0.9·1 + 0.1·0
+    }
+
+    /// The composed training BatchNorm — mean, sub, square, mean, add ε,
+    /// sqrt, div, mul γ, add β — kept as the oracle the fused
+    /// [`Tensor::batch_norm_train`] node is pinned against.
+    fn composed_oracle(x: &Tensor, gamma: &Tensor, beta: &Tensor, eps: f32) -> Tensor {
+        let view = [1, gamma.shape()[0], 1, 1];
+        let mean = x.mean_axes(&[0, 2, 3], true);
+        let centred = x.sub(&mean);
+        let var = centred.square().mean_axes(&[0, 2, 3], true);
+        let xhat = centred.div(&var.add_scalar(eps).sqrt());
+        xhat.mul(&gamma.reshape(&view)).add(&beta.reshape(&view))
+    }
+
+    /// Output and `(x, γ, β)` gradients of `Σ w ⊙ bn(x)` through the fused
+    /// layer and through the oracle, with `x` a param or a constant.
+    fn fused_and_oracle(shape: &[usize], x_grad: bool, seed: u64) -> [(Option<NdArray>, Option<NdArray>); 4] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let c = shape[1];
+        let x0 = random_uniform(shape, -3.0, 5.0, &mut rng);
+        let w = Tensor::constant(random_uniform(shape, -1.0, 1.0, &mut rng));
+        let g0 = random_uniform(&[c], 0.5, 1.5, &mut rng);
+        let b0 = random_uniform(&[c], -0.5, 0.5, &mut rng);
+        let leaf = |a: &NdArray| if x_grad { Tensor::param(a.clone()) } else { Tensor::constant(a.clone()) };
+        let bn = BatchNorm2d::new(c);
+        *bn.gamma().data_mut() = g0.clone();
+        *bn.beta().data_mut() = b0.clone();
+        let x = leaf(&x0);
+        let fused = bn.forward(&x);
+        fused.mul(&w).sum_all().backward();
+        let (ox, og, ob) = (leaf(&x0), Tensor::param(g0), Tensor::param(b0));
+        let oracle = composed_oracle(&ox, &og, &ob, bn.eps());
+        oracle.mul(&w).sum_all().backward();
+        [
+            (Some(fused.array()), Some(oracle.array())),
+            (x.grad(), ox.grad()),
+            (bn.gamma().grad(), og.grad()),
+            (bn.beta().grad(), ob.grad()),
+        ]
+    }
+
+    #[test]
+    fn fused_training_forward_matches_the_composed_oracle() {
+        // [N, C, H, W], DataBn's folded [N, C·V, T, 1] with and without an
+        // input gradient, and N·H·W = 1 (zero variance)
+        let cases: [(&[usize], bool); 4] =
+            [(&[4, 3, 5, 5], true), (&[2, 75, 8, 1], true), (&[2, 75, 8, 1], false), (&[1, 3, 1, 1], true)];
+        for (i, (shape, x_grad)) in cases.into_iter().enumerate() {
+            let names = ["y", "dx", "dgamma", "dbeta"];
+            for (name, (got, want)) in names.iter().zip(fused_and_oracle(shape, x_grad, 40 + i as u64)) {
+                assert_eq!(got.is_some(), want.is_some(), "{name} presence for {shape:?}");
+                if let (Some(got), Some(want)) = (got, want) {
+                    assert!(got.data().iter().all(|v| v.is_finite()), "{name} not finite for {shape:?}");
+                    assert!(got.allclose(&want, 1e-5, 1e-5), "{name} for {shape:?}: {got:?} vs {want:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn training_forward_is_one_graph_node() {
+        let bn = BatchNorm2d::new(3);
+        let mut rng = StdRng::seed_from_u64(5);
+        for x in [
+            Tensor::param(random_uniform(&[2, 3, 4, 4], -1.0, 1.0, &mut rng)),
+            Tensor::constant(random_uniform(&[2, 3, 4, 4], -1.0, 1.0, &mut rng)),
+        ] {
+            let before = dhg_tensor::graph_nodes_created();
+            bn.forward(&x);
+            assert_eq!(dhg_tensor::graph_nodes_created() - before, 1);
+        }
     }
 
     #[test]

@@ -88,6 +88,75 @@ fn broadcast_strides(src: &[usize], dst: &[usize]) -> Vec<usize> {
     out
 }
 
+/// `(outer, mid, inner)` when `small`, aligned to the trailing dims of
+/// `full`, is 1 everywhere except one contiguous run of dims equal to
+/// `full`'s: `full` then reads as `[outer, mid, inner]` against a `[mid]`
+/// `small`. Size-1 dims of `full` fit either side. `None` when matching
+/// dims are interleaved with stretched ones (`[N, 1, V, E]` against
+/// `[N, T, V, E]`). `small` must be broadcast-compatible with `full`.
+fn broadcast_run(small: &[usize], full: &[usize]) -> Option<(usize, usize, usize)> {
+    let nd = full.len();
+    let offset = nd - small.len();
+    let matches = |d: usize| full[d] != 1 && d >= offset && small[d - offset] == full[d];
+    let a = (0..nd).find(|&d| matches(d)).unwrap_or(nd);
+    let b = (0..nd).rev().find(|&d| matches(d)).map_or(a, |d| d + 1);
+    if (a..b).any(|d| full[d] != 1 && !matches(d)) {
+        return None;
+    }
+    Some((full[..a].iter().product(), full[a..b].iter().product(), full[b..].iter().product()))
+}
+
+/// `f(full, small)` over `full` read as `[outer, mid, inner]` and `small`
+/// as `[mid]` (see [`broadcast_run`]): each `inner`-long stretch of `full`
+/// pairs with one element of `small`, or, when `inner` is 1, each
+/// `mid`-long row with all of `small`.
+fn broadcast_blocked(
+    full: &[f32],
+    small: &[f32],
+    (_, mid, inner): (usize, usize, usize),
+    f: impl Fn(f32, f32) -> f32,
+) -> Vec<f32> {
+    let mut out = Vec::with_capacity(full.len());
+    if full.is_empty() {
+        return out;
+    }
+    for block in full.chunks_exact(mid * inner) {
+        if inner == 1 {
+            out.extend(block.iter().zip(small).map(|(&x, &s)| f(x, s)));
+        } else {
+            for (row, &s) in block.chunks_exact(inner).zip(small) {
+                out.extend(row.iter().map(|&x| f(x, s)));
+            }
+        }
+    }
+    out
+}
+
+/// Add `src`, read as `[outer, mid, inner]`, into `out` (`[mid]`), summing
+/// over `outer` and `inner`. Each output element takes its addends in
+/// `src`'s row-major order — outer-major, then inner — the order the
+/// odometer in [`NdArray::sum_axes`] uses.
+fn reduce_blocked(src: &[f32], out: &mut [f32], (_, mid, inner): (usize, usize, usize)) {
+    if src.is_empty() {
+        return;
+    }
+    for block in src.chunks_exact(mid * inner) {
+        if inner == 1 {
+            for (acc, &v) in out.iter_mut().zip(block) {
+                *acc += v;
+            }
+        } else {
+            for (acc, row) in out.iter_mut().zip(block.chunks_exact(inner)) {
+                let mut s = *acc;
+                for &v in row {
+                    s += v;
+                }
+                *acc = s;
+            }
+        }
+    }
+}
+
 impl NdArray {
     // ------------------------------------------------------------------
     // Construction
@@ -227,6 +296,15 @@ impl NdArray {
         }
     }
 
+    /// Combine `other` into `self` elementwise in place (same shape, no
+    /// broadcasting): `self[i] = f(self[i], other[i])`.
+    pub(crate) fn zip_map_inplace(&mut self, other: &Self, f: impl Fn(f32, f32) -> f32) {
+        assert_eq!(self.shape, other.shape, "zip_map_inplace shape mismatch");
+        for (a, &b) in self.data.iter_mut().zip(&other.data) {
+            *a = f(*a, b);
+        }
+    }
+
     /// Combine two same-shaped arrays elementwise (no broadcasting).
     pub fn zip_map(&self, other: &Self, f: impl Fn(f32, f32) -> f32) -> Self {
         assert_eq!(self.shape, other.shape, "zip_map shape mismatch");
@@ -237,6 +315,14 @@ impl NdArray {
     }
 
     /// Elementwise binary operation with numpy broadcasting.
+    ///
+    /// When one operand has the output shape and the other is 1 except
+    /// for one contiguous run of dims (`[1, C, 1, 1]` over
+    /// `[N, C, H, W]`, `[V, V]` over `[N, T, V, V]`, a trailing `[C]`),
+    /// a blocked loop pairs each contiguous stretch of the full operand
+    /// with its element or row of the small one. Every other pattern
+    /// walks an index odometer. Both call `f` on the same operands for
+    /// every output element, so the result is the same bits either way.
     pub fn binop(&self, other: &Self, f: impl Fn(f32, f32) -> f32) -> Self {
         if self.shape == other.shape {
             return self.zip_map(other, f);
@@ -244,6 +330,17 @@ impl NdArray {
         let out_shape = broadcast_shape(&self.shape, &other.shape).unwrap_or_else(|| {
             panic!("broadcast mismatch: {:?} vs {:?}", self.shape, other.shape)
         });
+        if self.shape == out_shape {
+            if let Some(run) = broadcast_run(&other.shape, &out_shape) {
+                let data = broadcast_blocked(&self.data, &other.data, run, f);
+                return NdArray { shape: out_shape, data };
+            }
+        } else if other.shape == out_shape {
+            if let Some(run) = broadcast_run(&self.shape, &out_shape) {
+                let data = broadcast_blocked(&other.data, &self.data, run, |b, a| f(a, b));
+                return NdArray { shape: out_shape, data };
+            }
+        }
         let n = numel(&out_shape);
         let sa = broadcast_strides(&self.shape, &out_shape);
         let sb = broadcast_strides(&other.shape, &out_shape);
@@ -469,9 +566,11 @@ impl NdArray {
 
     /// Sum a gradient-like array down to `target` shape, undoing broadcasting
     /// (sums over prepended dims and dims that were stretched from 1).
-    pub fn reduce_to_shape(&self, target: &[usize]) -> Self {
+    /// Consumes the array, so a gradient already of the target shape
+    /// passes through without a copy.
+    pub fn reduce_to_shape(self, target: &[usize]) -> Self {
         if self.shape == target {
-            return self.clone();
+            return self;
         }
         let nd = self.ndim();
         let offset = nd - target.len();
@@ -482,8 +581,7 @@ impl NdArray {
                 axes.push(offset + d);
             }
         }
-        let summed = self.sum_axes(&axes, true);
-        summed.reshape(target)
+        self.sum_axes(&axes, true).into_shape(target)
     }
 
     /// Concatenate arrays along `axis`. All other dimensions must match.
@@ -555,6 +653,14 @@ impl NdArray {
 
     /// Sum over the given axes. With `keepdim` the reduced dimensions stay
     /// as size 1; otherwise they are removed.
+    ///
+    /// Each output element adds its addends in the input's row-major
+    /// order, starting from zero. When the kept dims form one contiguous
+    /// run (`[N, C, H, W]` → `[1, C, 1, 1]`, `[N, T, V, V]` →
+    /// `[1, 1, V, V]`), a blocked loop walks the input as
+    /// `[outer, kept, inner]`; every other pattern walks an index
+    /// odometer. Both keep that order, so the result is the same bits
+    /// either way.
     pub fn sum_axes(&self, axes: &[usize], keepdim: bool) -> Self {
         if axes.is_empty() {
             return self.clone();
@@ -567,23 +673,26 @@ impl NdArray {
         }
         let kept_shape: Vec<usize> =
             (0..nd).map(|d| if reduce[d] { 1 } else { self.shape[d] }).collect();
-        let out_strides_full = contiguous_strides(&kept_shape);
-        let out_strides: Vec<usize> =
-            (0..nd).map(|d| if reduce[d] { 0 } else { out_strides_full[d] }).collect();
         let mut out = NdArray::zeros(&kept_shape);
-        let n = self.len();
-        let mut idx = vec![0usize; nd];
-        let mut off_out = 0usize;
-        for i in 0..n {
-            out.data[off_out] += self.data[i];
-            for d in (0..nd).rev() {
-                idx[d] += 1;
-                off_out += out_strides[d];
-                if idx[d] < self.shape[d] {
-                    break;
+        if let Some(run) = broadcast_run(&kept_shape, &self.shape) {
+            reduce_blocked(&self.data, &mut out.data, run);
+        } else {
+            let out_strides_full = contiguous_strides(&kept_shape);
+            let out_strides: Vec<usize> =
+                (0..nd).map(|d| if reduce[d] { 0 } else { out_strides_full[d] }).collect();
+            let mut idx = vec![0usize; nd];
+            let mut off_out = 0usize;
+            for &v in &self.data {
+                out.data[off_out] += v;
+                for d in (0..nd).rev() {
+                    idx[d] += 1;
+                    off_out += out_strides[d];
+                    if idx[d] < self.shape[d] {
+                        break;
+                    }
+                    idx[d] = 0;
+                    off_out -= out_strides[d] * self.shape[d];
                 }
-                idx[d] = 0;
-                off_out -= out_strides[d] * self.shape[d];
             }
         }
         if keepdim {
@@ -591,7 +700,7 @@ impl NdArray {
         } else {
             let squeezed: Vec<usize> =
                 (0..nd).filter(|&d| !reduce[d]).map(|d| self.shape[d]).collect();
-            out.reshape(&squeezed)
+            out.into_shape(&squeezed)
         }
     }
 
@@ -1415,7 +1524,7 @@ mod tests {
         let a = NdArray::ones(&[2, 3]);
         assert_eq!(a.mean_axes(&[0, 1], false).item(), 1.0);
         let g = NdArray::ones(&[4, 2, 3]);
-        let r = g.reduce_to_shape(&[2, 3]);
+        let r = g.clone().reduce_to_shape(&[2, 3]);
         assert_eq!(r.shape(), &[2, 3]);
         assert_eq!(r.data()[0], 4.0);
         let r2 = g.reduce_to_shape(&[2, 1]);

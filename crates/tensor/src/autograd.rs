@@ -81,10 +81,14 @@ pub struct BackwardCtx<'a> {
 ///
 /// Implementations return one `Option<NdArray>` per parent — `None` for
 /// parents that are non-differentiable inputs (index lists, dropout masks,
-/// detached operators).
+/// detached operators). Ops whose parent gradients cost a full product
+/// also return `None` for parents that do not require gradients, rather
+/// than computing a gradient the tape would drop.
 pub trait Backward {
-    /// Map the output gradient to parent gradients.
-    fn backward(&self, grad_out: &NdArray, ctx: &BackwardCtx<'_>) -> Vec<Option<NdArray>>;
+    /// Map the output gradient to parent gradients. The op owns
+    /// `grad_out`: it may return it, reshaped or updated in place, as a
+    /// parent's gradient instead of copying it.
+    fn backward(&self, grad_out: NdArray, ctx: &BackwardCtx<'_>) -> Vec<Option<NdArray>>;
     /// Operation name for error messages.
     fn name(&self) -> &'static str;
 }
@@ -287,13 +291,14 @@ impl Tensor {
         self.accumulate_grad(seed);
         for node in topo.iter().rev() {
             let Some(op) = node.inner.backward_fn.as_ref() else { continue };
-            let grad_out = match node.inner.grad.borrow().clone() {
-                Some(g) => g,
-                None => continue, // not reachable from the seed
+            // Every consumer of this node ran before it, so its gradient is
+            // complete: move it out (only leaves keep theirs).
+            let Some(grad_out) = node.inner.grad.borrow_mut().take() else {
+                continue; // not reachable from the seed
             };
             let output = node.inner.data.borrow();
             let ctx = BackwardCtx { parents: &node.inner.parents, output: &output };
-            let parent_grads = op.backward(&grad_out, &ctx);
+            let parent_grads = op.backward(grad_out, &ctx);
             drop(output);
             assert_eq!(
                 parent_grads.len(),
@@ -309,10 +314,6 @@ impl Tensor {
                         parent.accumulate_grad(g);
                     }
                 }
-            }
-            // Free the intermediate gradient: only leaves keep theirs.
-            if node.inner.backward_fn.is_some() {
-                *node.inner.grad.borrow_mut() = None;
             }
         }
     }

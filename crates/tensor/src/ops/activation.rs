@@ -15,22 +15,22 @@ struct ActOp {
 }
 
 impl Backward for ActOp {
-    fn backward(&self, g: &NdArray, ctx: &BackwardCtx<'_>) -> Vec<Option<NdArray>> {
-        let gx = match self.kind {
+    fn backward(&self, mut g: NdArray, ctx: &BackwardCtx<'_>) -> Vec<Option<NdArray>> {
+        match self.kind {
             ActKind::Relu => {
                 let x = ctx.parents[0].data();
-                g.zip_map(&x, |gv, xv| if xv > 0.0 { gv } else { 0.0 })
+                g.zip_map_inplace(&x, |gv, xv| if xv > 0.0 { gv } else { 0.0 });
             }
             ActKind::LeakyRelu(slope) => {
                 let x = ctx.parents[0].data();
-                g.zip_map(&x, |gv, xv| if xv > 0.0 { gv } else { gv * slope })
+                g.zip_map_inplace(&x, |gv, xv| if xv > 0.0 { gv } else { gv * slope });
             }
             // σ'(x) = σ(x)(1-σ(x)) — use the saved output.
-            ActKind::Sigmoid => g.zip_map(ctx.output, |gv, ov| gv * ov * (1.0 - ov)),
+            ActKind::Sigmoid => g.zip_map_inplace(ctx.output, |gv, ov| gv * ov * (1.0 - ov)),
             // tanh'(x) = 1 - tanh²(x)
-            ActKind::Tanh => g.zip_map(ctx.output, |gv, ov| gv * (1.0 - ov * ov)),
-        };
-        vec![Some(gx)]
+            ActKind::Tanh => g.zip_map_inplace(ctx.output, |gv, ov| gv * (1.0 - ov * ov)),
+        }
+        vec![Some(g)]
     }
 
     fn name(&self) -> &'static str {

@@ -17,21 +17,23 @@ struct BinOp {
 }
 
 impl Backward for BinOp {
-    fn backward(&self, g: &NdArray, ctx: &BackwardCtx<'_>) -> Vec<Option<NdArray>> {
+    fn backward(&self, g: NdArray, ctx: &BackwardCtx<'_>) -> Vec<Option<NdArray>> {
         let a = ctx.parents[0].data();
         let b = ctx.parents[1].data();
-        let (ga, gb) = match self.kind {
-            BinKind::Add => (g.clone(), g.clone()),
-            BinKind::Sub => (g.clone(), g.mul_scalar(-1.0)),
-            BinKind::Mul => (g.mul(&b), g.mul(&a)),
-            BinKind::Div => {
-                let ga = g.div(&b);
-                // d/db (a/b) = -a / b²
-                let gb = g.mul(&a).mul_scalar(-1.0).div(&b).div(&b);
-                (ga, gb)
-            }
-        };
-        vec![Some(ga.reduce_to_shape(a.shape())), Some(gb.reduce_to_shape(b.shape()))]
+        // gb first: it only reads `g`, which ga may then take
+        let gb = ctx.parents[1].requires_grad().then(|| match self.kind {
+            BinKind::Add => g.clone(),
+            BinKind::Sub => g.mul_scalar(-1.0),
+            BinKind::Mul => g.mul(&a),
+            // d/db (a/b) = -a / b²
+            BinKind::Div => g.mul(&a).mul_scalar(-1.0).div(&b).div(&b),
+        });
+        let ga = ctx.parents[0].requires_grad().then(|| match self.kind {
+            BinKind::Add | BinKind::Sub => g,
+            BinKind::Mul => g.mul(&b),
+            BinKind::Div => g.div(&b),
+        });
+        vec![ga.map(|g| g.reduce_to_shape(a.shape())), gb.map(|g| g.reduce_to_shape(b.shape()))]
     }
 
     fn name(&self) -> &'static str {
@@ -54,6 +56,7 @@ enum UnaryKind {
     Exp,
     Ln,
     PowScalar(f32),
+    Square,
 }
 
 struct UnaryOp {
@@ -61,19 +64,20 @@ struct UnaryOp {
 }
 
 impl Backward for UnaryOp {
-    fn backward(&self, g: &NdArray, ctx: &BackwardCtx<'_>) -> Vec<Option<NdArray>> {
+    fn backward(&self, mut g: NdArray, ctx: &BackwardCtx<'_>) -> Vec<Option<NdArray>> {
         let x = ctx.parents[0].data();
-        let gx = match self.kind {
-            UnaryKind::Neg => g.mul_scalar(-1.0),
-            UnaryKind::AddScalar => g.clone(),
-            UnaryKind::MulScalar(s) => g.mul_scalar(s),
+        match self.kind {
+            UnaryKind::Neg => g.map_inplace(|gv| -gv),
+            UnaryKind::AddScalar => {}
+            UnaryKind::MulScalar(s) => g.map_inplace(|gv| gv * s),
             // d sqrt(x) = 1 / (2 sqrt(x)) = 1 / (2 out)
-            UnaryKind::Sqrt => g.zip_map(ctx.output, |gv, ov| gv * 0.5 / ov),
-            UnaryKind::Exp => g.mul(ctx.output),
-            UnaryKind::Ln => g.div(&x),
-            UnaryKind::PowScalar(p) => g.zip_map(&x, |gv, xv| gv * p * xv.powf(p - 1.0)),
-        };
-        vec![Some(gx)]
+            UnaryKind::Sqrt => g.zip_map_inplace(ctx.output, |gv, ov| gv * 0.5 / ov),
+            UnaryKind::Exp => g.zip_map_inplace(ctx.output, |gv, ov| gv * ov),
+            UnaryKind::Ln => g.zip_map_inplace(&x, |gv, xv| gv / xv),
+            UnaryKind::PowScalar(p) => g.zip_map_inplace(&x, |gv, xv| gv * p * xv.powf(p - 1.0)),
+            UnaryKind::Square => g.zip_map_inplace(&x, |gv, xv| 2.0 * xv * gv),
+        }
+        vec![Some(g)]
     }
 
     fn name(&self) -> &'static str {
@@ -85,6 +89,7 @@ impl Backward for UnaryOp {
             UnaryKind::Exp => "exp",
             UnaryKind::Ln => "ln",
             UnaryKind::PowScalar(_) => "pow_scalar",
+            UnaryKind::Square => "square",
         }
     }
 }
@@ -158,7 +163,8 @@ impl Tensor {
 
     /// Elementwise square (`x * x` without a second graph edge).
     pub fn square(&self) -> Tensor {
-        self.pow_scalar(2.0)
+        let out = self.data().map(|v| v * v);
+        Tensor::from_op(out, vec![self.clone()], Box::new(UnaryOp { kind: UnaryKind::Square }))
     }
 }
 
@@ -206,6 +212,18 @@ mod tests {
         let y = x.sqrt().sum_all();
         y.backward();
         assert_eq!(x.grad().unwrap().data(), &[0.25]);
+    }
+
+    #[test]
+    fn square_is_x_times_x_with_gradient_2x() {
+        let v = vec![-1.75, -0.3, 0.0, 1e-3, 0.7, 2.5, 3.3e7, f32::MIN_POSITIVE];
+        let x = p(v.clone(), &[8]);
+        let sq = x.square();
+        let bits = |a: &NdArray| a.data().iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&sq.array()), bits(&x.mul(&x).array()));
+        sq.sum_all().backward();
+        let twice: Vec<f32> = v.iter().map(|&xv| 2.0 * xv).collect();
+        assert_eq!(bits(&x.grad().unwrap()), bits(&NdArray::from_vec(twice, &[8])));
     }
 
     #[test]

@@ -79,7 +79,7 @@ struct Im2ColOp {
 }
 
 impl Backward for Im2ColOp {
-    fn backward(&self, g: &NdArray, _ctx: &BackwardCtx<'_>) -> Vec<Option<NdArray>> {
+    fn backward(&self, g: NdArray, _ctx: &BackwardCtx<'_>) -> Vec<Option<NdArray>> {
         let s = &self.spec;
         let (c, h, w) = (self.in_shape[1], self.in_shape[2], self.in_shape[3]);
         vec![Some(g.col2im(

@@ -6,13 +6,17 @@ use crate::{NdArray, Tensor};
 struct MatmulOp;
 
 impl Backward for MatmulOp {
-    fn backward(&self, g: &NdArray, ctx: &BackwardCtx<'_>) -> Vec<Option<NdArray>> {
+    fn backward(&self, g: NdArray, ctx: &BackwardCtx<'_>) -> Vec<Option<NdArray>> {
         let a = ctx.parents[0].data();
         let b = ctx.parents[1].data();
         // dA = g @ Bᵀ, dB = Aᵀ @ g — then sum away broadcast batch dims.
-        let ga = g.matmul(&b.transpose_last2()).reduce_to_shape(a.shape());
-        let gb = a.transpose_last2().matmul(g).reduce_to_shape(b.shape());
-        vec![Some(ga), Some(gb)]
+        let ga = ctx.parents[0]
+            .requires_grad()
+            .then(|| g.matmul(&b.transpose_last2()).reduce_to_shape(a.shape()));
+        let gb = ctx.parents[1]
+            .requires_grad()
+            .then(|| a.transpose_last2().matmul(&g).reduce_to_shape(b.shape()));
+        vec![ga, gb]
     }
 
     fn name(&self) -> &'static str {

@@ -8,6 +8,7 @@ mod activation;
 mod arith;
 mod conv;
 mod matmul;
+mod norm;
 mod reduce;
 mod shape;
 mod softmax;

@@ -1,0 +1,147 @@
+//! Training-mode batch normalisation as one fused op.
+
+use crate::autograd::{Backward, BackwardCtx};
+use crate::{parallel, NdArray, Tensor};
+
+/// Partial sums a per-channel reduction keeps: element `j` of every row
+/// adds into lane `j % LANES`, and the lanes fold left to right at the
+/// end. The order depends on the shape alone, and the independent lanes
+/// let the loop vectorise.
+const LANES: usize = 8;
+
+/// `Σ f(a, b)` over paired rows in the fixed order of [`LANES`]: rows in
+/// iteration order, each dealt round-robin over the lanes from lane 0.
+fn lane_sum<'a>(rows: impl Iterator<Item = (&'a [f32], &'a [f32])>, f: impl Fn(f32, f32) -> f32) -> f32 {
+    let mut lanes = [0.0f32; LANES];
+    for (a, b) in rows {
+        let (mut ca, mut cb) = (a.chunks_exact(LANES), b.chunks_exact(LANES));
+        for (xa, xb) in (&mut ca).zip(&mut cb) {
+            for ((l, &va), &vb) in lanes.iter_mut().zip(xa).zip(xb) {
+                *l += f(va, vb);
+            }
+        }
+        for ((l, &va), &vb) in lanes.iter_mut().zip(ca.remainder()).zip(cb.remainder()) {
+            *l += f(va, vb);
+        }
+    }
+    let mut total = 0.0f32;
+    for l in lanes {
+        total += l;
+    }
+    total
+}
+
+/// `(n, c, inner)` of an `[N, C, ...]` shape, `inner` at least 1 so an
+/// empty input walks no rows.
+fn nc_inner(shape: &[usize]) -> (usize, usize, usize) {
+    (shape[0], shape[1], shape[2..].iter().product::<usize>().max(1))
+}
+
+/// Entry `at` of every per-channel pair in `pairs`, as a `[C]` array.
+fn pair_entry(pairs: &[f32], at: usize) -> NdArray {
+    let c = pairs.len() / 2;
+    NdArray::from_vec(pairs.iter().skip(at).step_by(2).copied().collect(), &[c])
+}
+
+/// The `inner`-long rows of channel `ci` of `x` read as `[N, C, inner]`,
+/// in batch order.
+fn channel_rows(x: &[f32], c: usize, inner: usize, ci: usize) -> impl Iterator<Item = &[f32]> {
+    x.chunks_exact(inner).skip(ci).step_by(c)
+}
+
+/// The fused training BatchNorm node. Besides its parents it keeps only
+/// the normalised input `x̂` and the per-channel `1/σ`.
+struct BatchNormOp {
+    xhat: NdArray,
+    inv_std: Vec<f32>,
+}
+
+impl Backward for BatchNormOp {
+    fn backward(&self, mut g: NdArray, ctx: &BackwardCtx<'_>) -> Vec<Option<NdArray>> {
+        let (n, c, inner) = nc_inner(g.shape());
+        let hd = self.xhat.data();
+        // per channel: [Σ dy, Σ dy·x̂], one channel per closure call
+        let mut sums = vec![0.0f32; 2 * c];
+        let gd = g.data();
+        parallel::for_each_block(&mut sums, 2, 2 * gd.len(), |ci, s| {
+            s[0] = lane_sum(channel_rows(gd, c, inner, ci).map(|r| (r, r)), |gv, _| gv);
+            let pairs = channel_rows(gd, c, inner, ci).zip(channel_rows(hd, c, inner, ci));
+            s[1] = lane_sum(pairs, |gv, hv| gv * hv);
+        });
+        let dgamma = ctx.parents[1].requires_grad().then(|| pair_entry(&sums, 1));
+        let dbeta = ctx.parents[2].requires_grad().then(|| pair_entry(&sums, 0));
+        let dx = ctx.parents[0].requires_grad().then(|| {
+            // dx = (γ/σ)/m · (m·dy − Σdy − x̂·Σ(dy·x̂)), written over dy
+            let m = (n * inner) as f32;
+            let gamma = ctx.parents[1].data();
+            for (r, (grow, hrow)) in g.data_mut().chunks_exact_mut(inner).zip(hd.chunks_exact(inner)).enumerate() {
+                let ci = r % c;
+                let k = gamma.data()[ci] * self.inv_std[ci] / m;
+                let (sg, sgh) = (sums[2 * ci], sums[2 * ci + 1]);
+                for (gv, &hv) in grow.iter_mut().zip(hrow) {
+                    *gv = k * (m * *gv - sg - hv * sgh);
+                }
+            }
+            g
+        });
+        vec![dx, dgamma, dbeta]
+    }
+
+    fn name(&self) -> &'static str {
+        "batch_norm_train"
+    }
+}
+
+impl Tensor {
+    /// Training-mode batch normalisation of `[N, C, ...]` over every axis
+    /// but 1, as one graph node: `y = γ·(x − μ)/σ + β` with the per-channel
+    /// batch mean `μ`, `σ = √(biased variance + eps)`, and `γ`, `β` of
+    /// shape `[C]`. Returns `(y, μ, biased variance)`, the statistics as
+    /// `[C]` arrays for the caller's running estimates.
+    ///
+    /// Each channel's sums run over its `(n, h·w)` elements in an order
+    /// fixed by the shape: element `j` of every `h·w` row adds into lane
+    /// `j % 8`, and the eight lanes fold left to right. Channels are
+    /// sharded over the worker pool, one channel per closure call, so the
+    /// result is bitwise identical at every thread count.
+    ///
+    /// The backward is the closed form
+    /// `dx = (γ/σ)/m · (m·dy − Σdy − x̂·Σ(dy·x̂))`, `dγ = Σ dy·x̂` and
+    /// `dβ = Σ dy` over the `m = N·H·W` elements of a channel; `dx` is
+    /// skipped when the input does not require gradients.
+    pub fn batch_norm_train(&self, gamma: &Tensor, beta: &Tensor, eps: f32) -> (Tensor, NdArray, NdArray) {
+        let x = self.data();
+        assert!(x.ndim() >= 2, "batch_norm_train expects [N, C, ...], got {:?}", x.shape());
+        let (n, c, inner) = nc_inner(x.shape());
+        let (gm, bt) = (gamma.data(), beta.data());
+        assert_eq!(gm.shape(), &[c], "batch_norm_train: gamma must be [C]");
+        assert_eq!(bt.shape(), &[c], "batch_norm_train: beta must be [C]");
+        let m = (n * inner) as f32;
+        let xd = x.data();
+        // per channel: [mean, biased variance], one channel per closure call
+        let mut stats = vec![0.0f32; 2 * c];
+        parallel::for_each_block(&mut stats, 2, 3 * xd.len(), |ci, s| {
+            let rows = || channel_rows(xd, c, inner, ci).map(|r| (r, r));
+            let mean = lane_sum(rows(), |v, _| v) / m;
+            s[0] = mean;
+            s[1] = lane_sum(rows(), |v, _| (v - mean) * (v - mean)) / m;
+        });
+        let inv_std: Vec<f32> = stats.chunks_exact(2).map(|s| 1.0 / (s[1] + eps).sqrt()).collect();
+        // x̂ and y in one sweep, row by row
+        let mut xhat = Vec::with_capacity(xd.len());
+        let mut y = Vec::with_capacity(xd.len());
+        for (r, row) in xd.chunks_exact(inner).enumerate() {
+            let ci = r % c;
+            let (mean, is) = (stats[2 * ci], inv_std[ci]);
+            let (gv, bv) = (gm.data()[ci], bt.data()[ci]);
+            let start = xhat.len();
+            xhat.extend(row.iter().map(|&v| (v - mean) * is));
+            y.extend(xhat[start..].iter().map(|&h| gv * h + bv));
+        }
+        let (mean, var) = (pair_entry(&stats, 0), pair_entry(&stats, 1));
+        let op = BatchNormOp { xhat: NdArray::from_vec(xhat, x.shape()), inv_std };
+        let y = NdArray::from_vec(y, x.shape());
+        let y = Tensor::from_op(y, vec![self.clone(), gamma.clone(), beta.clone()], Box::new(op));
+        (y, mean, var)
+    }
+}

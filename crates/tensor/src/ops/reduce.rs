@@ -11,17 +11,17 @@ struct SumAxesOp {
 }
 
 impl Backward for SumAxesOp {
-    fn backward(&self, g: &NdArray, ctx: &BackwardCtx<'_>) -> Vec<Option<NdArray>> {
+    fn backward(&self, g: NdArray, ctx: &BackwardCtx<'_>) -> Vec<Option<NdArray>> {
         let in_shape = ctx.parents[0].data().shape().to_vec();
         // Re-insert reduced dims as 1 (if they were squeezed), then broadcast.
         let g_keep = if self.keepdim {
-            g.clone()
+            g
         } else {
             let mut shape = in_shape.clone();
             for &a in &self.axes {
                 shape[a] = 1;
             }
-            g.reshape(&shape)
+            g.into_shape(&shape)
         };
         vec![Some(g_keep.broadcast_to(&in_shape).mul_scalar(self.scale))]
     }
@@ -36,7 +36,7 @@ struct SumAllOp {
 }
 
 impl Backward for SumAllOp {
-    fn backward(&self, g: &NdArray, ctx: &BackwardCtx<'_>) -> Vec<Option<NdArray>> {
+    fn backward(&self, g: NdArray, ctx: &BackwardCtx<'_>) -> Vec<Option<NdArray>> {
         let shape = ctx.parents[0].data().shape().to_vec();
         vec![Some(NdArray::full(&shape, g.item() * self.scale))]
     }

@@ -8,8 +8,8 @@ struct ReshapeOp {
 }
 
 impl Backward for ReshapeOp {
-    fn backward(&self, g: &NdArray, _ctx: &BackwardCtx<'_>) -> Vec<Option<NdArray>> {
-        vec![Some(g.reshape(&self.in_shape))]
+    fn backward(&self, g: NdArray, _ctx: &BackwardCtx<'_>) -> Vec<Option<NdArray>> {
+        vec![Some(g.into_shape(&self.in_shape))]
     }
 
     fn name(&self) -> &'static str {
@@ -22,7 +22,7 @@ struct PermuteOp {
 }
 
 impl Backward for PermuteOp {
-    fn backward(&self, g: &NdArray, _ctx: &BackwardCtx<'_>) -> Vec<Option<NdArray>> {
+    fn backward(&self, g: NdArray, _ctx: &BackwardCtx<'_>) -> Vec<Option<NdArray>> {
         vec![Some(g.permute(&self.inverse))]
     }
 
@@ -37,7 +37,7 @@ struct ConcatOp {
 }
 
 impl Backward for ConcatOp {
-    fn backward(&self, g: &NdArray, _ctx: &BackwardCtx<'_>) -> Vec<Option<NdArray>> {
+    fn backward(&self, g: NdArray, _ctx: &BackwardCtx<'_>) -> Vec<Option<NdArray>> {
         let mut out = Vec::with_capacity(self.sizes.len());
         let mut start = 0;
         for &len in &self.sizes {
@@ -59,8 +59,8 @@ struct SliceOp {
 }
 
 impl Backward for SliceOp {
-    fn backward(&self, g: &NdArray, _ctx: &BackwardCtx<'_>) -> Vec<Option<NdArray>> {
-        vec![Some(NdArray::unslice_axis(g, &self.full_shape, self.axis, self.start))]
+    fn backward(&self, g: NdArray, _ctx: &BackwardCtx<'_>) -> Vec<Option<NdArray>> {
+        vec![Some(NdArray::unslice_axis(&g, &self.full_shape, self.axis, self.start))]
     }
 
     fn name(&self) -> &'static str {

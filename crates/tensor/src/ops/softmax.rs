@@ -8,7 +8,7 @@ struct SoftmaxOp {
 }
 
 impl Backward for SoftmaxOp {
-    fn backward(&self, g: &NdArray, ctx: &BackwardCtx<'_>) -> Vec<Option<NdArray>> {
+    fn backward(&self, g: NdArray, ctx: &BackwardCtx<'_>) -> Vec<Option<NdArray>> {
         // dx = s ⊙ (g - Σ_axis(g ⊙ s))
         let s = ctx.output;
         let dot = g.mul(s).sum_axes(&[self.axis], true);
@@ -25,7 +25,7 @@ struct LogSoftmaxOp {
 }
 
 impl Backward for LogSoftmaxOp {
-    fn backward(&self, g: &NdArray, ctx: &BackwardCtx<'_>) -> Vec<Option<NdArray>> {
+    fn backward(&self, g: NdArray, ctx: &BackwardCtx<'_>) -> Vec<Option<NdArray>> {
         // dx = g - softmax(x) ⊙ Σ_axis g, where softmax = exp(output)
         let gsum = g.sum_axes(&[self.axis], true);
         let soft = ctx.output.map(f32::exp);
@@ -42,7 +42,7 @@ struct CrossEntropyOp {
 }
 
 impl Backward for CrossEntropyOp {
-    fn backward(&self, g: &NdArray, ctx: &BackwardCtx<'_>) -> Vec<Option<NdArray>> {
+    fn backward(&self, g: NdArray, ctx: &BackwardCtx<'_>) -> Vec<Option<NdArray>> {
         // d loss / d logits = (softmax(logits) - onehot(target)) / N
         let logits = ctx.parents[0].data();
         let mut grad = softmax_array(&logits, 1);

@@ -148,6 +148,24 @@ proptest! {
     }
 
     #[test]
+    fn grad_batch_norm_train(a in signed_values(24), w in signed_values(24)) {
+        // x [2, 3, 2, 2]: per-channel statistics over N·H·W = 8 elements,
+        // a weighted sum so no gradient vanishes by symmetry
+        let x = NdArray::from_vec(a, &[2, 3, 2, 2]);
+        let wt = NdArray::from_vec(w, &[2, 3, 2, 2]);
+        let gamma = NdArray::from_vec(vec![0.5, 1.5, -1.0], &[3]);
+        let beta = NdArray::from_vec(vec![0.1, -0.2, 0.3], &[3]);
+        let loss = move |x: &Tensor, g: &Tensor, b: &Tensor| {
+            x.batch_norm_train(g, b, 1e-5).0.mul(&Tensor::constant(wt.clone())).sum_all()
+        };
+        let (l, bc) = (loss.clone(), beta.clone());
+        assert_gradients_close(&x, |t| l(t, &Tensor::param(gamma.clone()), &Tensor::param(bc.clone())), TOL);
+        let (l, xc) = (loss.clone(), x.clone());
+        assert_gradients_close(&gamma, |t| l(&Tensor::param(xc.clone()), t, &Tensor::param(beta.clone())), TOL);
+        assert_gradients_close(&beta, |t| loss(&Tensor::param(x.clone()), &Tensor::param(gamma.clone()), t), TOL);
+    }
+
+    #[test]
     fn grad_composite_mlp(a in signed_values(6)) {
         // an end-to-end two-layer network gradient against FD
         let x = NdArray::from_vec(a, &[2, 3]);

@@ -84,6 +84,29 @@ fn training_is_deterministic_given_seeds() {
 }
 
 #[test]
+fn training_forward_builds_the_pinned_graph() {
+    // Counted on the building thread: an unfused BatchNorm or a stray node
+    // changes these numbers.
+    use dhgcn::skeleton::{batch_samples, SkeletonSample};
+    use dhgcn::tensor::graph_nodes_created;
+    let dataset = SkeletonDataset::ntu60_like(4, 2, 32, 5);
+    let refs: Vec<&SkeletonSample> = dataset.samples.iter().collect();
+    let (x, labels) = batch_samples(&refs, Stream::Joint, &dataset.topology);
+    let x = Tensor::constant(x);
+
+    let bn = dhgcn::nn::BatchNorm2d::new(3);
+    let before = graph_nodes_created();
+    bn.forward(&x);
+    assert_eq!(graph_nodes_created() - before, 1, "a training BatchNorm2d is one node");
+
+    let mut model = Zoo::new(dataset.topology.clone(), 60, 0).dhgcn();
+    model.set_training(true);
+    let before = graph_nodes_created();
+    let _loss = model.forward(&x).cross_entropy(&labels);
+    assert_eq!(graph_nodes_created() - before, 177, "Zoo::new DHGCN training forward + cross_entropy");
+}
+
+#[test]
 fn eval_mode_survives_training_roundtrip() {
     // after train(), the model must be back in eval mode (deterministic)
     let dataset = SkeletonDataset::ntu60_like(3, 4, 12, 23);

@@ -101,6 +101,35 @@ fn conv2d_forward_and_backward_are_bitwise_identical() {
 }
 
 #[test]
+fn dhgcn_training_step_is_bitwise_identical_across_thread_counts() {
+    // One forward, cross-entropy and backward of a fresh DHGCN (same seed,
+    // so the same dropout masks) at each thread count. Batch 12 at T = 32
+    // puts the block BatchNorms' per-channel sums, forward and backward,
+    // above the parallel threshold, beside the convolutions' GEMMs.
+    let dataset = SkeletonDataset::ntu60_like(4, 3, 32, 12);
+    let refs: Vec<&SkeletonSample> = dataset.samples.iter().collect();
+    let (x, labels) = batch_samples(&refs, Stream::Joint, &dataset.topology);
+    let run = || {
+        let mut model = Zoo::tiny(dataset.topology.clone(), 4, 3).dhgcn();
+        model.set_training(true);
+        let loss = model.forward(&Tensor::constant(x.clone())).cross_entropy(&labels);
+        loss.backward();
+        let grads: Vec<NdArray> =
+            model.parameters().iter().map(|p| p.grad().expect("every parameter gets a gradient")).collect();
+        (loss.array(), grads)
+    };
+    let (serial_loss, serial_grads) = with_threads(1, run);
+    for t in THREADS {
+        let (loss, grads) = with_threads(t, run);
+        assert_bitwise_eq(&serial_loss, &loss, &format!("training loss, threads = {t}"));
+        assert_eq!(grads.len(), serial_grads.len());
+        for (i, (s, p)) in serial_grads.iter().zip(&grads).enumerate() {
+            assert_bitwise_eq(s, p, &format!("parameter {i} gradient, threads = {t}"));
+        }
+    }
+}
+
+#[test]
 fn dynamic_operators_are_bitwise_identical_across_thread_counts() {
     // T = 96 frames over the NTU-25 static hypergraph clears the threshold
     let hg = static_hypergraph(&SkeletonTopology::ntu25());
