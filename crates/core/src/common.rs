@@ -161,11 +161,7 @@ pub(crate) enum MixOperator {
 
 /// Record a grad-free vertex mix of the plan's current `[N, C, T, V]`
 /// output as op `name` with arithmetic `cost`, whose scratch becomes the
-/// packed images of the operator blocks. Around it go the workspace events
-/// the kernel issues: the transposed operator blocks (`op_t`), for
-/// per-frame operators the gathered `[N, T, C, V]` rows and their product
-/// (`rows`, `rows_mixed`), and the `mixed` output, left live for the
-/// caller to give.
+/// packed images of the operator blocks.
 pub(crate) fn plan_vertex_mix(
     p: &mut dhg_nn::Plan,
     name: &str,
@@ -180,19 +176,27 @@ pub(crate) fn plan_vertex_mix(
         MixOperator::Shared | MixOperator::PerSample => 1,
     };
     let cost = cost.with_scratch(blocks * dhg_nn::packed_b_bytes(v, v));
-    p.ws_take_bytes("op_t", 4 * blocks * v * v);
-    if operator == MixOperator::PerFrame {
-        p.ws_take("rows", &shape);
-        p.ws_take("rows_mixed", &shape);
-        p.push_op_costed(name, detail, shape.clone(), cost);
-        p.ws_give("rows");
-        p.ws_give("op_t");
-        p.ws_take("mixed", &shape);
-        p.ws_give("rows_mixed");
-    } else {
-        p.ws_take("mixed", &shape);
-        p.push_op_costed(name, detail, shape, cost);
-        p.ws_give("op_t");
+    p.push_op_costed(name, detail, shape, cost);
+}
+
+/// Record an error on `p` for every incidence invariant the static
+/// hypergraph `hg` breaks: a model convolving with it would compute
+/// garbage operators in every block.
+pub(crate) fn plan_static_hypergraph(p: &mut dhg_nn::Plan, hg: &dhg_hypergraph::Hypergraph) {
+    use dhg_hypergraph::IncidenceIssue;
+    use dhg_nn::DiagCode;
+    for issue in dhg_hypergraph::validate_hypergraph(hg) {
+        let code = match issue {
+            IncidenceIssue::EmptyEdge { .. } => DiagCode::IncidenceEmptyEdge,
+            IncidenceIssue::UncoveredVertex { .. } => DiagCode::IncidenceUncoveredVertex,
+            IncidenceIssue::NotBinary { .. } => DiagCode::IncidenceNotBinary,
+            IncidenceIssue::ImpNotNormalized { .. } | IncidenceIssue::ImpOutsideSupport { .. } => {
+                DiagCode::ImpNotNormalized
+            }
+            IncidenceIssue::SingularVertexDegree { .. }
+            | IncidenceIssue::SingularEdgeDegree { .. } => DiagCode::DegreeSingular,
+        };
+        p.error(code, format!("static hypergraph: {issue}"));
     }
 }
 

@@ -231,15 +231,10 @@ impl DhstBlock {
             branch_plans.push(("topology_branch", b.plan(input)));
         }
         let mut sum_out: Option<dhg_nn::SymShape> = None;
-        // workspace events mirror forward_eval: the first branch's `ret`
-        // becomes the accumulator; later branches run (and free their
-        // buffers) while it is live, then the accumulator feeds the tcn
-        let mut anchor_name = "";
         for (i, (name, bp)) in branch_plans.into_iter().enumerate() {
             let errored = bp.has_errors();
             let out = bp.output().clone();
             if i == 0 {
-                anchor_name = name;
                 p.extend(name, bp);
             } else if let Some(anchor) = &sum_out {
                 if errored {
@@ -251,7 +246,6 @@ impl DhstBlock {
                     );
                 } else {
                     p.adopt(name, &bp);
-                    p.ws_give(&format!("{name}.ret"));
                 }
             }
             if errored {
@@ -268,10 +262,6 @@ impl DhstBlock {
             return p;
         }
         let main_out = p.output().clone();
-        p.ws_take("ret", &main_out);
-        if !anchor_name.is_empty() {
-            p.ws_give(&format!("{anchor_name}.ret"));
-        }
         let residual_out = match &self.residual_proj {
             Some(proj) => p.adopt("residual_proj", &proj.plan(input)),
             None => input.clone(),
@@ -281,10 +271,6 @@ impl DhstBlock {
                 DiagCode::ShapeMismatch,
                 format!("residual path produces {residual_out} but main path produces {main_out}"),
             );
-        }
-        if self.residual_proj.is_some() {
-            p.ws_take("res", &main_out);
-            p.ws_give("res");
         }
         p.push_op("residual_add_relu", "", main_out);
         if !self.bn.training() && self.inference.is_none() {

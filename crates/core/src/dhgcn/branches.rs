@@ -48,9 +48,7 @@ impl StaticBranch {
         ps
     }
 
-    /// Static shape plan mirroring [`StaticBranch::forward`]; workspace
-    /// events mirror the compiled eval path (vertex mix → mixed → theta
-    /// out, with the returned `ret` buffer owned by the caller).
+    /// Static shape plan mirroring [`StaticBranch::forward`].
     pub fn plan(&self, input: &dhg_nn::SymShape) -> dhg_nn::Plan {
         use dhg_nn::{DiagCode, OpCost, Plan};
         let mut p = Plan::new(input);
@@ -77,8 +75,6 @@ impl StaticBranch {
             vcost,
         );
         p.extend("theta", self.theta.plan(&p.output().clone()));
-        p.ws_take("ret", &p.output().clone());
-        p.ws_give("mixed");
         p
     }
 
@@ -146,10 +142,7 @@ impl JointWeightBranch {
         ps
     }
 
-    /// Static shape plan mirroring [`JointWeightBranch::forward`];
-    /// workspace events mirror the compiled eval path (weighted operator
-    /// copy → per-frame vertex mix → mixed → theta out, `ret` owned by the
-    /// caller).
+    /// Static shape plan mirroring [`JointWeightBranch::forward`].
     pub fn plan(&self, input: &dhg_nn::SymShape) -> dhg_nn::Plan {
         use dhg_nn::{DiagCode, OpCost, Plan, SymShape};
         let mut p = Plan::new(input);
@@ -167,7 +160,6 @@ impl JointWeightBranch {
         let ops_shape = SymShape::batched(&[t as usize, op_v, op_v]);
         let vcost = OpCost::vertex_op(c, t, op_v as u64)
             .plus(OpCost::elementwise(&ops_shape));
-        p.ws_take("weighted", &ops_shape);
         plan_vertex_mix(
             &mut p,
             "dynamic_vertex_op",
@@ -175,10 +167,7 @@ impl JointWeightBranch {
             MixOperator::PerFrame,
             vcost,
         );
-        p.ws_give("weighted");
         p.extend("theta", self.theta.plan(&p.output().clone()));
-        p.ws_take("ret", &p.output().clone());
-        p.ws_give("mixed");
         p
     }
 
@@ -306,9 +295,7 @@ impl TopologyBranch {
         ps
     }
 
-    /// Static shape plan mirroring [`TopologyBranch::forward`];
-    /// workspace events mirror the compiled eval path (embedded → vertex
-    /// mix → mixed → theta out, `ret` owned by the caller).
+    /// Static shape plan mirroring [`TopologyBranch::forward`].
     pub fn plan(&self, input: &dhg_nn::SymShape) -> dhg_nn::Plan {
         use dhg_nn::{DiagCode, OpCost, Plan};
         let mut p = Plan::new(input);
@@ -322,7 +309,6 @@ impl TopologyBranch {
                 return p;
             }
         }
-        p.ws_take("embedded", &input.with_dim(1, dhg_nn::Dim::Known(self.embed_channels)));
         p.extend("embed", self.embed.plan(input));
         if p.has_errors() {
             return p;
@@ -344,10 +330,7 @@ impl TopologyBranch {
             operator,
             vcost,
         );
-        p.ws_give("embedded");
         p.extend("theta", self.theta.plan(&p.output().clone()));
-        p.ws_take("ret", &p.output().clone());
-        p.ws_give("mixed");
         p
     }
 

@@ -16,8 +16,8 @@
 //!    (`C → C/r → C_out`), shrinking the dominant parameter mass.
 
 use crate::common::{
-    apply_per_sample_vertex_op, apply_per_sample_vertex_op_eval, linear_eval, plan_vertex_mix,
-    DataBn, MixOperator, ModelDims, StageSpec,
+    apply_per_sample_vertex_op, apply_per_sample_vertex_op_eval, linear_eval,
+    plan_static_hypergraph, plan_vertex_mix, DataBn, MixOperator, ModelDims, StageSpec,
 };
 use crate::tcn::TemporalConv;
 use dhg_hypergraph::{
@@ -243,8 +243,6 @@ impl LiteBlock {
             );
             return p;
         }
-        // workspace events mirror forward_eval: vertex mix → mixed →
-        // spatial → ret, with `ret` owned by the caller
         let vcost = OpCost::vertex_op(
             input.known(1).unwrap_or(1) as u64,
             input.known(2).unwrap_or(1) as u64,
@@ -261,8 +259,6 @@ impl LiteBlock {
         if p.has_errors() {
             return p;
         }
-        p.ws_take("spatial", &p.output().clone());
-        p.ws_give("mixed");
         p.extend("bn", self.bn.plan(&p.output().clone()));
         p.push_op("relu", "", p.output().clone());
         p.extend("tcn", self.tcn.plan(&p.output().clone()));
@@ -270,8 +266,6 @@ impl LiteBlock {
             return p;
         }
         let main_out = p.output().clone();
-        p.ws_take("ret", &main_out);
-        p.ws_give("spatial");
         let residual_out = match &self.residual_proj {
             Some(proj) => p.adopt("residual_proj", &proj.plan(input)),
             None => input.clone(),
@@ -281,10 +275,6 @@ impl LiteBlock {
                 DiagCode::ShapeMismatch,
                 format!("residual path produces {residual_out} but main path produces {main_out}"),
             );
-        }
-        if self.residual_proj.is_some() {
-            p.ws_take("res", &main_out);
-            p.ws_give("res");
         }
         p.push_op("residual_add_relu", "", main_out);
         if !self.bn.training() && self.inference.is_none() {
@@ -530,45 +520,26 @@ impl Module for DhgcnLite {
     }
 
     fn plan(&self, input: &dhg_nn::SymShape) -> dhg_nn::Plan {
-        use dhg_nn::{DiagCode, Plan, Severity, SymShape};
+        use dhg_nn::{DiagCode, Plan, SymShape};
         let mut p = Plan::new(input);
         if !p.expect_nctv(self.config.dims.in_channels, self.config.dims.n_joints)
             || p.has_errors()
         {
             return p;
         }
-        for issue in dhg_hypergraph::validate_hypergraph(&self.static_hg) {
-            let code = match issue {
-                dhg_hypergraph::IncidenceIssue::EmptyEdge { .. } => DiagCode::IncidenceEmptyEdge,
-                dhg_hypergraph::IncidenceIssue::UncoveredVertex { .. } => {
-                    DiagCode::IncidenceUncoveredVertex
-                }
-                dhg_hypergraph::IncidenceIssue::NotBinary { .. } => DiagCode::IncidenceNotBinary,
-                dhg_hypergraph::IncidenceIssue::ImpNotNormalized { .. }
-                | dhg_hypergraph::IncidenceIssue::ImpOutsideSupport { .. } => {
-                    DiagCode::ImpNotNormalized
-                }
-                dhg_hypergraph::IncidenceIssue::SingularVertexDegree { .. }
-                | dhg_hypergraph::IncidenceIssue::SingularEdgeDegree { .. } => {
-                    DiagCode::DegreeSingular
-                }
-            };
-            p.diag(code, Severity::Error, format!("static hypergraph: {issue}"));
-        }
+        plan_static_hypergraph(&mut p, &self.static_hg);
         if p.has_errors() {
             return p;
         }
         let v = self.config.dims.n_joints;
         // The fused operator is built once per forward: embed conv + pairwise
         // distances + incidence fusion, dominated by the t*v^2 distance work
-        // over embed_channels. The embedded features are workspace scratch; the
-        // [N, V, V] operator itself stays live across every block.
+        // over embed_channels. The embedded features are the op's scratch.
         let c = input.known(1).unwrap_or(1) as u64;
         let t = input.known(2).unwrap_or(1) as u64;
         let e = self.config.embed_channels as u64;
         let op_cost = dhg_nn::OpCost::vertex_op(c.max(e), t, v as u64)
             .with_scratch(4 * e * t * v as u64);
-        p.ws_take("op", &SymShape::batched(&[v, v]));
         p.push_op_costed(
             "fused_operator",
             format!(
@@ -578,24 +549,17 @@ impl Module for DhgcnLite {
             input.clone(),
             op_cost,
         );
-        p.ws_take("h0", input);
         p.extend("input_bn", self.input_bn.plan(&p.output().clone()));
         for (i, block) in self.blocks.iter().enumerate() {
             p.extend(&format!("blocks[{i}]"), block.plan(&p.output().clone()));
             if p.has_errors() {
                 return p;
             }
-            p.ws_give(&if i == 0 { "h0".to_string() } else { format!("blocks[{}].ret", i - 1) });
         }
-        p.ws_give("op");
         let channels = p.output().at(1);
         let pooled = SymShape(vec![input.at(0), channels]);
         p.push_op("global_avg_pool", "mean over (T, V)", pooled);
-        if !self.blocks.is_empty() {
-            p.ws_give(&format!("blocks[{}].ret", self.blocks.len() - 1));
-        }
         p.extend("fc", self.fc.plan(&p.output().clone()));
-        p.ws_take("logits", &p.output().clone());
         if !self.input_bn.training() && self.inference.is_none() {
             p.warn(
                 DiagCode::NotPrepared,

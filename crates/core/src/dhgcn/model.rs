@@ -1,7 +1,7 @@
 //! The full DHGCN classifier (§3.5, Fig. 5).
 
 use super::block::DhstBlock;
-use crate::common::{paper_stages, small_stages, ModelDims, StageSpec};
+use crate::common::{paper_stages, plan_static_hypergraph, small_stages, ModelDims, StageSpec};
 use dhg_hypergraph::{dynamic_operators, Hypergraph};
 use dhg_nn::{global_avg_pool, Buffer, Linear, Module};
 use dhg_skeleton::{static_hypergraph, SkeletonTopology};
@@ -301,54 +301,27 @@ impl Module for Dhgcn {
     }
 
     fn plan(&self, input: &dhg_nn::SymShape) -> dhg_nn::Plan {
-        use dhg_nn::{DiagCode, Plan, Severity, SymShape};
+        use dhg_nn::{DiagCode, Plan, SymShape};
         let mut p = Plan::new(input);
         if !p.expect_nctv(self.config.dims.in_channels, self.config.dims.n_joints)
             || p.has_errors()
         {
             return p;
         }
-        // the static hypergraph the model convolves with must satisfy the
-        // incidence invariants, or every block's operator is garbage
-        for issue in dhg_hypergraph::validate_hypergraph(&self.static_hg) {
-            let code = match issue {
-                dhg_hypergraph::IncidenceIssue::EmptyEdge { .. } => DiagCode::IncidenceEmptyEdge,
-                dhg_hypergraph::IncidenceIssue::UncoveredVertex { .. } => {
-                    DiagCode::IncidenceUncoveredVertex
-                }
-                dhg_hypergraph::IncidenceIssue::NotBinary { .. } => DiagCode::IncidenceNotBinary,
-                dhg_hypergraph::IncidenceIssue::ImpNotNormalized { .. }
-                | dhg_hypergraph::IncidenceIssue::ImpOutsideSupport { .. } => {
-                    DiagCode::ImpNotNormalized
-                }
-                dhg_hypergraph::IncidenceIssue::SingularVertexDegree { .. }
-                | dhg_hypergraph::IncidenceIssue::SingularEdgeDegree { .. } => {
-                    DiagCode::DegreeSingular
-                }
-            };
-            p.diag(code, Severity::Error, format!("static hypergraph: {issue}"));
-        }
+        plan_static_hypergraph(&mut p, &self.static_hg);
         if p.has_errors() {
             return p;
         }
-        // mirror forward_inference: each block's input buffer is recycled
-        // as soon as the block has produced its successor
-        p.ws_take("h0", input);
         p.extend("input_bn", self.input_bn.plan(input));
         for (i, b) in self.blocks.iter().enumerate() {
             p.extend(&format!("blocks[{i}]"), b.plan(&p.output().clone()));
             if p.has_errors() {
                 return p;
             }
-            p.ws_give(&if i == 0 { "h0".to_string() } else { format!("blocks[{}].ret", i - 1) });
-        }
-        if !self.blocks.is_empty() {
-            p.ws_give(&format!("blocks[{}].ret", self.blocks.len() - 1));
         }
         let channels = p.output().at(1);
         p.push_op("global_avg_pool", "mean over (T, V)", SymShape(vec![input.at(0), channels]));
         p.extend("fc", self.fc.plan(&p.output().clone()));
-        p.ws_take("logits", &p.output().clone());
         if !self.input_bn.training() && self.inference.is_none() {
             p.warn(
                 DiagCode::NotPrepared,
@@ -525,6 +498,24 @@ mod tests {
         // more than half of the total: a chain-only count misses them
         let chain: u64 = plan.ops().iter().map(|op| op.cost.flops).sum();
         assert!(2 * chain < want, "chain {chain} of {want} FLOPs");
+    }
+
+    #[test]
+    fn plan_reports_a_broken_static_hypergraph() {
+        use dhg_nn::{analyze, DiagCode, SymShape};
+        // joint 0 dropped from every hyperedge: `Hypergraph::new` builds
+        // it, but every block would convolve with a garbage operator
+        let hg = static_hypergraph(&SkeletonTopology::ntu25());
+        let edges = hg
+            .edges()
+            .iter()
+            .map(|e| e.iter().copied().filter(|&j| j != 0).collect())
+            .collect();
+        let broken = Hypergraph::new(hg.n_vertices(), edges);
+        let m = Dhgcn::new(DhgcnConfig::small(dims()), broken, &mut StdRng::seed_from_u64(0));
+        let r = analyze(&m.plan(&SymShape::nctv(3, 8, 25)));
+        assert!(r.has_errors(), "{r}");
+        assert!(!r.with_code(DiagCode::IncidenceUncoveredVertex).is_empty(), "{r}");
     }
 
     #[test]

@@ -122,11 +122,6 @@ impl Module for ShiftBlock {
         self.tcn.set_training(training);
     }
 
-    fn prepare_inference(&mut self) {
-        self.set_training(false);
-        self.tcn.prepare_inference();
-    }
-
     fn plan(&self, input: &dhg_nn::SymShape) -> dhg_nn::Plan {
         use dhg_nn::{DiagCode, Plan};
         let mut p = Plan::new(input);
@@ -237,13 +232,6 @@ impl Module for ShiftGcn {
         self.input_bn.set_training(training);
         for b in &mut self.blocks {
             b.set_training(training);
-        }
-    }
-
-    fn prepare_inference(&mut self) {
-        self.input_bn.set_training(false);
-        for b in &mut self.blocks {
-            b.prepare_inference();
         }
     }
 

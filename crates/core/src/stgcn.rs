@@ -166,9 +166,6 @@ impl Module for StGcnBlock {
                 return p;
             }
         }
-        // workspace events mirror forward_eval: vertex mix → mixed →
-        // spatial → ret, each recycled as soon as its consumer has run;
-        // the caller owns (and eventually gives) `ret`
         let vcost = OpCost::vertex_op(
             input.known(1).unwrap_or(1) as u64,
             input.known(2).unwrap_or(1) as u64,
@@ -185,8 +182,6 @@ impl Module for StGcnBlock {
         if p.has_errors() {
             return p;
         }
-        p.ws_take("spatial", &p.output().clone());
-        p.ws_give("mixed");
         p.extend("bn", self.bn.plan(&p.output().clone()));
         p.push_op("relu", "", p.output().clone());
         p.extend("tcn", self.tcn.plan(&p.output().clone()));
@@ -194,8 +189,6 @@ impl Module for StGcnBlock {
             return p;
         }
         let main_out = p.output().clone();
-        p.ws_take("ret", &main_out);
-        p.ws_give("spatial");
         let residual_out = match &self.residual_proj {
             Some(proj) => p.adopt("residual_proj", &proj.plan(input)),
             None => input.clone(),
@@ -205,10 +198,6 @@ impl Module for StGcnBlock {
                 DiagCode::ShapeMismatch,
                 format!("residual path produces {residual_out} but main path produces {main_out}"),
             );
-        }
-        if self.residual_proj.is_some() {
-            p.ws_take("res", &main_out);
-            p.ws_give("res");
         }
         p.push_op("residual_add_relu", "", main_out);
         if !self.bn.training() && self.inference.is_none() {
@@ -328,24 +317,16 @@ impl Module for StGcn {
         if !p.expect_nctv(self.dims.in_channels, self.dims.n_joints) || p.has_errors() {
             return p;
         }
-        // mirror forward_inference: each block's input buffer is recycled
-        // as soon as the block has produced its successor
-        p.ws_take("h0", input);
         p.extend("input_bn", self.input_bn.plan(input));
         for (i, b) in self.blocks.iter().enumerate() {
             p.extend(&format!("blocks[{i}]"), b.plan(&p.output().clone()));
             if p.has_errors() {
                 return p;
             }
-            p.ws_give(&if i == 0 { "h0".to_string() } else { format!("blocks[{}].ret", i - 1) });
-        }
-        if !self.blocks.is_empty() {
-            p.ws_give(&format!("blocks[{}].ret", self.blocks.len() - 1));
         }
         let channels = p.output().at(1);
         p.push_op("global_avg_pool", "mean over (T, V)", SymShape(vec![input.at(0), channels]));
         p.extend("fc", self.fc.plan(&p.output().clone()));
-        p.ws_take("logits", &p.output().clone());
         if !self.input_bn.training() && self.inference.is_none() {
             p.warn(
                 DiagCode::NotPrepared,

@@ -85,7 +85,7 @@ impl Module for TemporalConv {
     }
 
     fn plan(&self, input: &dhg_nn::SymShape) -> dhg_nn::Plan {
-        use dhg_nn::{DiagCode, Plan};
+        use dhg_nn::Plan;
         let mut p = Plan::new(input);
         p.extend("conv", self.conv.plan(input));
         if p.has_errors() {
@@ -96,13 +96,6 @@ impl Module for TemporalConv {
         if let Some(d) = &self.dropout {
             let after_bn = p.output().clone();
             p.extend("dropout", d.plan(&after_bn));
-        }
-        if !self.bn.training() && self.inference.is_none() {
-            p.warn(
-                DiagCode::NotPrepared,
-                "eval-mode TemporalConv without a folded Conv+BN kernel; \
-                 call prepare_inference() before serving",
-            );
         }
         p
     }

@@ -37,6 +37,6 @@ pub use module::{collect_buffers, collect_parameters, Buffer, Module};
 pub use optim::{Sgd, SgdConfig, StepLr};
 pub use plan::{
     analyze, bn_stats_cold, packed_b_bytes, per_sample_elems, CostSummary, DiagCode, Diagnostic,
-    Dim, OpCost, Plan, PlanOp, Report, Severity, SymShape, WsEvent, WsEventKind,
+    Dim, OpCost, Plan, PlanOp, Report, Severity, SymShape,
 };
 pub use pool::global_avg_pool;

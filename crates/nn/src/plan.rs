@@ -16,7 +16,6 @@
 
 use dhg_tensor::ops::Conv2dSpec;
 use dhg_tensor::NdArray;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// One dimension of a symbolic shape: either the free batch dimension `N`
@@ -151,10 +150,6 @@ pub enum DiagCode {
     ImpNotNormalized,
     /// A singular vertex/edge degree matrix (zero diagonal entry).
     DegreeSingular,
-    /// A recycled workspace buffer was returned to the pool twice.
-    WorkspaceAlias,
-    /// A workspace buffer is read after it was returned to the pool.
-    WorkspaceUseAfterFree,
     /// Consecutive plan ops whose shapes do not connect.
     BrokenChain,
     /// Predicted peak workspace exceeds a configured byte budget.
@@ -179,8 +174,6 @@ impl DiagCode {
             DiagCode::IncidenceNotBinary => "incidence-not-binary",
             DiagCode::ImpNotNormalized => "imp-not-normalized",
             DiagCode::DegreeSingular => "degree-singular",
-            DiagCode::WorkspaceAlias => "workspace-alias",
-            DiagCode::WorkspaceUseAfterFree => "workspace-use-after-free",
             DiagCode::BrokenChain => "broken-chain",
             DiagCode::BudgetExceeded => "budget-exceeded",
         }
@@ -246,10 +239,6 @@ pub struct OpCost {
     /// Transient scratch bytes alive only while the op runs (im2col
     /// columns, packing panels) — charged against the workspace peak.
     pub scratch: u64,
-    /// Autograd graph nodes the op would allocate. The plan describes
-    /// the serving path, which runs under `no_grad`, so this must be 0;
-    /// a nonzero count marks an op known to escape the guard.
-    pub graph_nodes: u64,
 }
 
 impl OpCost {
@@ -258,7 +247,7 @@ impl OpCost {
     /// activations) and a read+write of every element touched.
     pub fn default_for(input: &SymShape, output: &SymShape) -> Self {
         let (i, o) = (per_sample_elems(input), per_sample_elems(output));
-        OpCost { flops: o, bytes: 4 * (i + o), scratch: 0, graph_nodes: 0 }
+        OpCost { flops: o, bytes: 4 * (i + o), scratch: 0 }
     }
 
     /// A dense `[m, k] × [k, n]` matmul on the packed GEMM; the scratch
@@ -268,7 +257,6 @@ impl OpCost {
             flops: 2 * m * k * n,
             bytes: 4 * (m * k + k * n + m * n),
             scratch: packed_b_bytes(k, n),
-            graph_nodes: 0,
         }
     }
 
@@ -291,7 +279,6 @@ impl OpCost {
             flops: 2 * cout * cols,
             bytes: 4 * (cols + cout * cin * kh * kw + cout * ho * wo),
             scratch: im2col + packed_b_bytes(cin * kh * kw, ho * wo),
-            graph_nodes: 0,
         }
     }
 
@@ -302,14 +289,13 @@ impl OpCost {
             flops: 2 * c * t * v * v,
             bytes: 4 * (c * t * v + t * v * v + c * t * v),
             scratch: 0,
-            graph_nodes: 0,
         }
     }
 
     /// An elementwise pass over a shape (ReLU, BN affine, residual add).
     pub fn elementwise(shape: &SymShape) -> Self {
         let e = per_sample_elems(shape);
-        OpCost { flops: e, bytes: 8 * e, scratch: 0, graph_nodes: 0 }
+        OpCost { flops: e, bytes: 8 * e, scratch: 0 }
     }
 
     /// The same cost with an explicit scratch requirement.
@@ -324,38 +310,8 @@ impl OpCost {
             flops: self.flops + other.flops,
             bytes: self.bytes + other.bytes,
             scratch: self.scratch.max(other.scratch),
-            graph_nodes: self.graph_nodes + other.graph_nodes,
         }
     }
-}
-
-/// What a [`WsEvent`] does to its buffer.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum WsEventKind {
-    /// The buffer is taken from the pool (becomes live).
-    Take,
-    /// The buffer is read while it must still be live.
-    Read,
-    /// The buffer is returned to the pool (stops being live).
-    Give,
-}
-
-/// One recorded workspace-lifetime event. Plans that mirror their
-/// serving path's `Workspace` traffic record these so [`analyze`] can
-/// prove no recycled buffer is read after reuse and bound the peak
-/// number of live bytes.
-#[derive(Clone, Debug)]
-pub struct WsEvent {
-    /// Index of the op *about to be recorded* when the event fired —
-    /// events with the same index happen between ops `index - 1` and
-    /// `index` of the chain.
-    pub op_index: usize,
-    /// Take, read, or give.
-    pub kind: WsEventKind,
-    /// Buffer identity, scoped like op names (`blocks[0].spatial`).
-    pub id: String,
-    /// Per-sample f32 bytes of the buffer (meaningful on `Take`).
-    pub bytes: u64,
 }
 
 /// One recorded op: name, free-form detail, the shapes around it, and
@@ -384,7 +340,6 @@ pub struct Plan {
     /// Ops of adopted side branches: costed, but outside the chain.
     side_ops: Vec<PlanOp>,
     diagnostics: Vec<Diagnostic>,
-    ws_events: Vec<WsEvent>,
     output: SymShape,
 }
 
@@ -396,7 +351,6 @@ impl Plan {
             ops: Vec::new(),
             side_ops: Vec::new(),
             diagnostics: Vec::new(),
-            ws_events: Vec::new(),
             output: input.clone(),
         }
     }
@@ -465,47 +419,6 @@ impl Plan {
         self.output = output;
     }
 
-    /// Recorded workspace-lifetime events, in program order.
-    pub fn ws_events(&self) -> &[WsEvent] {
-        &self.ws_events
-    }
-
-    /// Record that the serving path takes a workspace buffer of `shape`
-    /// under the name `id` at this point of the chain.
-    pub fn ws_take(&mut self, id: &str, shape: &SymShape) {
-        self.ws_take_bytes(id, 4 * per_sample_elems(shape));
-    }
-
-    /// [`Plan::ws_take`] with explicit per-sample bytes.
-    pub fn ws_take_bytes(&mut self, id: &str, bytes: u64) {
-        self.ws_events.push(WsEvent {
-            op_index: self.ops.len(),
-            kind: WsEventKind::Take,
-            id: id.to_string(),
-            bytes,
-        });
-    }
-
-    /// Record a read of a buffer that must still be live here.
-    pub fn ws_read(&mut self, id: &str) {
-        self.ws_events.push(WsEvent {
-            op_index: self.ops.len(),
-            kind: WsEventKind::Read,
-            id: id.to_string(),
-            bytes: 0,
-        });
-    }
-
-    /// Record that the serving path returns buffer `id` to the pool.
-    pub fn ws_give(&mut self, id: &str) {
-        self.ws_events.push(WsEvent {
-            op_index: self.ops.len(),
-            kind: WsEventKind::Give,
-            id: id.to_string(),
-            bytes: 0,
-        });
-    }
-
     /// Record an error diagnostic at the current scope tail.
     pub fn error(&mut self, code: DiagCode, message: impl Into<String>) {
         self.diag(code, Severity::Error, message);
@@ -522,15 +435,13 @@ impl Plan {
         self.diagnostics.push(Diagnostic { code, severity, message: message.into(), scope });
     }
 
-    /// Carry over a side branch's ops, diagnostics and workspace events
-    /// (re-scoped under `scope.`) without splicing its ops into the chain
-    /// — for parallel paths such as the bone stream of a two-stream
-    /// fusion, the non-anchor branches of a branch sum or a residual
-    /// projection, whose ops would otherwise violate the sequential-chain
-    /// invariant [`analyze`] checks. The ops land in
-    /// [`Plan::side_ops`], so their costs count; the events land at the
-    /// current chain position, modelling the branch running while the
-    /// main chain's buffers are live. Returns the branch's output shape.
+    /// Carry over a side branch's ops and diagnostics (re-scoped under
+    /// `scope.`) without splicing its ops into the chain — for parallel
+    /// paths such as the bone stream of a two-stream fusion, the
+    /// non-anchor branches of a branch sum or a residual projection, whose
+    /// ops would otherwise violate the sequential-chain invariant
+    /// [`analyze`] checks. The ops land in [`Plan::side_ops`], so their
+    /// costs count. Returns the branch's output shape.
     pub fn adopt(&mut self, scope: &str, child: &Plan) -> SymShape {
         for op in child.ops.iter().chain(&child.side_ops) {
             let mut op = op.clone();
@@ -542,20 +453,13 @@ impl Plan {
             d.scope = scoped(scope, &d.scope);
             self.diagnostics.push(d);
         }
-        for ev in &child.ws_events {
-            let mut ev = ev.clone();
-            ev.op_index = self.ops.len();
-            ev.id = format!("{scope}.{}", ev.id);
-            self.ws_events.push(ev);
-        }
         child.output.clone()
     }
 
-    /// Splice a sub-module's plan in: its ops and workspace events are
-    /// re-scoped under `scope.`, its diagnostics are carried over, and
-    /// the plan output advances to the child's output.
+    /// Splice a sub-module's plan in: its ops are re-scoped under
+    /// `scope.`, its diagnostics are carried over, and the plan output
+    /// advances to the child's output.
     pub fn extend(&mut self, scope: &str, child: Plan) {
-        let base = self.ops.len();
         for mut op in child.ops {
             op.name = scoped(scope, &op.name);
             self.ops.push(op);
@@ -563,11 +467,6 @@ impl Plan {
         for mut op in child.side_ops {
             op.name = scoped(scope, &op.name);
             self.side_ops.push(op);
-        }
-        for mut ev in child.ws_events {
-            ev.op_index += base;
-            ev.id = format!("{scope}.{}", ev.id);
-            self.ws_events.push(ev);
         }
         for mut d in child.diagnostics {
             d.scope = scoped(scope, &d.scope);
@@ -629,13 +528,11 @@ pub struct CostSummary {
     pub flops: u64,
     /// Total bytes moved.
     pub bytes: u64,
-    /// Predicted peak live workspace bytes: the larger of the recorded
-    /// lifetime-event peak and a 2× envelope of the heaviest single op's
-    /// footprint (operands + scratch), covering plans that record no
-    /// explicit events.
+    /// Predicted peak live workspace bytes: twice the heaviest op's
+    /// footprint (operands + scratch), chain and side ops alike. An op's
+    /// operands and scratch are live at once; the factor covers the
+    /// residual and branch buffers held beside it.
     pub workspace_peak: u64,
-    /// Autograd graph nodes; 0 for a clean `no_grad` serving path.
-    pub graph_nodes: u64,
     /// Ops the totals cover.
     pub n_ops: usize,
 }
@@ -649,7 +546,6 @@ impl CostSummary {
             flops: self.flops * n,
             bytes: self.bytes * n,
             workspace_peak: self.workspace_peak * n,
-            graph_nodes: self.graph_nodes * n,
             n_ops: self.n_ops,
         }
     }
@@ -659,11 +555,10 @@ impl fmt::Display for CostSummary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{:.2} MFLOP, {:.2} MiB moved, peak ws {:.2} MiB, {} graph nodes, {} ops",
+            "{:.2} MFLOP, {:.2} MiB moved, peak ws {:.2} MiB, {} ops",
             self.flops as f64 / 1e6,
             self.bytes as f64 / (1 << 20) as f64,
             self.workspace_peak as f64 / (1 << 20) as f64,
-            self.graph_nodes,
             self.n_ops,
         )
     }
@@ -719,10 +614,9 @@ impl fmt::Display for Report {
 }
 
 /// Walk a recorded [`Plan`] and verify it is internally consistent: every
-/// op must consume exactly the shape the previous op produced, and the
-/// workspace-lifetime events must form a sound take/read/give discipline
-/// (no double give, no read after give). Returns the plan's diagnostics
-/// plus any chain/lifetime findings and the aggregate [`CostSummary`].
+/// op must consume exactly the shape the previous op produced. Returns the
+/// plan's diagnostics plus any chain findings and the aggregate
+/// [`CostSummary`].
 pub fn analyze(plan: &Plan) -> Report {
     let mut diagnostics = plan.diagnostics().to_vec();
     let mut current = plan.input().clone();
@@ -730,8 +624,6 @@ pub fn analyze(plan: &Plan) -> Report {
         n_ops: plan.ops().len() + plan.side_ops().len(),
         ..CostSummary::default()
     };
-    let mut max_footprint = 0u64;
-    let mut max_scratch = 0u64;
     for op in plan.ops() {
         if op.input != current {
             diagnostics.push(Diagnostic {
@@ -748,9 +640,7 @@ pub fn analyze(plan: &Plan) -> Report {
     for op in plan.ops().iter().chain(plan.side_ops()) {
         cost.flops += op.cost.flops;
         cost.bytes += op.cost.bytes;
-        cost.graph_nodes += op.cost.graph_nodes;
-        max_footprint = max_footprint.max(op.cost.bytes + op.cost.scratch);
-        max_scratch = max_scratch.max(op.cost.scratch);
+        cost.workspace_peak = cost.workspace_peak.max(2 * (op.cost.bytes + op.cost.scratch));
     }
     if &current != plan.output() {
         diagnostics.push(Diagnostic {
@@ -760,65 +650,6 @@ pub fn analyze(plan: &Plan) -> Report {
             scope: String::new(),
         });
     }
-    // workspace-lifetime verification: events are in program order, so a
-    // single forward sweep with a live-set suffices
-    let scope_of = |ev: &WsEvent| {
-        plan.ops()
-            .get(ev.op_index.min(plan.ops().len().saturating_sub(1)))
-            .map(|op| op.name.clone())
-            .unwrap_or_default()
-    };
-    let mut live: BTreeMap<&str, u64> = BTreeMap::new();
-    let mut live_bytes = 0u64;
-    let mut event_peak = 0u64;
-    for ev in plan.ws_events() {
-        match ev.kind {
-            WsEventKind::Take => {
-                if live.insert(&ev.id, ev.bytes).is_some() {
-                    diagnostics.push(Diagnostic {
-                        code: DiagCode::WorkspaceAlias,
-                        severity: Severity::Error,
-                        message: format!("buffer `{}` taken while already live", ev.id),
-                        scope: scope_of(ev),
-                    });
-                } else {
-                    live_bytes += ev.bytes;
-                    event_peak = event_peak.max(live_bytes);
-                }
-            }
-            WsEventKind::Read => {
-                if !live.contains_key(ev.id.as_str()) {
-                    diagnostics.push(Diagnostic {
-                        code: DiagCode::WorkspaceUseAfterFree,
-                        severity: Severity::Error,
-                        message: format!(
-                            "buffer `{}` read after being returned to the pool",
-                            ev.id
-                        ),
-                        scope: scope_of(ev),
-                    });
-                }
-            }
-            WsEventKind::Give => match live.remove(ev.id.as_str()) {
-                Some(bytes) => live_bytes -= bytes,
-                None => diagnostics.push(Diagnostic {
-                    code: DiagCode::WorkspaceAlias,
-                    severity: Severity::Error,
-                    message: format!(
-                        "buffer `{}` returned to the pool twice (or never taken)",
-                        ev.id
-                    ),
-                    scope: scope_of(ev),
-                }),
-            },
-        }
-    }
-    // Peak prediction: the event-stream peak (plus the heaviest op's
-    // transient scratch, live while that op runs) where the plan mirrors
-    // its serving path, floored by a 2× envelope of the heaviest op (an
-    // op's operands plus scratch are live at once; the factor covers a
-    // concurrently-held residual/branch buffer for un-evented plans).
-    cost.workspace_peak = (event_peak + max_scratch).max(2 * max_footprint);
     Report { diagnostics, n_ops: plan.ops().len(), output: plan.output().clone(), cost }
 }
 
@@ -922,7 +753,6 @@ mod tests {
     fn diag_codes_have_stable_names() {
         assert_eq!(DiagCode::ImpNotNormalized.name(), "imp-not-normalized");
         assert_eq!(DiagCode::IncidenceEmptyEdge.to_string(), "incidence-empty-edge");
-        assert_eq!(DiagCode::WorkspaceUseAfterFree.name(), "workspace-use-after-free");
         assert_eq!(DiagCode::BudgetExceeded.name(), "budget-exceeded");
     }
 
@@ -966,8 +796,10 @@ mod tests {
         let c = r.cost_summary();
         assert_eq!(c.n_ops, 2);
         assert_eq!(c.flops, 2 * 400 * 3 * 64 + 64 * 16 * 25);
-        assert_eq!(c.graph_nodes, 0);
-        assert!(c.workspace_peak > 0, "envelope floor must kick in without events");
+        // twice the heaviest op's operands + scratch: here the ReLU
+        let (mm, relu) = (p.ops()[0].cost, p.ops()[1].cost);
+        assert!(relu.bytes > mm.bytes + mm.scratch);
+        assert_eq!(c.workspace_peak, 2 * relu.bytes);
         let doubled = c.scaled(2);
         assert_eq!(doubled.flops, 2 * c.flops);
         assert_eq!(doubled.workspace_peak, 2 * c.workspace_peak);
@@ -1001,79 +833,5 @@ mod tests {
         outer.extend("blocks[0]", p);
         assert_eq!(outer.side_ops()[0].name, "blocks[0].residual.proj");
         assert_eq!(analyze(&outer).cost_summary().flops, want);
-    }
-
-    #[test]
-    fn ws_event_discipline_is_verified() {
-        let input = SymShape::nctv(3, 16, 25);
-        // sound: take, read, give
-        let mut p = Plan::new(&input);
-        p.ws_take("mixed", &SymShape::nctv(3, 16, 25));
-        p.push_op("vertex_op", "", SymShape::nctv(3, 16, 25));
-        p.ws_read("mixed");
-        p.ws_give("mixed");
-        let r = analyze(&p);
-        assert!(r.ok(), "{r}");
-        assert!(r.cost_summary().workspace_peak >= 4 * 3 * 16 * 25);
-
-        // read after give
-        let mut p = Plan::new(&input);
-        p.ws_take("mixed", &input);
-        p.ws_give("mixed");
-        p.ws_read("mixed");
-        let r = analyze(&p);
-        assert!(r.has_errors());
-        assert!(!r.with_code(DiagCode::WorkspaceUseAfterFree).is_empty());
-
-        // double give
-        let mut p = Plan::new(&input);
-        p.ws_take("mixed", &input);
-        p.ws_give("mixed");
-        p.ws_give("mixed");
-        let r = analyze(&p);
-        assert!(!r.with_code(DiagCode::WorkspaceAlias).is_empty());
-
-        // take while live
-        let mut p = Plan::new(&input);
-        p.ws_take("mixed", &input);
-        p.ws_take("mixed", &input);
-        assert!(!analyze(&p).with_code(DiagCode::WorkspaceAlias).is_empty());
-    }
-
-    #[test]
-    fn ws_event_peak_tracks_concurrent_buffers() {
-        let input = SymShape::concrete(&[100]);
-        let mut p = Plan::new(&input);
-        p.ws_take_bytes("a", 400);
-        p.ws_take_bytes("b", 800);
-        p.ws_give("a");
-        p.ws_take_bytes("c", 100);
-        p.ws_give("b");
-        p.ws_give("c");
-        let r = analyze(&p);
-        assert!(r.ok(), "{r}");
-        assert_eq!(r.cost_summary().workspace_peak, 1200);
-    }
-
-    #[test]
-    fn extend_rescopes_ws_events() {
-        let mut child = Plan::new(&SymShape::nctv(3, 8, 25));
-        child.ws_take("spatial", &SymShape::nctv(16, 8, 25));
-        child.push_op("theta", "", SymShape::nctv(16, 8, 25));
-        child.ws_give("spatial");
-        let mut parent = Plan::new(&SymShape::nctv(3, 8, 25));
-        parent.push_op("bn", "", SymShape::nctv(3, 8, 25));
-        parent.extend("blocks[0]", child);
-        assert_eq!(parent.ws_events()[0].id, "blocks[0].spatial");
-        assert_eq!(parent.ws_events()[0].op_index, 1, "offset by the parent's ops");
-        assert!(analyze(&parent).ok());
-        // the parent can give a child-scoped buffer it inherits
-        let mut child = Plan::new(&SymShape::nctv(3, 8, 25));
-        child.ws_take("ret", &SymShape::nctv(16, 8, 25));
-        child.push_op("theta", "", SymShape::nctv(16, 8, 25));
-        let mut parent = Plan::new(&SymShape::nctv(3, 8, 25));
-        parent.extend("blocks[0]", child);
-        parent.ws_give("blocks[0].ret");
-        assert!(analyze(&parent).ok());
     }
 }

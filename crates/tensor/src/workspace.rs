@@ -103,8 +103,9 @@ impl Workspace {
     /// to return a buffer whose storage is already pooled. A non-zero
     /// count means some serving path recycled the same storage twice —
     /// the next two `take` calls would hand out aliased buffers and
-    /// silently corrupt each other. The static analyzer surfaces this as
-    /// a `workspace-alias` diagnostic.
+    /// silently corrupt each other. The `analyze` binary's serving audit
+    /// runs one `forward_inference` per zoo model and fails on a non-zero
+    /// count.
     pub fn alias_hazards(&self) -> usize {
         self.alias_hazards
     }

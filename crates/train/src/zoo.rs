@@ -145,6 +145,21 @@ impl Zoo {
         LieFeatureClassifier::new(self.dims, self.topology.clone(), &mut self.rng())
     }
 
+    /// Every name [`Zoo::by_name`] builds. Zoo-wide checks iterate this
+    /// list, so a model added to `by_name` and here is covered by all of
+    /// them.
+    pub const NAMES: [&'static str; 9] = [
+        "ST-GCN",
+        "2s-AGCN",
+        "2s-AHGCN",
+        "Shift-GCN",
+        "TCN",
+        "ST-LSTM",
+        "Lie Group",
+        "DHGCN",
+        "DHGCN-lite",
+    ];
+
     /// Build by table row name — the registry used by Tabs. 6–8.
     pub fn by_name(&self, name: &str) -> Option<Box<dyn Module>> {
         Some(match name {
@@ -180,10 +195,7 @@ mod tests {
             (0..2 * 3 * 8 * 25).map(|i| (i as f32 * 0.01).sin()).collect(),
             &[2, 3, 8, 25],
         ));
-        for name in [
-            "ST-GCN", "2s-AGCN", "2s-AHGCN", "Shift-GCN", "TCN", "ST-LSTM", "Lie Group",
-            "DHGCN", "DHGCN-lite",
-        ] {
+        for name in Zoo::NAMES {
             let m = zoo.by_name(name).unwrap_or_else(|| panic!("unknown model {name}"));
             let y = m.forward(&x);
             assert_eq!(y.shape(), vec![2, 4], "{name}");
@@ -198,10 +210,7 @@ mod tests {
             (0..2 * 3 * 8 * 25).map(|i| (i as f32 * 0.01).sin()).collect(),
             &[2, 3, 8, 25],
         ));
-        for name in [
-            "ST-GCN", "2s-AGCN", "2s-AHGCN", "Shift-GCN", "TCN", "ST-LSTM", "Lie Group",
-            "DHGCN", "DHGCN-lite",
-        ] {
+        for name in Zoo::NAMES {
             let mut session =
                 zoo.by_name_session(name).unwrap_or_else(|| panic!("unknown model {name}"));
             let before = dhg_tensor::graph_nodes_created();

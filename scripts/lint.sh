@@ -18,6 +18,7 @@
 #   DL003  unordered float reductions in hot-path crates
 #   DL004  `unsafe` without a SAFETY: comment
 #   DL005  unwrap/expect/assert on the serving request path
+#   DL006  retry loops without backoff on the serving request path
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -16,6 +16,9 @@
 #      --budget check that every model's predicted peak workspace fits
 #      the serve cap
 #   8. rustdoc with warnings denied (broken intra-doc links fail the gate)
+#   9. perfbench, the repository benchmark, built and tested against this
+#      checkout (its own Cargo package, so no step above compiles it;
+#      --locked refuses to rewrite its lockfile)
 #
 # Serving, streaming, network and chaos contracts are integration tests
 # (tests/serve_invariance.rs, tests/streaming.rs, tests/net_roundtrip.rs,
@@ -48,5 +51,8 @@ scripts/lint.sh
 
 echo "== tier1: cargo doc -D warnings =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+
+echo "== tier1: perfbench build + tests =="
+cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 
 echo "== tier1: OK =="

@@ -9,18 +9,6 @@ use dhgcn::nn::{analyze, DiagCode, Module, SymShape};
 use dhgcn::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-const MODELS: [&str; 9] = [
-    "ST-GCN",
-    "2s-AGCN",
-    "2s-AHGCN",
-    "Shift-GCN",
-    "TCN",
-    "ST-LSTM",
-    "Lie Group",
-    "DHGCN",
-    "DHGCN-lite",
-];
-
 /// Run the eager forward and return the panic message, if it panicked.
 fn eager_panic(model: &dyn Module, shape: &[usize]) -> Option<String> {
     let x = Tensor::constant(NdArray::zeros(shape));
@@ -47,7 +35,7 @@ fn analyzer_predicts_every_eager_shape_panic() {
         ("wrong joints", vec![2, 3, 8, 26], SymShape::nctv(3, 8, 26)),
         ("wrong rank", vec![2, 3, 8], SymShape::batched(&[3, 8])),
     ];
-    for name in MODELS {
+    for name in Zoo::NAMES {
         let m = zoo.by_name(name).unwrap_or_else(|| panic!("unknown model {name}"));
         for (case, shape, sym) in &cases {
             let report = analyze(&m.plan(sym));
@@ -89,7 +77,7 @@ fn analyzer_accepts_what_the_eager_path_accepts() {
         (0..2 * 3 * 8 * 25).map(|i| (i as f32 * 0.013).sin()).collect(),
         &[2, 3, 8, 25],
     ));
-    for name in MODELS {
+    for name in Zoo::NAMES {
         let mut m = zoo.by_name(name).unwrap_or_else(|| panic!("unknown model {name}"));
         m.forward(&x); // warm BN statistics
         m.prepare_inference();

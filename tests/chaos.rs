@@ -31,19 +31,6 @@ use dhgcn::train::{train_resumable, InferenceSession};
 use std::path::PathBuf;
 use std::time::Duration;
 
-/// Every row of the zoo registry.
-const MODELS: [&str; 9] = [
-    "ST-GCN",
-    "2s-AGCN",
-    "2s-AHGCN",
-    "Shift-GCN",
-    "TCN",
-    "ST-LSTM",
-    "Lie Group",
-    "DHGCN",
-    "DHGCN-lite",
-];
-
 /// Worker counts the suite sweeps.
 const WORKERS: [usize; 3] = [1, 2, 8];
 
@@ -88,7 +75,7 @@ fn engine(name: &str, config: ServeConfig) -> ServeEngine {
 /// the batch pops leaves the requests queued for the replacement replica.
 #[test]
 fn killed_workers_are_respawned_and_every_zoo_model_keeps_serving() {
-    for name in MODELS {
+    for name in Zoo::NAMES {
         let reference = sequential_logits(name);
         for workers in WORKERS {
             let faults = FaultPlan::builder(0xC0FFEE)

@@ -16,19 +16,6 @@ use dhgcn::train::zoo::Zoo;
 use dhgcn::train::InferenceSession;
 use std::time::Duration;
 
-/// Every row of the zoo registry.
-const MODELS: [&str; 9] = [
-    "ST-GCN",
-    "2s-AGCN",
-    "2s-AHGCN",
-    "Shift-GCN",
-    "TCN",
-    "ST-LSTM",
-    "Lie Group",
-    "DHGCN",
-    "DHGCN-lite",
-];
-
 /// Worker counts the suite sweeps (the ISSUE's 1/2/8).
 const WORKERS: [usize; 3] = [1, 2, 8];
 
@@ -64,7 +51,7 @@ fn sequential_logits(name: &str) -> Vec<Vec<f32>> {
 
 #[test]
 fn engine_logits_are_bitwise_identical_to_sequential_for_every_zoo_model() {
-    for name in MODELS {
+    for name in Zoo::NAMES {
         let reference = sequential_logits(name);
         for workers in WORKERS {
             let zoo = zoo();
