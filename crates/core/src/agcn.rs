@@ -10,9 +10,8 @@
 //!   similarity, `softmax(θ₁(x)ᵀ θ₂(x))`.
 
 use crate::common::{apply_per_sample_vertex_op, ModelDims, StageSpec};
-use crate::tcn::TemporalConv;
-use dhg_nn::{global_avg_pool, BatchNorm2d, Buffer, Conv2d, Linear, Module};
-use dhg_tensor::ops::Conv2dSpec;
+use crate::tcn::{block_rank_error, BlockTail};
+use dhg_nn::{global_avg_pool, Buffer, Conv2d, Linear, Module};
 use dhg_tensor::{NdArray, Tensor};
 use rand::Rng;
 
@@ -43,9 +42,7 @@ struct AgcnBlock {
     theta1: Conv2d,
     theta2: Conv2d,
     theta: Conv2d,
-    bn: BatchNorm2d,
-    tcn: TemporalConv,
-    residual_proj: Option<Conv2d>,
+    tail: BlockTail,
 }
 
 impl AgcnBlock {
@@ -64,19 +61,7 @@ impl AgcnBlock {
             theta1: Conv2d::pointwise(in_channels, EMBED_CHANNELS, rng),
             theta2: Conv2d::pointwise(in_channels, EMBED_CHANNELS, rng),
             theta: Conv2d::pointwise(in_channels, out_channels, rng),
-            bn: BatchNorm2d::new(out_channels),
-            tcn: TemporalConv::new(out_channels, out_channels, stride, 1, dropout, rng),
-            residual_proj: if in_channels != out_channels || stride != 1 {
-                let spec = Conv2dSpec {
-                    kernel: (1, 1),
-                    stride: (stride, 1),
-                    padding: (0, 0),
-                    dilation: (1, 1),
-                };
-                Some(Conv2d::new(in_channels, out_channels, spec, rng))
-            } else {
-                None
-            },
+            tail: BlockTail::new(in_channels, out_channels, stride, 1, dropout, rng),
         }
     }
 
@@ -99,13 +84,7 @@ impl Module for AgcnBlock {
         let structural = self.base.add(&self.b).reshape(&[1, v, v]);
         let op = att.add(&structural);
         let mixed = apply_per_sample_vertex_op(x, &op);
-        let spatial = self.bn.forward(&self.theta.forward(&mixed)).relu();
-        let temporal = self.tcn.forward(&spatial);
-        let residual = match &self.residual_proj {
-            Some(proj) => proj.forward(x),
-            None => x.clone(),
-        };
-        temporal.add(&residual).relu()
+        self.tail.forward(x, &self.theta.forward(&mixed))
     }
 
     fn parameters(&self) -> Vec<Tensor> {
@@ -113,35 +92,24 @@ impl Module for AgcnBlock {
         ps.extend(self.theta1.parameters());
         ps.extend(self.theta2.parameters());
         ps.extend(self.theta.parameters());
-        ps.extend(self.bn.parameters());
-        ps.extend(self.tcn.parameters());
-        if let Some(p) = &self.residual_proj {
-            ps.extend(p.parameters());
-        }
+        ps.extend(self.tail.parameters());
         ps
     }
 
     fn buffers(&self) -> Vec<Buffer> {
-        let mut bs = self.bn.buffers();
-        bs.extend(self.tcn.buffers());
-        bs
+        self.tail.buffers()
     }
 
     fn set_training(&mut self, training: bool) {
-        self.bn.set_training(training);
-        self.tcn.set_training(training);
+        self.tail.set_training(training);
     }
 
     fn plan(&self, input: &dhg_nn::SymShape) -> dhg_nn::Plan {
-        use dhg_nn::{DiagCode, Plan};
-        let mut p = Plan::new(input);
-        if input.rank() != 4 {
-            p.error(
-                DiagCode::RankMismatch,
-                format!("features must be [N, C, T, V], got rank {} {input}", input.rank()),
-            );
+        use dhg_nn::{DiagCode, OpCost, Plan, SymShape};
+        if let Some(p) = block_rank_error(input) {
             return p;
         }
+        let mut p = Plan::new(input);
         let op_v = self.base.shape()[0];
         if let Some(v) = input.known(3) {
             if v != op_v {
@@ -157,30 +125,32 @@ impl Module for AgcnBlock {
         if p.has_errors() {
             return p;
         }
-        p.push_op("attention", format!("softmax(e1' e2), [N, {op_v}, {op_v}]"), input.clone());
-        p.push_op("adaptive_vertex_op", "base + B + C per sample", input.clone());
+        p.adopt("theta2", &self.theta2.plan(input));
+        let (c, t, v) = (
+            input.known(1).unwrap_or(1) as u64,
+            input.known(2).unwrap_or(1) as u64,
+            op_v as u64,
+        );
+        // e1ᵀ e2 over the E·T embedding rows, then scale + softmax over [V, V]
+        let attention = OpCost::matmul(v, EMBED_CHANNELS as u64 * t, v)
+            .plus(OpCost::elementwise(&SymShape::batched(&[op_v, op_v])));
+        p.push_op_costed(
+            "attention",
+            format!("softmax(e1' e2), [N, {op_v}, {op_v}]"),
+            input.clone(),
+            attention,
+        );
+        p.push_op_costed(
+            "adaptive_vertex_op",
+            "base + B + C per sample",
+            input.clone(),
+            OpCost::vertex_op(c, t, v),
+        );
         p.extend("theta", self.theta.plan(&p.output().clone()));
         if p.has_errors() {
             return p;
         }
-        p.extend("bn", self.bn.plan(&p.output().clone()));
-        p.push_op("relu", "", p.output().clone());
-        p.extend("tcn", self.tcn.plan(&p.output().clone()));
-        if p.has_errors() {
-            return p;
-        }
-        let main_out = p.output().clone();
-        let residual_out = match &self.residual_proj {
-            Some(proj) => p.adopt("residual_proj", &proj.plan(input)),
-            None => input.clone(),
-        };
-        if residual_out != main_out {
-            p.error(
-                DiagCode::ShapeMismatch,
-                format!("residual path produces {residual_out} but main path produces {main_out}"),
-            );
-        }
-        p.push_op("residual_add_relu", "", main_out);
+        self.tail.plan(&mut p, input);
         p
     }
 }
@@ -345,6 +315,29 @@ mod tests {
         let b = agcn(AgcnVariant::Hypergraph);
         assert_eq!(a.n_parameters(), b.n_parameters());
         assert!(!a.blocks[0].base.array().allclose(&b.blocks[0].base.array(), 1e-3, 1e-3));
+    }
+
+    #[test]
+    fn block_plan_flops_are_a_hand_sum_of_every_op() {
+        use dhg_nn::{analyze, Plan, SymShape};
+        let m = agcn(AgcnVariant::Graph);
+        let flops = |p: &Plan| analyze(p).cost_summary().flops;
+        let (t, v) = (16u64, 25u64);
+        let mut shape = SymShape::nctv(3, t as usize, v as usize);
+        for b in &m.blocks {
+            let c = shape.known(1).unwrap() as u64;
+            let embeddings = flops(&b.theta1.plan(&shape)) + flops(&b.theta2.plan(&shape));
+            let attention = 2 * v * (EMBED_CHANNELS as u64 * t) * v + v * v;
+            let mix = 2 * c * t * v * v;
+            let theta = b.theta.plan(&shape);
+            let mut tail = Plan::new(theta.output());
+            b.tail.plan(&mut tail, &shape);
+            let want = embeddings + attention + mix + flops(&theta) + flops(&tail);
+            let plan = b.plan(&shape);
+            assert!(analyze(&plan).ok(), "{}", analyze(&plan));
+            assert_eq!(flops(&plan), want, "block input {shape}");
+            shape = plan.output().clone();
+        }
     }
 
     #[test]

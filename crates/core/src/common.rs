@@ -1,6 +1,8 @@
 //! Shared machinery of every spatial (hyper)graph convolution.
 
+use dhg_nn::{Conv2d, EvalConv, Module};
 use dhg_tensor::{parallel, NdArray, Tensor, Workspace};
+use rand::Rng;
 
 /// The geometry every model in the zoo is built for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -197,6 +199,104 @@ pub(crate) fn plan_static_hypergraph(p: &mut dhg_nn::Plan, hg: &dhg_hypergraph::
             | IncidenceIssue::SingularEdgeDegree { .. } => DiagCode::DegreeSingular,
         };
         p.error(code, format!("static hypergraph: {issue}"));
+    }
+}
+
+/// A static spatial convolution: a fixed `[V, V]` operator modulated by
+/// ST-GCN's learnable edge-importance mask `M` (applied elementwise,
+/// initialised to ones), followed by a pointwise Θ. It is ST-GCN's spatial
+/// part over the normalised adjacency (Eq. 1) and DHGCN's branch 1 over
+/// the static hypergraph operator (Eq. 5). Deliberately *not* adaptive
+/// beyond `M`: DHGCN's dynamic branches own all sample-dependent and
+/// learned topology (§3.3–3.4), which is what the Tab. 4 ablation
+/// isolates.
+pub struct StaticBranch {
+    op: Tensor,
+    importance: Tensor,
+    theta: Conv2d,
+}
+
+impl StaticBranch {
+    /// Build from a precomputed static operator.
+    pub fn new(op: NdArray, in_channels: usize, out_channels: usize, rng: &mut impl Rng) -> Self {
+        let v = op.shape()[0];
+        StaticBranch {
+            op: Tensor::constant(op),
+            importance: Tensor::param(NdArray::ones(&[v, v])),
+            theta: Conv2d::pointwise(in_channels, out_channels, rng),
+        }
+    }
+
+    /// Forward `[N, C, T, V] → [N, C_out, T, V]`.
+    pub fn forward(&self, x: &Tensor) -> Tensor {
+        let weighted = self.op.mul(&self.importance);
+        self.theta.forward(&apply_vertex_op(x, &weighted))
+    }
+
+    /// Trainable parameters (M and Θ).
+    pub fn parameters(&self) -> Vec<Tensor> {
+        let mut ps = vec![self.importance.clone()];
+        ps.extend(self.theta.parameters());
+        ps
+    }
+
+    /// Static shape plan mirroring [`StaticBranch::forward`].
+    pub fn plan(&self, input: &dhg_nn::SymShape) -> dhg_nn::Plan {
+        use dhg_nn::{DiagCode, OpCost, Plan};
+        let mut p = Plan::new(input);
+        let op_v = self.op.shape()[0];
+        if let Some(v) = input.known(3) {
+            if v != op_v {
+                p.error(
+                    DiagCode::JointMismatch,
+                    format!("operator must be [V, V]: operator has {op_v} joints, input has {v}"),
+                );
+                return p;
+            }
+        }
+        let vcost = OpCost::vertex_op(
+            input.known(1).unwrap_or(1) as u64,
+            input.known(2).unwrap_or(1) as u64,
+            op_v as u64,
+        );
+        plan_vertex_mix(
+            &mut p,
+            "vertex_op",
+            format!("importance-weighted [{op_v}, {op_v}] operator"),
+            MixOperator::Shared,
+            vcost,
+        );
+        p.extend("theta", self.theta.plan(&p.output().clone()));
+        p
+    }
+
+    /// Bake the branch for serving: the importance-weighted operator is
+    /// precomputed once and Θ absorbs the block BN's per-channel affine
+    /// `(scale, shift)`.
+    pub(crate) fn compile(&self, scale: &[f32], shift: &[f32]) -> StaticBranchEval {
+        let op = self.op.data();
+        let imp = self.importance.data();
+        let weighted: Vec<f32> =
+            op.data().iter().zip(imp.data()).map(|(&a, &b)| a * b).collect();
+        StaticBranchEval {
+            op: NdArray::from_vec(weighted, op.shape()),
+            theta: EvalConv::fold_affine(&self.theta, scale, shift),
+        }
+    }
+}
+
+/// Compiled [`StaticBranch`]: cached weighted operator + folded Θ.
+pub(crate) struct StaticBranchEval {
+    op: NdArray,
+    theta: EvalConv,
+}
+
+impl StaticBranchEval {
+    pub(crate) fn forward(&self, x: &NdArray, ws: &mut Workspace) -> NdArray {
+        let mixed = apply_vertex_op_eval(x, &self.op, ws);
+        let out = self.theta.forward(&mixed, ws);
+        ws.recycle(mixed);
+        out
     }
 }
 

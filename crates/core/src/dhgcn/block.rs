@@ -2,39 +2,33 @@
 //! (Fig. 5).
 
 use super::branches::{
-    JointWeightBranch, JointWeightBranchEval, StaticBranch, StaticBranchEval, TopologyBranch,
-    TopologyBranchEval,
+    JointWeightBranch, JointWeightBranchEval, TopologyBranch, TopologyBranchEval,
 };
 use super::model::{BranchConfig, TopologyGranularity};
-use crate::tcn::TemporalConv;
-use dhg_nn::{BatchNorm2d, Buffer, Conv2d, EvalConv, Module};
-use dhg_tensor::ops::Conv2dSpec;
+use crate::common::{StaticBranch, StaticBranchEval};
+use crate::tcn::{block_rank_error, BlockTail};
+use dhg_nn::Buffer;
 use dhg_tensor::{NdArray, Tensor, Workspace};
 use rand::Rng;
 
-/// One backbone block: the sum of the active spatial branches, batch
-/// normalisation, then a dilated temporal convolution, with a residual
-/// connection around the whole block.
+/// One backbone block: the sum of the active spatial branches, then the
+/// shared block tail (batch normalisation, a dilated temporal convolution
+/// and a residual connection around the whole block).
 pub struct DhstBlock {
     static_branch: Option<StaticBranch>,
     joint_weight_branch: Option<JointWeightBranch>,
     topology_branch: Option<TopologyBranch>,
-    bn: BatchNorm2d,
-    tcn: TemporalConv,
-    residual_proj: Option<Conv2d>,
-    stride: usize,
+    tail: BlockTail,
     inference: Option<BlockInference>,
 }
 
-/// Serving caches of a [`DhstBlock`]: the post-sum BN is folded into every
-/// branch Θ (scale on all, shift on exactly one — exact for a linear sum),
-/// the residual projection is baked, and the temporal unit holds its own
-/// folded Conv+BN.
+/// Serving caches of a [`DhstBlock`]'s branches: the tail's post-sum BN is
+/// folded into every branch Θ (scale on all, shift on exactly one — exact
+/// for a linear sum).
 struct BlockInference {
     static_branch: Option<StaticBranchEval>,
     joint_weight: Option<JointWeightBranchEval>,
     topology: Option<TopologyBranchEval>,
-    residual: Option<EvalConv>,
 }
 
 impl DhstBlock {
@@ -79,31 +73,13 @@ impl DhstBlock {
                 rng,
             )
         });
-        DhstBlock {
-            static_branch,
-            joint_weight_branch,
-            topology_branch,
-            bn: BatchNorm2d::new(out_channels),
-            tcn: TemporalConv::new(out_channels, out_channels, stride, dilation, dropout, rng),
-            residual_proj: if in_channels != out_channels || stride != 1 {
-                let spec = Conv2dSpec {
-                    kernel: (1, 1),
-                    stride: (stride, 1),
-                    padding: (0, 0),
-                    dilation: (1, 1),
-                };
-                Some(Conv2d::new(in_channels, out_channels, spec, rng))
-            } else {
-                None
-            },
-            stride,
-            inference: None,
-        }
+        let tail = BlockTail::new(in_channels, out_channels, stride, dilation, dropout, rng);
+        DhstBlock { static_branch, joint_weight_branch, topology_branch, tail, inference: None }
     }
 
     /// Temporal stride of this block.
     pub fn stride(&self) -> usize {
-        self.stride
+        self.tail.tcn.stride()
     }
 
     /// Whether the block needs per-frame joint-weight operators.
@@ -132,13 +108,7 @@ impl DhstBlock {
         if let Some(b) = &self.topology_branch {
             add(b.forward(x));
         }
-        let spatial = self.bn.forward(&acc.expect("at least one branch")).relu();
-        let temporal = self.tcn.forward(&spatial);
-        let residual = match &self.residual_proj {
-            Some(proj) => proj.forward(x),
-            None => x.clone(),
-        };
-        temporal.add(&residual).relu()
+        self.tail.forward(x, &acc.expect("at least one branch"))
     }
 
     /// All trainable parameters of the block.
@@ -153,11 +123,7 @@ impl DhstBlock {
         if let Some(b) = &self.topology_branch {
             ps.extend(b.parameters());
         }
-        ps.extend(self.bn.parameters());
-        ps.extend(self.tcn.parameters());
-        if let Some(p) = &self.residual_proj {
-            ps.extend(p.parameters());
-        }
+        ps.extend(self.tail.parameters());
         ps
     }
 
@@ -165,8 +131,7 @@ impl DhstBlock {
     /// Returning to training drops the serving caches — the folded
     /// weights would silently go stale as the parameters move.
     pub fn set_training(&mut self, training: bool) {
-        self.bn.set_training(training);
-        self.tcn.set_training(training);
+        self.tail.set_training(training);
         if training {
             self.inference = None;
         }
@@ -174,17 +139,13 @@ impl DhstBlock {
 
     /// Non-trainable state (BN running statistics) in a stable order.
     pub fn buffers(&self) -> Vec<Buffer> {
-        let mut bs = self.bn.buffers();
-        bs.extend(self.tcn.buffers());
-        bs
+        self.tail.buffers()
     }
 
     /// Compile the block for serving: fold the post-sum BN into every
     /// branch Θ, bake the residual projection and the temporal Conv+BN.
     pub fn prepare_inference(&mut self) {
-        self.set_training(false);
-        self.tcn.prepare_inference();
-        let (scale, shift) = self.bn.eval_affine();
+        let (scale, shift) = self.tail.prepare_inference();
         let zero = vec![0.0; scale.len()];
         // the BN shift enters the sum exactly once, via the first branch
         let mut shift_taken = false;
@@ -201,8 +162,7 @@ impl DhstBlock {
         let joint_weight =
             self.joint_weight_branch.as_ref().map(|b| b.compile(&scale, next_shift()));
         let topology = self.topology_branch.as_ref().map(|b| b.compile(&scale, next_shift()));
-        let residual = self.residual_proj.as_ref().map(EvalConv::from_conv);
-        self.inference = Some(BlockInference { static_branch, joint_weight, topology, residual });
+        self.inference = Some(BlockInference { static_branch, joint_weight, topology });
     }
 
     /// Static shape plan mirroring [`DhstBlock::forward`]: every active
@@ -210,14 +170,10 @@ impl DhstBlock {
     /// before the sum.
     pub fn plan(&self, input: &dhg_nn::SymShape) -> dhg_nn::Plan {
         use dhg_nn::{DiagCode, Plan};
-        let mut p = Plan::new(input);
-        if input.rank() != 4 {
-            p.error(
-                DiagCode::RankMismatch,
-                format!("features must be [N, C, T, V], got rank {} {input}", input.rank()),
-            );
+        if let Some(p) = block_rank_error(input) {
             return p;
         }
+        let mut p = Plan::new(input);
         // plan each active branch against the block input; the first one
         // anchors the chain, the others must produce the same shape
         let mut branch_plans: Vec<(&'static str, Plan)> = Vec::new();
@@ -255,25 +211,7 @@ impl DhstBlock {
                 sum_out = Some(out);
             }
         }
-        p.extend("bn", self.bn.plan(&p.output().clone()));
-        p.push_op("relu", "", p.output().clone());
-        p.extend("tcn", self.tcn.plan(&p.output().clone()));
-        if p.has_errors() {
-            return p;
-        }
-        let main_out = p.output().clone();
-        let residual_out = match &self.residual_proj {
-            Some(proj) => p.adopt("residual_proj", &proj.plan(input)),
-            None => input.clone(),
-        };
-        if residual_out != main_out {
-            p.error(
-                DiagCode::ShapeMismatch,
-                format!("residual path produces {residual_out} but main path produces {main_out}"),
-            );
-        }
-        p.push_op("residual_add_relu", "", main_out);
-        if !self.bn.training() && self.inference.is_none() {
+        if self.tail.plan(&mut p, input) && !self.tail.training() && self.inference.is_none() {
             p.warn(
                 DiagCode::NotPrepared,
                 "eval-mode DhstBlock without serving caches; call prepare_inference()",
@@ -320,23 +258,14 @@ impl DhstBlock {
         }
         let mut spatial = acc.expect("at least one branch");
         spatial.relu_inplace();
-        let mut out = self.tcn.forward_eval(&spatial, ws);
-        ws.recycle(spatial);
-        match &inf.residual {
-            Some(proj) => {
-                let r = proj.forward(x, ws);
-                out.add_relu_inplace(&r);
-                ws.recycle(r);
-            }
-            None => out.add_relu_inplace(x),
-        }
-        out
+        self.tail.forward_eval(x, spatial, ws)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dhg_nn::Module;
     use dhg_skeleton::{static_hypergraph, SkeletonTopology};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -479,10 +408,10 @@ mod tests {
             flops(&b.joint_weight_branch.as_ref().unwrap().plan(&input)),
             flops(&b.topology_branch.as_ref().unwrap().plan(&input)),
         ];
-        let residual = flops(&b.residual_proj.as_ref().unwrap().plan(&input));
-        let tail = flops(&b.bn.plan(&spatial))
+        let residual = flops(&b.tail.residual_proj.as_ref().unwrap().plan(&input));
+        let tail = flops(&b.tail.bn.plan(&spatial))
             + per_sample_elems(&spatial) // relu
-            + flops(&b.tcn.plan(&spatial))
+            + flops(&b.tail.tcn.plan(&spatial))
             + per_sample_elems(&out); // residual add + relu
         let plan = b.plan(&input);
         assert!(analyze(&plan).ok(), "{}", analyze(&plan));

@@ -1,9 +1,9 @@
-//! The three spatial branches of a DHST block.
+//! The dynamic spatial branches of a DHST block; the static branch
+//! ([`crate::common::StaticBranch`]) is ST-GCN's spatial part too.
 
 use crate::common::{
     apply_dynamic_vertex_op, apply_dynamic_vertex_op_eval, apply_per_sample_vertex_op,
-    apply_per_sample_vertex_op_eval, apply_vertex_op, apply_vertex_op_eval, plan_vertex_mix,
-    MixOperator,
+    apply_per_sample_vertex_op_eval, plan_vertex_mix, MixOperator,
 };
 use dhg_hypergraph::{stacked_operators, stacked_operators_with, TopologyConfig};
 use dhg_nn::{Conv2d, EvalConv, Module};
@@ -11,101 +11,6 @@ use dhg_tensor::{NdArray, Tensor, Workspace};
 use rand::Rng;
 
 use super::model::TopologyGranularity;
-
-/// Branch 1 — static hypergraph convolution (Eq. 5): a fixed `[V, V]`
-/// operator, modulated by ST-GCN's learnable edge-importance mask `M`
-/// (applied elementwise, initialised to ones), followed by a pointwise Θ.
-/// Deliberately *not* adaptive beyond `M`: the paper's dynamic branches
-/// own all sample-dependent and learned topology (§3.3–3.4), which is
-/// what the Tab. 4 ablation isolates.
-pub struct StaticBranch {
-    op: Tensor,
-    importance: Tensor,
-    theta: Conv2d,
-}
-
-impl StaticBranch {
-    /// Build from a precomputed static operator.
-    pub fn new(op: NdArray, in_channels: usize, out_channels: usize, rng: &mut impl Rng) -> Self {
-        let v = op.shape()[0];
-        StaticBranch {
-            op: Tensor::constant(op),
-            importance: Tensor::param(NdArray::ones(&[v, v])),
-            theta: Conv2d::pointwise(in_channels, out_channels, rng),
-        }
-    }
-
-    /// Forward `[N, C, T, V] → [N, C_out, T, V]`.
-    pub fn forward(&self, x: &Tensor) -> Tensor {
-        let weighted = self.op.mul(&self.importance);
-        self.theta.forward(&apply_vertex_op(x, &weighted))
-    }
-
-    /// Trainable parameters (M and Θ).
-    pub fn parameters(&self) -> Vec<Tensor> {
-        let mut ps = vec![self.importance.clone()];
-        ps.extend(self.theta.parameters());
-        ps
-    }
-
-    /// Static shape plan mirroring [`StaticBranch::forward`].
-    pub fn plan(&self, input: &dhg_nn::SymShape) -> dhg_nn::Plan {
-        use dhg_nn::{DiagCode, OpCost, Plan};
-        let mut p = Plan::new(input);
-        let op_v = self.op.shape()[0];
-        if let Some(v) = input.known(3) {
-            if v != op_v {
-                p.error(
-                    DiagCode::JointMismatch,
-                    format!("operator must be [V, V]: operator has {op_v} joints, input has {v}"),
-                );
-                return p;
-            }
-        }
-        let vcost = OpCost::vertex_op(
-            input.known(1).unwrap_or(1) as u64,
-            input.known(2).unwrap_or(1) as u64,
-            op_v as u64,
-        );
-        plan_vertex_mix(
-            &mut p,
-            "vertex_op",
-            format!("static hypergraph operator [{op_v}, {op_v}]"),
-            MixOperator::Shared,
-            vcost,
-        );
-        p.extend("theta", self.theta.plan(&p.output().clone()));
-        p
-    }
-
-    /// Bake the branch for serving: the importance-weighted operator is
-    /// precomputed once and Θ absorbs the block BN's per-channel affine.
-    pub(crate) fn compile(&self, scale: &[f32], shift: &[f32]) -> StaticBranchEval {
-        let op = self.op.data();
-        let imp = self.importance.data();
-        let weighted: Vec<f32> =
-            op.data().iter().zip(imp.data()).map(|(&a, &b)| a * b).collect();
-        StaticBranchEval {
-            op: NdArray::from_vec(weighted, op.shape()),
-            theta: EvalConv::fold_affine(&self.theta, scale, shift),
-        }
-    }
-}
-
-/// Compiled [`StaticBranch`]: cached weighted operator + folded Θ.
-pub(crate) struct StaticBranchEval {
-    op: NdArray,
-    theta: EvalConv,
-}
-
-impl StaticBranchEval {
-    pub(crate) fn forward(&self, x: &NdArray, ws: &mut Workspace) -> NdArray {
-        let mixed = apply_vertex_op_eval(x, &self.op, ws);
-        let out = self.theta.forward(&mixed, ws);
-        ws.recycle(mixed);
-        out
-    }
-}
 
 /// Branch 2 — dynamic joint weight (§3.3): per-frame `Imp·Impᵀ`
 /// operators built by the model from joint moving distances (Eq. 6–9),
@@ -395,6 +300,7 @@ impl TopologyBranchEval {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::StaticBranch;
     use dhg_skeleton::{static_hypergraph, SkeletonTopology};
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -19,13 +19,12 @@ use crate::common::{
     apply_per_sample_vertex_op, apply_per_sample_vertex_op_eval, linear_eval,
     plan_static_hypergraph, plan_vertex_mix, DataBn, MixOperator, ModelDims, StageSpec,
 };
-use crate::tcn::TemporalConv;
+use crate::tcn::{block_rank_error, BlockTail};
 use dhg_hypergraph::{
     dynamic_operators, from_scratch_operator, normalize_rows, Hypergraph, TopologyConfig,
 };
-use dhg_nn::{global_avg_pool, BatchNorm2d, Buffer, Conv2d, EvalConv, Linear, Module};
+use dhg_nn::{global_avg_pool, Buffer, Conv2d, EvalConv, Linear, Module};
 use dhg_skeleton::{static_hypergraph, SkeletonTopology};
-use dhg_tensor::ops::Conv2dSpec;
 use dhg_tensor::{NdArray, Tensor, Workspace};
 use rand::Rng;
 
@@ -113,19 +112,15 @@ impl LowRankTheta {
 
 struct LiteBlock {
     theta: LowRankTheta,
-    bn: BatchNorm2d,
-    tcn: TemporalConv,
-    residual_proj: Option<Conv2d>,
+    tail: BlockTail,
     inference: Option<LiteBlockInference>,
 }
 
-/// Serving caches of a [`LiteBlock`]: the post-Θ BN folds into the
-/// expanding half of the low-rank Θ, the residual projection is baked and
-/// the temporal unit holds its own folded Conv+BN.
+/// Serving caches of a [`LiteBlock`]'s spatial part: the tail's BN folds
+/// into the expanding half of the low-rank Θ.
 struct LiteBlockInference {
     reduce: Option<EvalConv>,
     expand: EvalConv,
-    residual: Option<EvalConv>,
 }
 
 impl LiteBlock {
@@ -137,40 +132,17 @@ impl LiteBlock {
         dropout: f32,
         rng: &mut impl Rng,
     ) -> Self {
-        LiteBlock {
-            theta: LowRankTheta::new(in_channels, out_channels, reduction, rng),
-            bn: BatchNorm2d::new(out_channels),
-            tcn: TemporalConv::new(out_channels, out_channels, stride, 1, dropout, rng),
-            residual_proj: if in_channels != out_channels || stride != 1 {
-                let spec = Conv2dSpec {
-                    kernel: (1, 1),
-                    stride: (stride, 1),
-                    padding: (0, 0),
-                    dilation: (1, 1),
-                };
-                Some(Conv2d::new(in_channels, out_channels, spec, rng))
-            } else {
-                None
-            },
-            inference: None,
-        }
+        let theta = LowRankTheta::new(in_channels, out_channels, reduction, rng);
+        let tail = BlockTail::new(in_channels, out_channels, stride, 1, dropout, rng);
+        LiteBlock { theta, tail, inference: None }
     }
 
     fn prepare_inference(&mut self) {
-        self.set_training(false);
-        self.tcn.prepare_inference();
-        let (scale, shift) = self.bn.eval_affine();
+        let (scale, shift) = self.tail.prepare_inference();
         self.inference = Some(LiteBlockInference {
             reduce: self.theta.reduce.as_ref().map(EvalConv::from_conv),
             expand: EvalConv::fold_affine(&self.theta.expand, &scale, &shift),
-            residual: self.residual_proj.as_ref().map(EvalConv::from_conv),
         });
-    }
-
-    fn buffers(&self) -> Vec<Buffer> {
-        let mut bs = self.bn.buffers();
-        bs.extend(self.tcn.buffers());
-        bs
     }
 
     /// Grad-free eval forward on raw arrays (caches from
@@ -190,44 +162,23 @@ impl LiteBlock {
         // BN folded into the expansion, ReLU fused into its output pass
         let spatial = inf.expand.forward_relu(&h, ws);
         ws.recycle(h);
-        let mut out = self.tcn.forward_eval(&spatial, ws);
-        ws.recycle(spatial);
-        match &inf.residual {
-            Some(proj) => {
-                let r = proj.forward(x, ws);
-                out.add_relu_inplace(&r);
-                ws.recycle(r);
-            }
-            None => out.add_relu_inplace(x),
-        }
-        out
+        self.tail.forward_eval(x, spatial, ws)
     }
 
     /// `op` is the fused per-sample operator `[N, V, V]`.
     fn forward(&self, x: &Tensor, op: &Tensor) -> Tensor {
         let mixed = apply_per_sample_vertex_op(x, op);
-        let spatial = self.bn.forward(&self.theta.forward(&mixed)).relu();
-        let temporal = self.tcn.forward(&spatial);
-        let residual = match &self.residual_proj {
-            Some(proj) => proj.forward(x),
-            None => x.clone(),
-        };
-        temporal.add(&residual).relu()
+        self.tail.forward(x, &self.theta.forward(&mixed))
     }
 
     fn parameters(&self) -> Vec<Tensor> {
         let mut ps = self.theta.parameters();
-        ps.extend(self.bn.parameters());
-        ps.extend(self.tcn.parameters());
-        if let Some(p) = &self.residual_proj {
-            ps.extend(p.parameters());
-        }
+        ps.extend(self.tail.parameters());
         ps
     }
 
     fn set_training(&mut self, training: bool) {
-        self.bn.set_training(training);
-        self.tcn.set_training(training);
+        self.tail.set_training(training);
         if training {
             self.inference = None;
         }
@@ -235,14 +186,10 @@ impl LiteBlock {
 
     fn plan(&self, input: &dhg_nn::SymShape) -> dhg_nn::Plan {
         use dhg_nn::{DiagCode, OpCost, Plan};
-        let mut p = Plan::new(input);
-        if input.rank() != 4 {
-            p.error(
-                DiagCode::RankMismatch,
-                format!("features must be [N, C, T, V], got rank {} {input}", input.rank()),
-            );
+        if let Some(p) = block_rank_error(input) {
             return p;
         }
+        let mut p = Plan::new(input);
         let vcost = OpCost::vertex_op(
             input.known(1).unwrap_or(1) as u64,
             input.known(2).unwrap_or(1) as u64,
@@ -259,25 +206,7 @@ impl LiteBlock {
         if p.has_errors() {
             return p;
         }
-        p.extend("bn", self.bn.plan(&p.output().clone()));
-        p.push_op("relu", "", p.output().clone());
-        p.extend("tcn", self.tcn.plan(&p.output().clone()));
-        if p.has_errors() {
-            return p;
-        }
-        let main_out = p.output().clone();
-        let residual_out = match &self.residual_proj {
-            Some(proj) => p.adopt("residual_proj", &proj.plan(input)),
-            None => input.clone(),
-        };
-        if residual_out != main_out {
-            p.error(
-                DiagCode::ShapeMismatch,
-                format!("residual path produces {residual_out} but main path produces {main_out}"),
-            );
-        }
-        p.push_op("residual_add_relu", "", main_out);
-        if !self.bn.training() && self.inference.is_none() {
+        if self.tail.plan(&mut p, input) && !self.tail.training() && self.inference.is_none() {
             p.warn(
                 DiagCode::NotPrepared,
                 "eval-mode LiteBlock without serving caches; call prepare_inference()",
@@ -466,7 +395,7 @@ impl Module for DhgcnLite {
     fn buffers(&self) -> Vec<Buffer> {
         let mut bs = self.input_bn.buffers();
         for b in &self.blocks {
-            bs.extend(b.buffers());
+            bs.extend(b.tail.buffers());
         }
         bs
     }

@@ -24,6 +24,7 @@ mod lite;
 mod model;
 
 pub use block::DhstBlock;
-pub use branches::{JointWeightBranch, StaticBranch, TopologyBranch};
+pub use crate::common::StaticBranch;
+pub use branches::{JointWeightBranch, TopologyBranch};
 pub use lite::{DhgcnLite, DhgcnLiteConfig};
 pub use model::{BranchConfig, Dhgcn, DhgcnConfig, TopologyGranularity};

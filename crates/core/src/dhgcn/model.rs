@@ -69,9 +69,9 @@ impl BranchConfig {
     }
 }
 
-/// Dynamic-topology rebuild granularity — now owned by the hypergraph
-/// crate's incremental-construction subsystem and re-exported here for the
-/// historical path (`dhg_core::TopologyGranularity`).
+/// Dynamic-topology rebuild granularity — owned by the hypergraph crate's
+/// topology construction and re-exported here for the historical path
+/// (`dhg_core::TopologyGranularity`).
 pub use dhg_hypergraph::TopologyGranularity;
 
 /// Hyper-parameters of [`Dhgcn`].

@@ -6,11 +6,10 @@
 //! one hypergraph whose hyperedges are the parts — "which eliminates the
 //! need of aggregation functions" (§4.3).
 
-use crate::common::{apply_vertex_op, ModelDims, StageSpec};
-use crate::tcn::TemporalConv;
+use crate::common::{apply_vertex_op, plan_vertex_mix, MixOperator, ModelDims, StageSpec};
+use crate::tcn::{block_rank_error, BlockTail};
 use dhg_hypergraph::{Graph, Hypergraph};
-use dhg_nn::{global_avg_pool, BatchNorm2d, Buffer, Conv2d, Linear, Module};
-use dhg_tensor::ops::Conv2dSpec;
+use dhg_nn::{global_avg_pool, Buffer, Conv2d, Linear, Module};
 use dhg_tensor::{NdArray, Tensor};
 use rand::Rng;
 
@@ -38,9 +37,7 @@ struct PbBlock {
     /// `(operator, Θ)` pairs — one per part for PB-GCN, exactly one for
     /// PB-HGCN.
     convs: Vec<(Tensor, Conv2d)>,
-    bn: BatchNorm2d,
-    tcn: TemporalConv,
-    residual_proj: Option<Conv2d>,
+    tail: BlockTail,
 }
 
 impl PbBlock {
@@ -58,22 +55,8 @@ impl PbBlock {
                 (Tensor::constant(op.clone()), Conv2d::pointwise(in_channels, out_channels, rng))
             })
             .collect();
-        PbBlock {
-            convs,
-            bn: BatchNorm2d::new(out_channels),
-            tcn: TemporalConv::new(out_channels, out_channels, stride, 1, dropout, rng),
-            residual_proj: if in_channels != out_channels || stride != 1 {
-                let spec = Conv2dSpec {
-                    kernel: (1, 1),
-                    stride: (stride, 1),
-                    padding: (0, 0),
-                    dilation: (1, 1),
-                };
-                Some(Conv2d::new(in_channels, out_channels, spec, rng))
-            } else {
-                None
-            },
-        }
+        let tail = BlockTail::new(in_channels, out_channels, stride, 1, dropout, rng);
+        PbBlock { convs, tail }
     }
 }
 
@@ -88,13 +71,7 @@ impl Module for PbBlock {
                 None => part,
             });
         }
-        let spatial = self.bn.forward(&acc.expect("at least one part")).relu();
-        let temporal = self.tcn.forward(&spatial);
-        let residual = match &self.residual_proj {
-            Some(proj) => proj.forward(x),
-            None => x.clone(),
-        };
-        temporal.add(&residual).relu()
+        self.tail.forward(x, &acc.expect("at least one part"))
     }
 
     fn parameters(&self) -> Vec<Tensor> {
@@ -102,35 +79,24 @@ impl Module for PbBlock {
         for (_, theta) in &self.convs {
             ps.extend(theta.parameters());
         }
-        ps.extend(self.bn.parameters());
-        ps.extend(self.tcn.parameters());
-        if let Some(p) = &self.residual_proj {
-            ps.extend(p.parameters());
-        }
+        ps.extend(self.tail.parameters());
         ps
     }
 
     fn buffers(&self) -> Vec<Buffer> {
-        let mut bs = self.bn.buffers();
-        bs.extend(self.tcn.buffers());
-        bs
+        self.tail.buffers()
     }
 
     fn set_training(&mut self, training: bool) {
-        self.bn.set_training(training);
-        self.tcn.set_training(training);
+        self.tail.set_training(training);
     }
 
     fn plan(&self, input: &dhg_nn::SymShape) -> dhg_nn::Plan {
-        use dhg_nn::{DiagCode, Plan};
-        let mut p = Plan::new(input);
-        if input.rank() != 4 {
-            p.error(
-                DiagCode::RankMismatch,
-                format!("features must be [N, C, T, V], got rank {} {input}", input.rank()),
-            );
+        use dhg_nn::{DiagCode, OpCost, Plan};
+        if let Some(p) = block_rank_error(input) {
             return p;
         }
+        let mut p = Plan::new(input);
         // every part operator must be [V, V] over the input's joint axis
         if let Some(v) = input.known(3) {
             for (i, (op, _)) in self.convs.iter().enumerate() {
@@ -143,19 +109,34 @@ impl Module for PbBlock {
                 }
             }
         }
-        // the part convolutions all consume the input and are summed, so
-        // their output shapes must agree; plan the first and compare
-        let (_, theta0) = &self.convs[0];
-        p.push_op("part_vertex_ops", format!("{} part operator(s), summed", self.convs.len()), input.clone());
-        p.extend("theta[0]", theta0.plan(&p.output().clone()));
+        // every part mixes the block input with its own operator and Θ;
+        // part 0 anchors the chain, the others run beside it and are
+        // summed into it, so their output shapes must agree
+        let (c, t) = (input.known(1).unwrap_or(1) as u64, input.known(2).unwrap_or(1) as u64);
+        let n_parts = self.convs.len();
+        let part = |i: usize| {
+            let (op, theta) = &self.convs[i];
+            let v = op.shape()[0];
+            let mut pp = Plan::new(input);
+            plan_vertex_mix(
+                &mut pp,
+                "vertex_op",
+                format!("part {i} of {n_parts}: [{v}, {v}] operator"),
+                MixOperator::Shared,
+                OpCost::vertex_op(c, t, v as u64),
+            );
+            pp.extend("theta", theta.plan(input));
+            pp
+        };
+        p.extend("part[0]", part(0));
         if p.has_errors() {
             return p;
         }
         let part_out = p.output().clone();
-        for (i, (_, theta)) in self.convs.iter().enumerate().skip(1) {
-            let other = theta.plan(input);
+        for i in 1..n_parts {
+            let other = part(i);
             if other.has_errors() {
-                p.extend(&format!("theta[{i}]"), other);
+                p.extend(&format!("part[{i}]"), other);
                 return p;
             }
             if other.output() != &part_out {
@@ -165,25 +146,10 @@ impl Module for PbBlock {
                 );
                 return p;
             }
+            p.adopt(&format!("part[{i}]"), &other);
+            p.push_op_costed("part_sum", format!("+ part {i}"), part_out.clone(), OpCost::elementwise(&part_out));
         }
-        p.extend("bn", self.bn.plan(&part_out));
-        p.push_op("relu", "", p.output().clone());
-        p.extend("tcn", self.tcn.plan(&p.output().clone()));
-        if p.has_errors() {
-            return p;
-        }
-        let main_out = p.output().clone();
-        let residual_out = match &self.residual_proj {
-            Some(proj) => p.adopt("residual_proj", &proj.plan(input)),
-            None => input.clone(),
-        };
-        if residual_out != main_out {
-            p.error(
-                DiagCode::ShapeMismatch,
-                format!("residual path produces {residual_out} but main path produces {main_out}"),
-            );
-        }
-        p.push_op("residual_add_relu", "", main_out);
+        self.tail.plan(&mut p, input);
         p
     }
 }
@@ -343,6 +309,34 @@ mod tests {
         assert_eq!(g.blocks[0].convs.len(), 4);
         assert_eq!(h.blocks[0].convs.len(), 1);
         assert!(h.n_parameters() < g.n_parameters());
+    }
+
+    #[test]
+    fn plan_costs_every_part_mix_theta_and_sum() {
+        use dhg_nn::{analyze, SymShape};
+        let shape = SymShape::nctv(3, 8, 25);
+        for parts in [2usize, 4, 6] {
+            let plan = build(PartConv::Graph, parts).blocks[0].plan(&shape);
+            assert!(analyze(&plan).ok(), "{}", analyze(&plan));
+            let ops: Vec<&str> =
+                plan.ops().iter().chain(plan.side_ops()).map(|op| op.name.as_str()).collect();
+            let count = |suffix: &str| ops.iter().filter(|name| name.ends_with(suffix)).count();
+            assert_eq!(count(".vertex_op"), parts, "{ops:?}");
+            assert_eq!(count(".theta.conv2d"), parts, "{ops:?}");
+            assert_eq!(count("part_sum"), parts - 1, "{ops:?}");
+        }
+        // one hypergraph operator and one Θ per block: ST-GCN's arithmetic
+        let flops = |m: &dyn Module| analyze(&m.plan(&shape)).cost_summary().flops;
+        let topo = SkeletonTopology::ntu25();
+        let stgcn = crate::StGcn::new(
+            ModelDims { in_channels: 3, n_joints: 25, n_classes: 4 },
+            topo.graph().normalized_adjacency(),
+            &small_stages(),
+            0.0,
+            &mut StdRng::seed_from_u64(0),
+        );
+        assert_eq!(flops(&build(PartConv::Hypergraph, 4)), flops(&stgcn));
+        assert!(flops(&build(PartConv::Graph, 4)) > flops(&stgcn));
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //! already-verified shape-op adjoints.
 
 use crate::common::{ModelDims, StageSpec};
-use crate::tcn::TemporalConv;
-use dhg_nn::{global_avg_pool, BatchNorm2d, Buffer, Conv2d, Linear, Module};
-use dhg_tensor::ops::Conv2dSpec;
+use crate::tcn::{block_rank_error, BlockTail};
+use dhg_nn::{global_avg_pool, Buffer, Conv2d, Linear, Module};
 use dhg_tensor::Tensor;
 use rand::Rng;
 
@@ -51,9 +50,7 @@ pub fn spatial_shift(x: &Tensor, groups: usize) -> Tensor {
 
 struct ShiftBlock {
     theta: Conv2d,
-    bn: BatchNorm2d,
-    tcn: TemporalConv,
-    residual_proj: Option<Conv2d>,
+    tail: BlockTail,
     groups: usize,
 }
 
@@ -68,19 +65,7 @@ impl ShiftBlock {
     ) -> Self {
         ShiftBlock {
             theta: Conv2d::pointwise(in_channels, out_channels, rng),
-            bn: BatchNorm2d::new(out_channels),
-            tcn: TemporalConv::new(out_channels, out_channels, stride, 1, dropout, rng),
-            residual_proj: if in_channels != out_channels || stride != 1 {
-                let spec = Conv2dSpec {
-                    kernel: (1, 1),
-                    stride: (stride, 1),
-                    padding: (0, 0),
-                    dilation: (1, 1),
-                };
-                Some(Conv2d::new(in_channels, out_channels, spec, rng))
-            } else {
-                None
-            },
+            tail: BlockTail::new(in_channels, out_channels, stride, 1, dropout, rng),
             groups,
         }
     }
@@ -92,70 +77,35 @@ impl Module for ShiftBlock {
         let shifted = spatial_shift(x, self.groups);
         let mixed = self.theta.forward(&shifted);
         let mixed = spatial_shift(&mixed, self.groups.min(mixed.shape()[1]));
-        let spatial = self.bn.forward(&mixed).relu();
-        let temporal = self.tcn.forward(&spatial);
-        let residual = match &self.residual_proj {
-            Some(proj) => proj.forward(x),
-            None => x.clone(),
-        };
-        temporal.add(&residual).relu()
+        self.tail.forward(x, &mixed)
     }
 
     fn parameters(&self) -> Vec<Tensor> {
         let mut ps = self.theta.parameters();
-        ps.extend(self.bn.parameters());
-        ps.extend(self.tcn.parameters());
-        if let Some(p) = &self.residual_proj {
-            ps.extend(p.parameters());
-        }
+        ps.extend(self.tail.parameters());
         ps
     }
 
     fn buffers(&self) -> Vec<Buffer> {
-        let mut bs = self.bn.buffers();
-        bs.extend(self.tcn.buffers());
-        bs
+        self.tail.buffers()
     }
 
     fn set_training(&mut self, training: bool) {
-        self.bn.set_training(training);
-        self.tcn.set_training(training);
+        self.tail.set_training(training);
     }
 
     fn plan(&self, input: &dhg_nn::SymShape) -> dhg_nn::Plan {
-        use dhg_nn::{DiagCode, Plan};
-        let mut p = Plan::new(input);
-        if input.rank() != 4 {
-            p.error(
-                DiagCode::RankMismatch,
-                format!("features must be [N, C, T, V], got rank {} {input}", input.rank()),
-            );
+        if let Some(p) = block_rank_error(input) {
             return p;
         }
+        let mut p = dhg_nn::Plan::new(input);
         p.push_op("spatial_shift", format!("{} groups", self.groups), input.clone());
         p.extend("theta", self.theta.plan(&p.output().clone()));
         if p.has_errors() {
             return p;
         }
         p.push_op("spatial_shift", format!("{} groups", self.groups), p.output().clone());
-        p.extend("bn", self.bn.plan(&p.output().clone()));
-        p.push_op("relu", "", p.output().clone());
-        p.extend("tcn", self.tcn.plan(&p.output().clone()));
-        if p.has_errors() {
-            return p;
-        }
-        let main_out = p.output().clone();
-        let residual_out = match &self.residual_proj {
-            Some(proj) => p.adopt("residual_proj", &proj.plan(input)),
-            None => input.clone(),
-        };
-        if residual_out != main_out {
-            p.error(
-                DiagCode::ShapeMismatch,
-                format!("residual path produces {residual_out} but main path produces {main_out}"),
-            );
-        }
-        p.push_op("residual_add_relu", "", main_out);
+        self.tail.plan(&mut p, input);
         p
     }
 }

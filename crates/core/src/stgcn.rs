@@ -1,38 +1,21 @@
 //! ST-GCN \[37\]: the first graph-convolutional skeleton model (§3.1) and
 //! the reference GCN baseline of Tabs. 6–7.
 
-use crate::common::{
-    apply_vertex_op, apply_vertex_op_eval, linear_eval, plan_vertex_mix, MixOperator, ModelDims,
-    StageSpec,
-};
-use crate::tcn::TemporalConv;
-use dhg_nn::{global_avg_pool, BatchNorm2d, Buffer, Conv2d, EvalConv, Linear, Module};
-use dhg_tensor::ops::Conv2dSpec;
+use crate::common::{linear_eval, ModelDims, StageSpec, StaticBranch, StaticBranchEval};
+use crate::tcn::{block_rank_error, BlockTail};
+use dhg_nn::{global_avg_pool, Buffer, Linear, Module};
 use dhg_tensor::{NdArray, Tensor, Workspace};
 use rand::Rng;
 
 /// One spatial-temporal block: fixed-operator graph convolution (Eq. 1)
-/// with a pointwise Θ, then a temporal convolution, with a residual
-/// connection.
+/// with a pointwise Θ, then the shared block tail (temporal convolution
+/// and residual connection).
 pub struct StGcnBlock {
-    op: Tensor,
-    /// ST-GCN's learnable edge-importance weighting, initialised to ones.
-    importance: Tensor,
-    theta: Conv2d,
-    bn: BatchNorm2d,
-    tcn: TemporalConv,
-    /// Projection for the residual path when channels or stride change.
-    residual_proj: Option<Conv2d>,
-    inference: Option<StGcnBlockInference>,
-}
-
-/// Serving caches of an [`StGcnBlock`]: importance-weighted operator
-/// precomputed, BN folded into Θ, residual baked; the temporal unit holds
-/// its own folded Conv+BN.
-struct StGcnBlockInference {
-    op: NdArray,
-    theta: EvalConv,
-    residual: Option<EvalConv>,
+    spatial: StaticBranch,
+    tail: BlockTail,
+    /// Serving cache: importance-weighted operator precomputed, the tail's
+    /// BN folded into Θ.
+    inference: Option<StaticBranchEval>,
 }
 
 impl StGcnBlock {
@@ -45,164 +28,59 @@ impl StGcnBlock {
         dropout: f32,
         rng: &mut impl Rng,
     ) -> Self {
-        let v = op.shape()[0];
-        let importance = Tensor::param(NdArray::ones(&[v, v]));
-        let theta = Conv2d::pointwise(in_channels, out_channels, rng);
-        let bn = BatchNorm2d::new(out_channels);
-        let tcn = TemporalConv::new(out_channels, out_channels, stride, 1, dropout, rng);
-        let residual_proj = if in_channels != out_channels || stride != 1 {
-            let spec = Conv2dSpec {
-                kernel: (1, 1),
-                stride: (stride, 1),
-                padding: (0, 0),
-                dilation: (1, 1),
-            };
-            Some(Conv2d::new(in_channels, out_channels, spec, rng))
-        } else {
-            None
-        };
-        StGcnBlock {
-            op: Tensor::constant(op),
-            importance,
-            theta,
-            bn,
-            tcn,
-            residual_proj,
-            inference: None,
-        }
+        let spatial = StaticBranch::new(op, in_channels, out_channels, rng);
+        let tail = BlockTail::new(in_channels, out_channels, stride, 1, dropout, rng);
+        StGcnBlock { spatial, tail, inference: None }
     }
 
     /// Grad-free eval forward on raw arrays; requires
     /// [`Module::prepare_inference`].
     fn forward_eval(&self, x: &NdArray, ws: &mut Workspace) -> NdArray {
         let inf = self.inference.as_ref().expect("StGcnBlock eval requires prepare_inference()");
-        let mixed = apply_vertex_op_eval(x, &inf.op, ws);
-        // BN folded into Θ, ReLU fused into its output pass
-        let spatial = inf.theta.forward_relu(&mixed, ws);
-        ws.recycle(mixed);
-        let mut out = self.tcn.forward_eval(&spatial, ws);
-        ws.recycle(spatial);
-        match &inf.residual {
-            Some(proj) => {
-                let r = proj.forward(x, ws);
-                out.add_relu_inplace(&r);
-                ws.recycle(r);
-            }
-            None => out.add_relu_inplace(x),
-        }
-        out
+        let mut spatial = inf.forward(x, ws);
+        spatial.relu_inplace();
+        self.tail.forward_eval(x, spatial, ws)
     }
 }
 
 impl Module for StGcnBlock {
     fn forward(&self, x: &Tensor) -> Tensor {
-        let weighted_op = self.op.mul(&self.importance);
-        let spatial = self.theta.forward(&apply_vertex_op(x, &weighted_op));
-        let spatial = self.bn.forward(&spatial).relu();
-        let temporal = self.tcn.forward(&spatial);
-        let residual = match &self.residual_proj {
-            Some(proj) => proj.forward(x),
-            None => x.clone(),
-        };
-        temporal.add(&residual).relu()
+        self.tail.forward(x, &self.spatial.forward(x))
     }
 
     fn parameters(&self) -> Vec<Tensor> {
-        let mut ps = vec![self.importance.clone()];
-        ps.extend(self.theta.parameters());
-        ps.extend(self.bn.parameters());
-        ps.extend(self.tcn.parameters());
-        if let Some(p) = &self.residual_proj {
-            ps.extend(p.parameters());
-        }
+        let mut ps = self.spatial.parameters();
+        ps.extend(self.tail.parameters());
         ps
     }
 
     fn buffers(&self) -> Vec<Buffer> {
-        let mut bs = self.bn.buffers();
-        bs.extend(self.tcn.buffers());
-        bs
+        self.tail.buffers()
     }
 
     fn set_training(&mut self, training: bool) {
-        self.bn.set_training(training);
-        self.tcn.set_training(training);
+        self.tail.set_training(training);
         if training {
             self.inference = None;
         }
     }
 
     fn prepare_inference(&mut self) {
-        self.set_training(false);
-        self.tcn.prepare_inference();
-        let (scale, shift) = self.bn.eval_affine();
-        let op = self.op.data();
-        let imp = self.importance.data();
-        let weighted: Vec<f32> = op.data().iter().zip(imp.data()).map(|(&a, &b)| a * b).collect();
-        self.inference = Some(StGcnBlockInference {
-            op: NdArray::from_vec(weighted, op.shape()),
-            theta: EvalConv::fold_affine(&self.theta, &scale, &shift),
-            residual: self.residual_proj.as_ref().map(EvalConv::from_conv),
-        });
+        let (scale, shift) = self.tail.prepare_inference();
+        self.inference = Some(self.spatial.compile(&scale, &shift));
     }
 
     fn plan(&self, input: &dhg_nn::SymShape) -> dhg_nn::Plan {
-        use dhg_nn::{DiagCode, OpCost, Plan};
-        let mut p = Plan::new(input);
-        if input.rank() != 4 {
-            p.error(
-                DiagCode::RankMismatch,
-                format!("features must be [N, C, T, V], got rank {} {input}", input.rank()),
-            );
+        if let Some(p) = block_rank_error(input) {
             return p;
         }
-        let op_v = self.op.shape()[0];
-        if let Some(v) = input.known(3) {
-            if v != op_v {
-                p.error(
-                    DiagCode::JointMismatch,
-                    format!("operator must be [V, V]: operator has {op_v} joints, input has {v}"),
-                );
-                return p;
-            }
-        }
-        let vcost = OpCost::vertex_op(
-            input.known(1).unwrap_or(1) as u64,
-            input.known(2).unwrap_or(1) as u64,
-            op_v as u64,
-        );
-        plan_vertex_mix(
-            &mut p,
-            "vertex_op",
-            format!("importance-weighted [{op_v}, {op_v}] operator"),
-            MixOperator::Shared,
-            vcost,
-        );
-        p.extend("theta", self.theta.plan(&p.output().clone()));
+        let mut p = self.spatial.plan(input);
         if p.has_errors() {
             return p;
         }
-        p.extend("bn", self.bn.plan(&p.output().clone()));
-        p.push_op("relu", "", p.output().clone());
-        p.extend("tcn", self.tcn.plan(&p.output().clone()));
-        if p.has_errors() {
-            return p;
-        }
-        let main_out = p.output().clone();
-        let residual_out = match &self.residual_proj {
-            Some(proj) => p.adopt("residual_proj", &proj.plan(input)),
-            None => input.clone(),
-        };
-        if residual_out != main_out {
-            p.error(
-                DiagCode::ShapeMismatch,
-                format!("residual path produces {residual_out} but main path produces {main_out}"),
-            );
-        }
-        p.push_op("residual_add_relu", "", main_out);
-        if !self.bn.training() && self.inference.is_none() {
+        if self.tail.plan(&mut p, input) && !self.tail.training() && self.inference.is_none() {
             p.warn(
-                DiagCode::NotPrepared,
+                dhg_nn::DiagCode::NotPrepared,
                 "eval-mode StGcnBlock without serving caches; call prepare_inference()",
             );
         }

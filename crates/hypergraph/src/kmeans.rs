@@ -9,7 +9,6 @@
 use crate::Hypergraph;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 #[inline]
 fn dist2(a: &[f32], b: &[f32]) -> f32 {
@@ -17,51 +16,6 @@ fn dist2(a: &[f32], b: &[f32]) -> f32 {
 }
 
 const MAX_ITERS: usize = 50;
-
-// process-wide observability counters (see [`kmeans_counters`]): cheap
-// relaxed atomics so warm-start effectiveness is measurable in serving
-// and bench binaries without threading a registry through every call
-static RUNS: AtomicU64 = AtomicU64::new(0);
-static NON_CONVERGED: AtomicU64 = AtomicU64::new(0);
-static TOTAL_ITERS: AtomicU64 = AtomicU64::new(0);
-
-/// Cumulative process-wide k-medoids statistics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct KmeansCounters {
-    /// Clustering runs performed.
-    pub runs: u64,
-    /// Runs that hit [`MAX_ITERS`](self) without the medoids stabilising.
-    pub non_converged: u64,
-    /// Total assignment/update iterations across all runs (mean iteration
-    /// count = `total_iterations / runs` — warm starts push this down).
-    pub total_iterations: u64,
-}
-
-/// Snapshot the process-wide counters updated by every clustering run.
-pub fn kmeans_counters() -> KmeansCounters {
-    KmeansCounters {
-        runs: RUNS.load(Ordering::Relaxed),
-        non_converged: NON_CONVERGED.load(Ordering::Relaxed),
-        total_iterations: TOTAL_ITERS.load(Ordering::Relaxed),
-    }
-}
-
-/// Result of one k-medoids run: the cluster hyperedges plus everything a
-/// warm-started caller needs to observe and continue from.
-#[derive(Clone, Debug, PartialEq)]
-pub struct KmeansOutcome {
-    /// The `k_m` disjoint, covering cluster hyperedges.
-    pub hypergraph: Hypergraph,
-    /// Final medoid vertex per cluster — feed back into
-    /// [`kmeans_hyperedges_seeded`] to warm-start the next frame.
-    pub medoids: Vec<usize>,
-    /// Assignment/update iterations performed.
-    pub iterations: usize,
-    /// Whether the medoids stabilised before the iteration cap; `false`
-    /// means the run was cut off at `MAX_ITERS` (previously a silent
-    /// stop).
-    pub converged: bool,
-}
 
 /// Partition `n_vertices` points (`coords` row-major `[n_vertices, dim]`)
 /// into `k_m` disjoint clusters and return them as hyperedges.
@@ -77,58 +31,16 @@ pub fn kmeans_hyperedges(
     km: usize,
     rng: &mut impl Rng,
 ) -> Hypergraph {
-    kmeans_hyperedges_outcome(coords, n_vertices, dim, km, rng).hypergraph
-}
-
-/// [`kmeans_hyperedges`] with the full [`KmeansOutcome`] (final medoids,
-/// iteration count, convergence flag).
-pub fn kmeans_hyperedges_outcome(
-    coords: &[f32],
-    n_vertices: usize,
-    dim: usize,
-    km: usize,
-    rng: &mut impl Rng,
-) -> KmeansOutcome {
     assert_eq!(coords.len(), n_vertices * dim, "coords must be [n_vertices, dim]");
     assert!(km >= 1, "k_m must be at least 1");
     assert!(km <= n_vertices, "k_m = {km} exceeds vertex count {n_vertices}");
     // initial centroids: km distinct joints
     let mut ids: Vec<usize> = (0..n_vertices).collect();
     ids.shuffle(rng);
-    run(coords, n_vertices, dim, ids[..km].to_vec())
-}
-
-/// K-medoids warm-started from explicit initial medoids — the incremental
-/// builder's entry point (§3.4's iteration, seeded with the previous
-/// frame's converged medoids instead of a fresh shuffle). The medoids must
-/// be distinct, in-range vertices.
-pub fn kmeans_hyperedges_seeded(
-    coords: &[f32],
-    n_vertices: usize,
-    dim: usize,
-    medoids: &[usize],
-) -> KmeansOutcome {
-    assert_eq!(coords.len(), n_vertices * dim, "coords must be [n_vertices, dim]");
-    assert!(!medoids.is_empty(), "need at least one seed medoid");
-    assert!(medoids.len() <= n_vertices, "k_m = {} exceeds vertex count {n_vertices}", medoids.len());
-    let mut seen = vec![false; n_vertices];
-    for &m in medoids {
-        assert!(m < n_vertices, "seed medoid {m} out of range (n={n_vertices})");
-        assert!(!seen[m], "seed medoid {m} duplicated");
-        seen[m] = true;
-    }
-    run(coords, n_vertices, dim, medoids.to_vec())
-}
-
-/// The shared assignment/repair/update loop behind both entry points.
-fn run(coords: &[f32], n_vertices: usize, dim: usize, mut medoids: Vec<usize>) -> KmeansOutcome {
-    let km = medoids.len();
+    let mut medoids = ids[..km].to_vec();
     let point = |i: usize| &coords[i * dim..(i + 1) * dim];
     let mut assign = vec![0usize; n_vertices];
-    let mut iterations = 0usize;
-    let mut converged = false;
     for _ in 0..MAX_ITERS {
-        iterations += 1;
         // assignment step: nearest medoid (ties to the lower cluster index)
         for (v, slot) in assign.iter_mut().enumerate() {
             let mut best = 0usize;
@@ -177,23 +89,16 @@ fn run(coords: &[f32], n_vertices: usize, dim: usize, mut medoids: Vec<usize>) -
         }
 
         if new_medoids == medoids {
-            converged = true;
             break; // §3.4: iterate until the centroid change is 0
         }
         medoids = new_medoids;
-    }
-
-    RUNS.fetch_add(1, Ordering::Relaxed);
-    TOTAL_ITERS.fetch_add(iterations as u64, Ordering::Relaxed);
-    if !converged {
-        NON_CONVERGED.fetch_add(1, Ordering::Relaxed);
     }
 
     let mut edges: Vec<Vec<usize>> = vec![Vec::new(); km];
     for (v, &c) in assign.iter().enumerate() {
         edges[c].push(v);
     }
-    KmeansOutcome { hypergraph: Hypergraph::new(n_vertices, edges), medoids, iterations, converged }
+    Hypergraph::new(n_vertices, edges)
 }
 
 #[cfg(test)]
@@ -279,48 +184,5 @@ mod tests {
     fn km_too_large_panics() {
         let coords = vec![0.0; 9];
         kmeans_hyperedges(&coords, 3, 3, 4, &mut StdRng::seed_from_u64(0));
-    }
-
-    #[test]
-    fn outcome_matches_plain_entry_point() {
-        let coords = two_clusters();
-        let out = kmeans_hyperedges_outcome(&coords, 8, 3, 3, &mut StdRng::seed_from_u64(42));
-        let hg = kmeans_hyperedges(&coords, 8, 3, 3, &mut StdRng::seed_from_u64(42));
-        assert_eq!(out.hypergraph, hg);
-        assert!(out.converged, "well-separated clusters should converge");
-        assert!(out.iterations >= 1);
-        assert_eq!(out.medoids.len(), 3);
-        // the reported medoids really are the final ones: re-seeding from
-        // them is a fixed point
-        let again = kmeans_hyperedges_seeded(&coords, 8, 3, &out.medoids);
-        assert_eq!(again.hypergraph, out.hypergraph);
-        assert_eq!(again.medoids, out.medoids);
-        assert_eq!(again.iterations, 1, "converged medoids must be a fixed point");
-    }
-
-    #[test]
-    fn seeded_warm_start_takes_fewer_iterations() {
-        let coords = two_clusters();
-        let cold = kmeans_hyperedges_outcome(&coords, 8, 3, 2, &mut StdRng::seed_from_u64(9));
-        let warm = kmeans_hyperedges_seeded(&coords, 8, 3, &cold.medoids);
-        assert!(warm.iterations <= cold.iterations);
-        assert_eq!(warm.hypergraph, cold.hypergraph);
-    }
-
-    #[test]
-    fn counters_accumulate() {
-        let coords = two_clusters();
-        let before = kmeans_counters();
-        kmeans_hyperedges(&coords, 8, 3, 2, &mut StdRng::seed_from_u64(1));
-        let after = kmeans_counters();
-        assert!(after.runs > before.runs);
-        assert!(after.total_iterations > before.total_iterations);
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicated")]
-    fn seeded_rejects_duplicate_medoids() {
-        let coords = vec![0.0; 12];
-        kmeans_hyperedges_seeded(&coords, 4, 3, &[1, 1]);
     }
 }

@@ -18,10 +18,8 @@ fn dist2(a: &[f32], b: &[f32]) -> f32 {
 ///
 /// `coords` is row-major `[n_vertices, dim]`. Ties are broken by vertex
 /// index, and the selected members are sorted before returning, so the
-/// same coordinates always yield the same member list — edge sets built
-/// by different code paths (from-scratch vs. incremental) compare
-/// bitwise. The incremental builder caches these per-anchor lists.
-pub fn knn_edge(coords: &[f32], n_vertices: usize, dim: usize, kn: usize, anchor: usize) -> Vec<usize> {
+/// same coordinates always yield the same member list.
+fn knn_edge(coords: &[f32], n_vertices: usize, dim: usize, kn: usize, anchor: usize) -> Vec<usize> {
     let pi = &coords[anchor * dim..(anchor + 1) * dim];
     let mut order: Vec<usize> = (0..n_vertices).collect();
     // partial sort: the kn smallest by (distance, index)
@@ -43,8 +41,7 @@ pub fn knn_edge(coords: &[f32], n_vertices: usize, dim: usize, kn: usize, anchor
 /// `coords` is row-major `[n_vertices, dim]` (the paper uses `dim = 3`
 /// joint coordinates; the dynamic-topology branch uses FC-mapped features).
 /// Ties are broken by vertex index so the construction is deterministic,
-/// and every edge's members are in canonical ascending order (see
-/// [`knn_edge`]).
+/// and every edge's members are in canonical ascending order.
 ///
 /// Panics if `kn == 0` or `kn > n_vertices`.
 pub fn knn_hyperedges(coords: &[f32], n_vertices: usize, dim: usize, kn: usize) -> Hypergraph {

@@ -17,10 +17,9 @@
 //! * [`dynamic`] — moving-distance joint weights (Eq. 6–7), the weighted
 //!   incidence `Imp = W_all ∘ H` (Eq. 8) and its propagation operator
 //!   `Imp·Impᵀ` (Eq. 9).
-//! * [`incremental`] — dynamic-topology construction: the stateless
-//!   [`from_scratch_operator`] every model calls and the stateful
-//!   [`Incremental`] builder (dirty-set kNN invalidation + warm-started
-//!   k-medoids).
+//! * [`topology`] — dynamic-topology construction: the union kNN ∪
+//!   k-medoid operator of one coordinate set ([`from_scratch_operator`])
+//!   and its per-sample or per-frame stacks for a batch.
 //! * [`validate`] — static checks of the incidence invariants everything
 //!   above relies on (binary `H`, full vertex coverage, non-singular
 //!   degrees, normalised `Imp` columns), used by the model-plan analyzer.
@@ -31,9 +30,9 @@
 pub mod dynamic;
 pub mod graph;
 pub mod hypergraph;
-pub mod incremental;
 pub mod kmeans;
 pub mod knn;
+pub mod topology;
 pub mod validate;
 
 pub use dynamic::{
@@ -42,13 +41,10 @@ pub use dynamic::{
 };
 pub use graph::Graph;
 pub use hypergraph::Hypergraph;
-pub use incremental::{
-    from_scratch_operator, stacked_operators, stacked_operators_with, BuildStats, Incremental,
-    TopologyConfig, TopologyGranularity,
+pub use kmeans::kmeans_hyperedges;
+pub use knn::knn_hyperedges;
+pub use topology::{
+    from_scratch_operator, stacked_operators, stacked_operators_with, TopologyConfig,
+    TopologyGranularity,
 };
-pub use kmeans::{
-    kmeans_counters, kmeans_hyperedges, kmeans_hyperedges_outcome, kmeans_hyperedges_seeded,
-    KmeansCounters, KmeansOutcome,
-};
-pub use knn::{knn_edge, knn_hyperedges};
 pub use validate::{validate_hypergraph, validate_imp, validate_incidence, IncidenceIssue};

@@ -7,8 +7,10 @@
 //! Scans `crates/**/src/**/*.rs` under the root (default: the current
 //! directory, falling back upward to the workspace root if `crates/` is
 //! not here), suppresses findings covered by the allowlist (default:
-//! `<root>/lint.allow`), prints the survivors, and exits non-zero if any
-//! remain. `--self-test` instead runs the embedded seeded negatives.
+//! `<root>/lint.allow`), prints the survivors and the stale allowlist
+//! entries (those matching no finding), and exits non-zero if there is
+//! any of either. `--self-test` instead runs the embedded seeded
+//! negatives.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -85,7 +87,7 @@ fn main() -> ExitCode {
     }
     for e in allow.unused() {
         println!(
-            "dhg-lint: warning: stale allowlist entry {} {} `{}` matches nothing",
+            "dhg-lint: error: stale allowlist entry {} {} `{}` matches nothing",
             e.code, e.path_suffix, e.fragment
         );
     }
@@ -98,7 +100,7 @@ fn main() -> ExitCode {
         kept.len(),
         if summary.is_empty() { String::new() } else { format!(" [{}]", summary.join(", ")) }
     );
-    if kept.is_empty() {
+    if dhg_lint::gate_passes(&kept, &allow) {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -720,6 +720,13 @@ pub fn scan_tree(root: &Path) -> io::Result<(Vec<Finding>, usize)> {
     Ok((findings, files.len()))
 }
 
+/// The gate's verdict after the allowlist has filtered the findings: it
+/// passes only if no finding is left and no allowlist entry is stale, so
+/// a suppression whose code is gone cannot linger.
+pub fn gate_passes(kept: &[Finding], allow: &Allowlist) -> bool {
+    kept.is_empty() && allow.unused().is_empty()
+}
+
 /// Group findings per rule (for the summary footer).
 pub fn counts_by_code(findings: &[Finding]) -> BTreeMap<&'static str, usize> {
     let mut m = BTreeMap::new();
@@ -883,6 +890,27 @@ mod tests {
         }
         assert!(kept.is_empty(), "allowlisted finding must be suppressed");
         assert_eq!(allow.unused().len(), 1, "the stale entry must be reported");
+    }
+
+    #[test]
+    fn gate_fails_on_a_stale_entry_or_an_unallowed_finding() {
+        let fixture = "fn f(xs: &[f32]) -> f32 { xs.iter().copied().sum::<f32>() }\n";
+        let findings = scan_file("crates/hypergraph/src/fixture.rs", fixture);
+        let gate = |allow_text: &str| {
+            let mut allow = Allowlist::parse(allow_text).expect("parse");
+            let mut kept = Vec::new();
+            for f in &findings {
+                if !allow.allows(f) {
+                    kept.push(f.clone());
+                }
+            }
+            gate_passes(&kept, &allow)
+        };
+        let covering = "DL003 crates/hypergraph/src/fixture.rs .sum::<f32>() # ordered\n";
+        assert!(gate(covering), "a covered finding and no stale entry must pass");
+        let stale = format!("{covering}DL001 crates/core/src/stale.rs whatever # never matches\n");
+        assert!(!gate(&stale), "a stale entry must fail the gate");
+        assert!(!gate(""), "an unallowed finding must fail the gate");
     }
 
     #[test]

@@ -7,7 +7,8 @@
 #                               #      negative must be flagged)
 #                               #   2. dhg-lint over crates/**/src with the
 #                               #      repo allowlist (lint.allow); any
-#                               #      unallowlisted finding fails
+#                               #      unallowlisted finding or stale
+#                               #      allowlist entry fails
 #                               #   3. analyze --budget: every zoo model's
 #                               #      predicted peak workspace must fit
 #                               #      the serve workspace cap

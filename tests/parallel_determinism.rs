@@ -4,11 +4,14 @@
 //! computes a serial baseline under `with_threads(1)` and compares the
 //! parallel result bit-for-bit (`f32::to_bits`, not `allclose`).
 
-use dhgcn::hypergraph::{dynamic_operators, knn_hyperedges};
+use dhgcn::hypergraph::{
+    dynamic_operators, knn_hyperedges, stacked_operators, stacked_operators_with, TopologyConfig,
+    TopologyGranularity,
+};
 use dhgcn::prelude::*;
 use dhgcn::skeleton::{batch_samples, static_hypergraph, SkeletonSample};
 use dhgcn::tensor::ops::Conv2dSpec;
-use dhgcn::tensor::parallel::{num_threads, with_threads};
+use dhgcn::tensor::parallel::{num_threads, with_threads, MIN_PARALLEL_WORK};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -149,6 +152,34 @@ fn knn_hyperedges_are_identical_across_thread_counts() {
     for t in THREADS {
         let par = with_threads(t, || knn_hyperedges(coords.data(), 256, 3, 5));
         assert_eq!(serial.edges(), par.edges(), "knn edges, threads = {t}");
+    }
+}
+
+#[test]
+fn stacked_operators_are_bitwise_identical_across_thread_counts() {
+    // §3.4's topology for a batch of embedded features [N, T, V, E], one
+    // hypergraph per sample and one per frame; 24 samples put even the
+    // per-sample stack above the pool's work threshold
+    let (n, t, v, e) = (24, 4, 25, 8);
+    let config = TopologyConfig::new(3, 4, 0x6B6D_6561_6E73);
+    assert!(n * v * v * (e + config.kn + config.km + 8) >= MIN_PARALLEL_WORK);
+    let feats = random_array(&[n, t, v, e], 12);
+    // an importance mask and an additive refinement, as the eval path fuses
+    let mask = random_array(&[v, v], 13);
+    let post = |blk: &mut [f32]| {
+        for (w, &m) in blk.iter_mut().zip(mask.data()) {
+            *w = *w * m + 0.25;
+        }
+    };
+    for granularity in [TopologyGranularity::PerSample, TopologyGranularity::PerFrame] {
+        let plain = || stacked_operators(&feats, granularity, &config);
+        let fused = || stacked_operators_with(&feats, granularity, &config, post);
+        let (serial, serial_fused) = with_threads(1, || (plain(), fused()));
+        for threads in THREADS {
+            let what = format!("{granularity:?} topology, threads = {threads}");
+            assert_bitwise_eq(&serial, &with_threads(threads, plain), &what);
+            assert_bitwise_eq(&serial_fused, &with_threads(threads, fused), &format!("fused {what}"));
+        }
     }
 }
 
