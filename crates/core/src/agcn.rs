@@ -120,26 +120,26 @@ impl Module for AgcnBlock {
                 return p;
             }
         }
-        // the attention branch consumes the same input through theta1/theta2
-        p.extend("theta1", self.theta1.plan(input));
-        if p.has_errors() {
+        // the attention operator C is a side branch: theta1/theta2 embed
+        // the block input, and its [N, V, V] output joins the vertex mix
+        // as an operator, not as the chain's features
+        let mut att = Plan::new(input);
+        att.extend("theta1", self.theta1.plan(input));
+        if att.has_errors() {
+            p.adopt("attention", &att);
             return p;
         }
-        p.adopt("theta2", &self.theta2.plan(input));
+        att.adopt("theta2", &self.theta2.plan(input));
         let (c, t, v) = (
             input.known(1).unwrap_or(1) as u64,
             input.known(2).unwrap_or(1) as u64,
             op_v as u64,
         );
         // e1ᵀ e2 over the E·T embedding rows, then scale + softmax over [V, V]
-        let attention = OpCost::matmul(v, EMBED_CHANNELS as u64 * t, v)
-            .plus(OpCost::elementwise(&SymShape::batched(&[op_v, op_v])));
-        p.push_op_costed(
-            "attention",
-            format!("softmax(e1' e2), [N, {op_v}, {op_v}]"),
-            input.clone(),
-            attention,
-        );
+        let operator = SymShape::batched(&[op_v, op_v]);
+        let cost = OpCost::matmul(v, EMBED_CHANNELS as u64 * t, v).plus(OpCost::elementwise(&operator));
+        att.push_op_costed("softmax", format!("softmax(e1' e2), [N, {op_v}, {op_v}]"), operator, cost);
+        p.adopt("attention", &att);
         p.push_op_costed(
             "adaptive_vertex_op",
             "base + B + C per sample",
@@ -338,6 +338,33 @@ mod tests {
             assert_eq!(flops(&plan), want, "block input {shape}");
             shape = plan.output().clone();
         }
+    }
+
+    #[test]
+    fn block_plan_records_the_attention_branch_and_the_mix_at_their_shapes() {
+        use dhg_nn::{analyze, SymShape};
+        let m = agcn(AgcnVariant::Graph);
+        let input = SymShape::nctv(3, 16, 25);
+        let plan = m.blocks[0].plan(&input);
+        assert!(analyze(&plan).ok(), "{}", analyze(&plan));
+        let side = |name: &str| {
+            let op = plan.side_ops().iter().find(|op| op.name == name);
+            op.unwrap_or_else(|| panic!("no side op {name}"))
+        };
+        // θ₁ and θ₂ embed the block input; the softmax turns their
+        // embeddings into the per-sample [N, V, V] operator
+        let embedding = SymShape::nctv(EMBED_CHANNELS, 16, 25);
+        for theta in ["attention.theta1.conv2d", "attention.theta2.conv2d"] {
+            assert_eq!((&side(theta).input, &side(theta).output), (&input, &embedding), "{theta}");
+        }
+        let softmax = side("attention.softmax");
+        assert_eq!(softmax.input, embedding);
+        assert_eq!(softmax.output, SymShape::batched(&[25, 25]));
+        // the chain starts at the mix, from the block input's [N, C, T, V]
+        let mix = &plan.ops()[0];
+        assert_eq!(mix.name, "adaptive_vertex_op");
+        assert_eq!((&mix.input, &mix.output), (&input, &input));
+        assert_eq!(plan.ops()[1].input, input, "theta consumes the mixed features");
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub fn joint_weights(hg: &Hypergraph, distances: &[f32]) -> NdArray {
 /// `Imp = W_all ∘ H` (Eq. 8). Returns a `[V, V]` matrix.
 pub fn weighted_incidence_operator(hg: &Hypergraph, distances: &[f32]) -> NdArray {
     let imp = joint_weights(hg, distances); // already zero off-edge, so ∘H is free
-    imp.matmul(&imp.transpose_last2())
+    imp.view().matmul(imp.view().t())
 }
 
 /// Normalise each row of a `[V, V]` operator to sum to 1 (rows of zeros

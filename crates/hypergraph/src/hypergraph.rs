@@ -153,7 +153,7 @@ impl Hypergraph {
         for (j, (&w, &d)) in self.weights.iter().zip(self.edge_degrees().iter()).enumerate() {
             w_de_inv.set(&[j, j], if d > 0.0 { w / d } else { 0.0 });
         }
-        dv_is.matmul(&h).matmul(&w_de_inv).matmul(&h.transpose_last2()).matmul(&dv_is)
+        dv_is.matmul(&h).matmul(&w_de_inv).view().matmul(h.view().t()).matmul(&dv_is)
     }
 }
 

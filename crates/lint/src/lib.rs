@@ -18,6 +18,7 @@
 //! | DL004 | `unsafe` without a `SAFETY:` comment in the preceding lines |
 //! | DL005 | `unwrap`/`expect`/`assert!`/`panic!` on the serving request path |
 //! | DL006 | retry loops without a backoff/sleep call on the request path |
+//! | DL007 | a materialised transpose (`transpose_last2()`) as a matmul operand in hot-path crates |
 //!
 //! Findings can be suppressed through an allowlist file (`lint.allow` at
 //! the scan root): one entry per line, `CODE path-suffix content-fragment
@@ -46,12 +47,21 @@ pub enum Code {
     Dl005,
     /// Retry loop without a backoff call on the request path.
     Dl006,
+    /// Materialised transpose as a matmul operand in a hot-path crate.
+    Dl007,
 }
 
 impl Code {
     /// All rules, in order.
-    pub const ALL: [Code; 6] =
-        [Code::Dl001, Code::Dl002, Code::Dl003, Code::Dl004, Code::Dl005, Code::Dl006];
+    pub const ALL: [Code; 7] = [
+        Code::Dl001,
+        Code::Dl002,
+        Code::Dl003,
+        Code::Dl004,
+        Code::Dl005,
+        Code::Dl006,
+        Code::Dl007,
+    ];
 
     /// The stable `DLxxx` name.
     pub fn as_str(self) -> &'static str {
@@ -62,6 +72,7 @@ impl Code {
             Code::Dl004 => "DL004",
             Code::Dl005 => "DL005",
             Code::Dl006 => "DL006",
+            Code::Dl007 => "DL007",
         }
     }
 
@@ -79,6 +90,7 @@ impl Code {
             Code::Dl004 => "`unsafe` without a SAFETY: comment",
             Code::Dl005 => "panicking call on the serving request path",
             Code::Dl006 => "retry loop without a backoff call on the request path",
+            Code::Dl007 => "materialised transpose as a matmul operand in a hot-path crate",
         }
     }
 }
@@ -394,6 +406,18 @@ pub fn scan_file(path: &str, source: &str) -> Vec<Finding> {
                 &mut findings,
                 Code::Dl003,
                 "unordered float reduction; accumulate explicitly or document the ordering".into(),
+            );
+        }
+
+        if in_scope(&norm, &HOT_PATH_CRATES)
+            && line.contains("transpose_last2()")
+            && line.contains("matmul")
+        {
+            push(
+                &mut findings,
+                Code::Dl007,
+                "materialised transpose as a matmul operand; read it in place with `.view().t()`"
+                    .into(),
             );
         }
 
@@ -781,6 +805,24 @@ pub fn self_test() -> Result<(), String> {
             path: "crates/hypergraph/src/fixture.rs",
             source: "fn f(xs: &[f32]) -> f32 {\n    xs.iter().copied().sum::<f32>()\n}\n",
             expect: &[(Code::Dl003, 2)],
+        },
+        Case {
+            name: "a materialised transpose feeding a matmul is flagged",
+            path: "crates/tensor/src/fixture.rs",
+            source: "fn f(a: &NdArray, g: &NdArray) -> NdArray {\n    let t = a.transpose_last2();\n    g.matmul(&a.transpose_last2()).add(&t)\n}\nfn g(a: &NdArray, g: &NdArray) -> NdArray {\n    a.transpose_last2().matmul(g)\n}\n",
+            expect: &[(Code::Dl007, 3), (Code::Dl007, 6)],
+        },
+        Case {
+            name: "a transposed view is read in place",
+            path: "crates/hypergraph/src/fixture.rs",
+            source: "fn f(imp: &NdArray) -> NdArray {\n    imp.view().matmul(imp.view().t())\n}\n",
+            expect: &[],
+        },
+        Case {
+            name: "materialised transposes outside hot-path crates are not flagged",
+            path: "crates/core/src/fixture.rs",
+            source: "fn f(a: &NdArray, g: &NdArray) -> NdArray {\n    g.matmul(&a.transpose_last2())\n}\n",
+            expect: &[],
         },
         Case {
             name: "undocumented unsafe is flagged, documented is not",

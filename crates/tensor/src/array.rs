@@ -10,8 +10,10 @@
 //! skeleton models (`V = 25`, `T ≤ 64`, `C ≤ 256`) this is both simpler and
 //! faster than maintaining strided views.
 
+use std::borrow::Cow;
 use std::fmt;
 
+use crate::gemm::Operand;
 use crate::shape_check::ShapeError;
 use crate::workspace::Workspace;
 
@@ -845,14 +847,14 @@ impl NdArray {
 
     /// This array as a borrowed [`ArrayView`] of its own shape.
     pub fn view(&self) -> ArrayView<'_> {
-        ArrayView { shape: &self.shape, data: &self.data }
+        ArrayView { shape: &self.shape, data: &self.data, trans: false }
     }
 
     /// This array's buffer read under `shape`, which must hold the same
     /// number of elements — a reshape that copies nothing.
     pub fn view_as<'a>(&'a self, shape: &'a [usize]) -> ArrayView<'a> {
         assert_eq!(numel(shape), self.len(), "view_as {shape:?} from {:?}", self.shape);
-        ArrayView { shape, data: &self.data }
+        ArrayView { shape, data: &self.data, trans: false }
     }
 
     // ------------------------------------------------------------------
@@ -907,6 +909,7 @@ impl NdArray {
             None => vec![0.0f32; n * ckk * l],
         };
         let work = n * ckk * l;
+        let rows = whole_rows(kw, sw, pw);
         crate::parallel::for_each_block(&mut out, l.max(1), work, |item, row_out| {
             // item indexes the (batch, channel, kernel-tap) row
             let (b, row) = (item / ckk, item % ckk);
@@ -920,6 +923,10 @@ impl NdArray {
                 }
                 let src_y = src_c + iy as usize * w;
                 let dst_y = y * wo;
+                if rows {
+                    row_out[dst_y..dst_y + wo].copy_from_slice(&self.data[src_y..src_y + w]);
+                    continue;
+                }
                 for x in 0..wo {
                     let ix = (x * sw + kj * dw) as isize - pw as isize;
                     if ix < 0 || ix >= w as isize {
@@ -951,6 +958,7 @@ impl NdArray {
         let ckk = c * kh * kw;
         let mut out = vec![0.0f32; n * c * h * w];
         let work = n * ckk * l;
+        let rows = whole_rows(kw, sw, pw);
         crate::parallel::for_each_block(&mut out, (h * w).max(1), work, |item, plane| {
             // item indexes the (batch, channel) output plane
             let (b, ci) = (item / c, item % c);
@@ -966,6 +974,13 @@ impl NdArray {
                         }
                         let dst_y = iy as usize * w;
                         let src_y = src_row + y * wo;
+                        if rows {
+                            let src = &self.data[src_y..src_y + wo];
+                            for (d, &v) in plane[dst_y..dst_y + w].iter_mut().zip(src) {
+                                *d += v;
+                            }
+                            continue;
+                        }
                         for x in 0..wo {
                             let ix = (x * sw + kj * dw) as isize - pw as isize;
                             if ix < 0 || ix >= w as isize {
@@ -1014,14 +1029,33 @@ impl NdArray {
 /// same element count — how a kernel consumes a reshaped operand without
 /// copying it, e.g. a `[N, C, H, W]` feature map as the `[N, C, H·W]`
 /// right-hand side of a 1×1 convolution's GEMM. Made by
-/// [`NdArray::view`] / [`NdArray::view_as`].
+/// [`NdArray::view`] / [`NdArray::view_as`]; [`ArrayView::t`] reads it as
+/// the transpose of its last two axes, still without copying.
 #[derive(Clone, Copy, Debug)]
 pub struct ArrayView<'a> {
+    /// The stored shape; the logical one swaps its last two axes when
+    /// `trans` is set.
     shape: &'a [usize],
     data: &'a [f32],
+    trans: bool,
 }
 
-impl ArrayView<'_> {
+impl<'a> ArrayView<'a> {
+    /// This view read as the transpose of its last two axes (a batched
+    /// matrix transpose), without copying: `x.view().t()` is the operand
+    /// `x.transpose_last2()` would materialise. Products read it in place
+    /// (see [`crate::gemm::Operand`]) with the bits of the materialised
+    /// operand. Applying it twice gives back the view.
+    pub fn t(self) -> Self {
+        assert!(self.shape.len() >= 2, "transpose needs rank >= 2");
+        ArrayView { trans: !self.trans, ..self }
+    }
+
+    /// [`NdArray::matmul`] on views: automatic kernel dispatch.
+    pub fn matmul(self, other: ArrayView<'_>) -> NdArray {
+        self.matmul_with(other, None, MatmulKernel::Auto)
+    }
+
     /// [`NdArray::matmul_ws`] on views: automatic kernel dispatch, output
     /// and packing buffers from `ws`.
     pub fn matmul_ws(self, other: ArrayView<'_>, ws: &mut Workspace) -> NdArray {
@@ -1043,19 +1077,87 @@ impl ArrayView<'_> {
     }
 
     fn matmul_with(self, other: ArrayView<'_>, ws: Option<&mut Workspace>, kernel: MatmulKernel) -> NdArray {
-        crate::shape_check::check_matmul(self.shape, other.shape).unwrap_or_else(|e| panic!("{e}"));
+        crate::shape_check::check_matmul(&self.logical_shape(), &other.logical_shape())
+            .unwrap_or_else(|e| panic!("{e}"));
         matmul_impl(self, other, ws, kernel)
+    }
+
+    /// The shape the view reads as: the stored one, last two axes swapped
+    /// when transposed.
+    fn logical_shape(&self) -> Cow<'a, [usize]> {
+        if !self.trans {
+            return Cow::Borrowed(self.shape);
+        }
+        let mut shape = self.shape.to_vec();
+        let nd = shape.len();
+        shape.swap(nd - 2, nd - 1);
+        Cow::Owned(shape)
+    }
+
+    /// Logical `(rows, cols)` of each matrix in the batch.
+    fn dims(&self) -> (usize, usize) {
+        let nd = self.shape.len();
+        let (r, c) = (self.shape[nd - 2], self.shape[nd - 1]);
+        if self.trans {
+            (c, r)
+        } else {
+            (r, c)
+        }
+    }
+
+    /// Logical rows `i0..i1` of the matrix starting at element `base`, as
+    /// a GEMM operand read in place.
+    fn operand(&self, base: usize, i0: usize, i1: usize) -> Operand<'a> {
+        let (rows, cols) = self.dims();
+        if !self.trans {
+            return Operand::rows(&self.data[base + i0 * cols..base + i1 * cols], cols);
+        }
+        // logical (i, p) is stored at p·rows + i: the block spans from row
+        // i0 of depth 0 to row i1 of depth cols − 1
+        let end = if cols == 0 || i0 == i1 { base + i0 } else { base + (cols - 1) * rows + i1 };
+        Operand::transposed(&self.data[base + i0..end], rows)
+    }
+
+    /// The buffer in logical row-major order: borrowed as it lies, or the
+    /// transpose materialised for the row kernel, which reads rows only.
+    fn row_major(&self) -> Cow<'a, [f32]> {
+        if !self.trans {
+            return Cow::Borrowed(self.data);
+        }
+        let nd = self.shape.len();
+        let mut out = vec![0.0f32; self.data.len()];
+        swap_axis_groups(self.data, &mut out, self.shape[nd - 2], self.shape[nd - 1], 1);
+        Cow::Owned(out)
+    }
+
+    /// The density probe ([`mostly_zero`]) over the logical row-major
+    /// order, so a transposed view probes the positions its materialised
+    /// transpose would.
+    fn mostly_zero(&self) -> bool {
+        if !self.trans {
+            return mostly_zero(self.data, |i| i);
+        }
+        let (m, k) = self.dims();
+        mostly_zero(self.data, |i| {
+            let (bi, r) = (i / (m * k), i % (m * k));
+            bi * m * k + (r % k) * m + r / k
+        })
     }
 }
 
 /// The shared matmul kernel behind every [`NdArray`] / [`ArrayView`]
 /// product entry point; operands are shape-checked by the caller.
+///
+/// Either operand may be a transposed view ([`ArrayView::t`]): the packed
+/// kernel packs it where it lies, the row kernel reads a materialised
+/// copy, and the density probe samples its logical order — so the result
+/// is bitwise the product of the materialised transpose.
 fn matmul_impl(a: ArrayView<'_>, b: ArrayView<'_>, ws: Option<&mut Workspace>, kernel: MatmulKernel) -> NdArray {
     let (rank_a, rank_b) = (a.shape.len(), b.shape.len());
     debug_assert!(rank_a >= 2 && rank_b >= 2, "matmul needs rank >= 2");
-    let (m, k1) = (a.shape[rank_a - 2], a.shape[rank_a - 1]);
-    let n = b.shape[rank_b - 1];
-    debug_assert_eq!(k1, b.shape[rank_b - 2], "matmul inner-dim mismatch: {:?} x {:?}", a.shape, b.shape);
+    let (m, k1) = a.dims();
+    let (k2, n) = b.dims();
+    debug_assert_eq!(k1, k2, "matmul inner-dim mismatch: {:?} x {:?}", a.logical_shape(), b.logical_shape());
     let batch_a = &a.shape[..rank_a - 2];
     let batch_b = &b.shape[..rank_b - 2];
     let batch = broadcast_shape(batch_a, batch_b).unwrap_or_else(|| {
@@ -1115,7 +1217,7 @@ fn matmul_impl(a: ArrayView<'_>, b: ArrayView<'_>, ws: Option<&mut Workspace>, k
     // kernel keeps sparse incidence products (constant operands, stable
     // density) off the packed path. Nothing here reads the thread
     // count, so dispatch never breaks thread-count determinism either.
-    let skip_zeros = kernel != MatmulKernel::Packed && m > 0 && mostly_zero(a.data);
+    let skip_zeros = kernel != MatmulKernel::Packed && m > 0 && a.mostly_zero();
     let packed = match kernel {
         MatmulKernel::Packed => true,
         MatmulKernel::Reference => false,
@@ -1127,7 +1229,9 @@ fn matmul_impl(a: ArrayView<'_>, b: ArrayView<'_>, ws: Option<&mut Workspace>, k
         // matter how many batches or row-blocks consume it. Workers
         // share the packed image read-only and pack only their own A
         // row-block, so the sharding grain can shrink with the thread
-        // count without multiplying pack work.
+        // count without multiplying pack work. The images themselves are
+        // packed in parallel, one closure per image, so each is written
+        // whole by one thread whatever the thread count.
         let mut uniq = bbases.clone();
         uniq.sort_unstable();
         uniq.dedup();
@@ -1136,14 +1240,9 @@ fn matmul_impl(a: ArrayView<'_>, b: ArrayView<'_>, ws: Option<&mut Workspace>, k
             Some(ws) => ws.take(uniq.len() * bp_len),
             None => vec![0.0f32; uniq.len() * bp_len],
         };
-        for (u, &bb) in uniq.iter().enumerate() {
-            crate::gemm::pack_b_full(
-                &b.data[bb..bb + eb],
-                &mut bpack[u * bp_len..(u + 1) * bp_len],
-                n,
-                k1,
-            );
-        }
+        crate::parallel::for_each_block(&mut bpack, bp_len, uniq.len() * bp_len, |u, image| {
+            crate::gemm::pack_b_full(b.operand(uniq[u], 0, k1), image, n, k1);
+        });
         // Shard (batch, row-block) spans; each span multiplies up to
         // `rb` rows of A against its batch's packed B.
         let rb = crate::gemm::row_block(m, nb, crate::parallel::num_threads());
@@ -1159,8 +1258,7 @@ fn matmul_impl(a: ArrayView<'_>, b: ArrayView<'_>, ws: Option<&mut Workspace>, k
             let (bi, ib) = (item / nbk, item % nbk);
             let i0 = ib * rb;
             let i1 = (i0 + rb).min(m);
-            let abase = abases[bi];
-            let ablock = &a.data[abase + i0 * k1..abase + i1 * k1];
+            let ablock = a.operand(abases[bi], i0, i1);
             let u = uniq.binary_search(&bbases[bi]).unwrap();
             let bp = &bpack[u * bp_len..(u + 1) * bp_len];
             crate::gemm::gemm_block_prepacked(ablock, bp, cspan, i1 - i0, n, k1);
@@ -1169,11 +1267,12 @@ fn matmul_impl(a: ArrayView<'_>, b: ArrayView<'_>, ws: Option<&mut Workspace>, k
             ws.give(bpack);
         }
     } else {
+        let (a_rows, b_rows) = (a.row_major(), b.row_major());
         crate::parallel::for_each_block(&mut out, n.max(1), work, |item, orow| {
             let (bi, i) = (item / m, item % m);
             let abase = abases[bi];
-            let arow = &a.data[abase + i * k1..abase + (i + 1) * k1];
-            let bm = &b.data[bbases[bi]..bbases[bi] + eb];
+            let arow = &a_rows[abase + i * k1..abase + (i + 1) * k1];
+            let bm = &b_rows[bbases[bi]..bbases[bi] + eb];
             matmul_row(arow, bm, orow, n, skip_zeros);
         });
     }
@@ -1206,12 +1305,15 @@ const DENSITY_PROBE_MAX: usize = 4096;
 /// Small operands are scanned in full. Larger ones are probed at a fixed
 /// deterministic stride chosen odd and not divisible by 3, so the sample
 /// cannot alias the period-2/3/4/6 zero patterns that interleaved or
-/// padded operands produce. The probe reads only operand data and length,
-/// never the thread count, so the dispatch decision — and therefore the
-/// result bits — are identical at every `DHGCN_THREADS` value. A wrong
-/// density guess on an adversarial pattern costs only speed, never
-/// correctness: both kernels compute the same product.
-fn mostly_zero(data: &[f32]) -> bool {
+/// padded operands produce. The stride walks the operand's *logical*
+/// row-major order, which `index` maps to a position in `data`, so a
+/// transposed operand samples the elements its materialised copy would.
+/// The probe reads only operand data and length, never the thread count,
+/// so the dispatch decision — and therefore the result bits — are
+/// identical at every `DHGCN_THREADS` value. A wrong density guess on an
+/// adversarial pattern costs only speed, never correctness: both kernels
+/// compute the same product.
+fn mostly_zero(data: &[f32], index: impl Fn(usize) -> usize) -> bool {
     if data.len() <= DENSITY_PROBE_MAX {
         let zeros = data.iter().filter(|&&v| v == 0.0).count();
         return zeros * 2 > data.len();
@@ -1224,7 +1326,7 @@ fn mostly_zero(data: &[f32]) -> bool {
     let (mut zeros, mut probed) = (0usize, 0usize);
     let mut i = 0;
     while i < data.len() {
-        if data[i] == 0.0 {
+        if data[index(i)] == 0.0 {
             zeros += 1;
         }
         probed += 1;
@@ -1316,6 +1418,15 @@ fn swap_axis_groups(src: &[f32], dst: &mut [f32], rows: usize, cols: usize, inne
             }
         }
     }
+}
+
+/// Whether a kernel one column wide, at unit width stride and with no
+/// width padding, maps each output row onto one whole input row (and
+/// `Wo = W`): `im2col` then copies, and `col2im` adds, whole rows instead
+/// of testing every element's column against the bounds. Every `k×1`
+/// temporal and `1×1` pointwise kernel qualifies.
+fn whole_rows(kw: usize, sw: usize, pw: usize) -> bool {
+    kw == 1 && sw == 1 && pw == 0
 }
 
 /// Output spatial size of a 2-D convolution. Panics when the padded input
@@ -1673,6 +1784,7 @@ mod tests {
     fn density_probe_decision_is_unchanged_by_sampling() {
         // Small operands: exact scan. An incidence-like pattern (2 of 3
         // zero) reads sparse; a dense weight block reads dense.
+        let mostly_zero = |d: &[f32]| mostly_zero(d, |i| i);
         assert!(mostly_zero(&[0.0, 0.0, 1.0, 0.0, 0.0, 2.0]));
         assert!(!mostly_zero(&[1.0; 100]));
 

@@ -1,6 +1,6 @@
 //! Packed cache-blocked GEMM microkernel — the dense hot path behind
-//! [`crate::NdArray::matmul`] and therefore behind every conv (via im2col)
-//! and every dense hypergraph propagation.
+//! [`crate::NdArray::matmul`] and therefore behind every conv and every
+//! dense hypergraph propagation.
 //!
 //! ## Structure (BLIS-style)
 //!
@@ -14,9 +14,11 @@
 //!     for each (MR × NR) tile: microkernel → C tile
 //! ```
 //!
-//! Packing B outside the parallel region is what lets the sharding grain
-//! shrink with the thread count for free: a per-worker B pack would
-//! multiply the packing cost by the number of row-blocks.
+//! Packing B before the row-block workers start is what lets the sharding
+//! grain shrink with the thread count for free: a per-worker B pack would
+//! multiply the packing cost by the number of row-blocks. (The distinct B
+//! images of a batched product are themselves packed in parallel, one
+//! image per closure call.)
 //!
 //! The microkernel keeps an `MR×NR = 6×16` accumulator in registers (12
 //! YMM accumulators + an A broadcast + a B load on AVX2 — inside the 16
@@ -25,6 +27,15 @@
 //! AVX2+FMA, a `#[target_feature]` variant uses `f32::mul_add` to get
 //! fused `vfmadd` instructions; the portable fallback uses mul+add. The
 //! choice is a one-time CPUID probe — never data- or thread-dependent.
+//!
+//! ## Operands read where they lie
+//!
+//! Both packers read an [`Operand`]: a row-major matrix, or the row-major
+//! image of its transpose. A product such as `g·Bᵀ` or `Aᵀ·g` (every
+//! matmul and conv backward) therefore packs the stored matrix directly
+//! instead of first copying out its transpose. Either layout packs the
+//! same values into the same panel positions, so the microkernel — and
+//! every output bit — cannot tell them apart.
 //!
 //! ## Determinism contract
 //!
@@ -105,7 +116,32 @@ pub fn packed_b_len(k: usize, n: usize) -> usize {
     k * n.div_ceil(NR) * NR
 }
 
-/// Pack all of `b` (`[k, n]` row-major) into the panel layout the
+/// A GEMM operand read in place: a logical matrix stored either row-major
+/// with row stride `ld` — element `(i, p)` at `data[i·ld + p]` — or as the
+/// row-major image of its transpose — element `(i, p)` at `data[p·ld + i]`.
+/// The packers read both layouts into identical panels, so a transposed
+/// operand is never copied out before its product.
+#[derive(Clone, Copy, Debug)]
+pub struct Operand<'a> {
+    data: &'a [f32],
+    ld: usize,
+    trans: bool,
+}
+
+impl<'a> Operand<'a> {
+    /// A row-major matrix whose rows start `ld` floats apart.
+    pub fn rows(data: &'a [f32], ld: usize) -> Self {
+        Operand { data, ld, trans: false }
+    }
+
+    /// The transpose of the row-major matrix `data` (row stride `ld`):
+    /// logical row `i` is stored column `i`.
+    pub fn transposed(data: &'a [f32], ld: usize) -> Self {
+        Operand { data, ld, trans: true }
+    }
+}
+
+/// Pack all of `b` (a logical `[k, n]` matrix) into the panel layout the
 /// microkernel consumes: KC blocks in `k` order, each holding
 /// `n.div_ceil(NR)` NR-column k-major panels. The block starting at depth
 /// `pc` sits at float offset `pc * n.div_ceil(NR) * NR`; within it, panel
@@ -113,12 +149,16 @@ pub fn packed_b_len(k: usize, n: usize) -> usize {
 /// past the matrix edge packed as zeros. Every position is written, so
 /// `bp` may come back dirty from a [`Workspace`].
 ///
-/// Packing is done **once per distinct B operand, outside the parallel
-/// region** — row-block workers share the result read-only.
-pub fn pack_b_full(b: &[f32], bp: &mut [f32], n: usize, k: usize) {
-    debug_assert_eq!(b.len(), k * n, "pack_b_full: rhs size");
+/// A row-major `b` is read one depth row at a time; a stored transpose one
+/// output column at a time (each a contiguous run of its stored row).
+/// Either way every panel position receives the same value.
+///
+/// Packing is done **once per distinct B operand, before the row-block
+/// workers start** — they share the result read-only.
+pub fn pack_b_full(b: Operand<'_>, bp: &mut [f32], n: usize, k: usize) {
     debug_assert_eq!(bp.len(), packed_b_len(k, n), "pack_b_full: pack buffer size");
     let n_padded = n.div_ceil(NR) * NR;
+    let ld = b.ld;
     let mut pc = 0;
     while pc < k {
         let kc = KC.min(k - pc);
@@ -127,25 +167,38 @@ pub fn pack_b_full(b: &[f32], bp: &mut [f32], n: usize, k: usize) {
             let j0 = s * NR;
             let nr_eff = NR.min(n - j0);
             let dst_panel = &mut block[s * NR * kc..(s + 1) * NR * kc];
-            for p in 0..kc {
-                let src = &b[(pc + p) * n + j0..(pc + p) * n + j0 + nr_eff];
-                let dst = &mut dst_panel[p * NR..(p + 1) * NR];
-                dst[..nr_eff].copy_from_slice(src);
-                dst[nr_eff..].fill(0.0);
+            if b.trans {
+                for j in 0..nr_eff {
+                    let src = &b.data[(j0 + j) * ld + pc..(j0 + j) * ld + pc + kc];
+                    for (p, &v) in src.iter().enumerate() {
+                        dst_panel[p * NR + j] = v;
+                    }
+                }
+                if nr_eff < NR {
+                    for dst in dst_panel.chunks_exact_mut(NR) {
+                        dst[nr_eff..].fill(0.0);
+                    }
+                }
+            } else {
+                for p in 0..kc {
+                    let src = &b.data[(pc + p) * ld + j0..(pc + p) * ld + j0 + nr_eff];
+                    let dst = &mut dst_panel[p * NR..(p + 1) * NR];
+                    dst[..nr_eff].copy_from_slice(src);
+                    dst[nr_eff..].fill(0.0);
+                }
             }
         }
         pc += kc;
     }
 }
 
-/// Compute one row-block `c = a · b_packed` where `a` is `mb×k` row-major
-/// and `bp` is the [`pack_b_full`] image of a `[k, n]` B. `c` may be
-/// dirty: the first `pc` block *assigns* and later blocks accumulate, so
-/// callers can draw it with [`Workspace::take`]. Only the A panels are
+/// Compute one row-block `c = a · b_packed` where `a` is a logical `mb×k`
+/// matrix and `bp` is the [`pack_b_full`] image of a `[k, n]` B. `c` may
+/// be dirty: the first `pc` block *assigns* and later blocks accumulate,
+/// so callers can draw it with [`Workspace::take`]. Only the A panels are
 /// packed here (into the thread-local arena) — this is the function each
 /// parallel row-block worker runs.
-pub fn gemm_block_prepacked(a: &[f32], bp: &[f32], c: &mut [f32], mb: usize, n: usize, k: usize) {
-    debug_assert_eq!(a.len(), mb * k, "gemm_block: lhs size");
+pub fn gemm_block_prepacked(a: Operand<'_>, bp: &[f32], c: &mut [f32], mb: usize, n: usize, k: usize) {
     debug_assert_eq!(bp.len(), packed_b_len(k, n), "gemm_block: packed rhs size");
     debug_assert_eq!(c.len(), mb * n, "gemm_block: out size");
     if mb == 0 || n == 0 {
@@ -164,7 +217,7 @@ pub fn gemm_block_prepacked(a: &[f32], bp: &[f32], c: &mut [f32], mb: usize, n: 
         let mut pc = 0;
         while pc < k {
             let kc = kc_max.min(k - pc);
-            pack_a(a, k, pc, kc, mb, &mut apack);
+            pack_a(a, pc, kc, mb, &mut apack);
             let first = pc == 0;
             let block = &bp[pc * n_padded..(pc + kc) * n_padded];
             for q in 0..a_panels {
@@ -201,8 +254,7 @@ pub fn gemm_block_prepacked(a: &[f32], bp: &[f32], c: &mut [f32], mb: usize, n: 
 /// the thread-local arena and runs the row-block kernel. Hot paths that
 /// shard one product over many row-blocks must pre-pack instead, or B is
 /// re-packed per block.
-pub fn gemm_block(a: &[f32], b: &[f32], c: &mut [f32], mb: usize, n: usize, k: usize) {
-    debug_assert_eq!(b.len(), k * n, "gemm_block: rhs size");
+pub fn gemm_block(a: Operand<'_>, b: Operand<'_>, c: &mut [f32], mb: usize, n: usize, k: usize) {
     if mb == 0 || n == 0 {
         return;
     }
@@ -216,17 +268,31 @@ pub fn gemm_block(a: &[f32], b: &[f32], c: &mut [f32], mb: usize, n: usize, k: u
     PACK_ARENA.with(|arena| arena.borrow_mut().give(bp));
 }
 
-/// Pack `a[0..mb, pc..pc+kc]` (row stride `k`) into MR-row panels laid out
-/// k-major: `apack[q·MR·kc + p·MR + i]` holds row `q·MR+i`, depth `pc+p`.
-/// Rows past `mb` pack as zeros so the microkernel never branches on the
-/// row edge. Every position is written — the buffer may be dirty.
-fn pack_a(a: &[f32], k: usize, pc: usize, kc: usize, mb: usize, apack: &mut [f32]) {
+/// Pack `a[0..mb, pc..pc+kc]` into MR-row panels laid out k-major:
+/// `apack[q·MR·kc + p·MR + i]` holds row `q·MR+i`, depth `pc+p`. Rows past
+/// `mb` pack as zeros so the microkernel never branches on the row edge.
+/// Every position is written — the buffer may be dirty. A row-major `a`
+/// is read one row at a time; a stored transpose one depth at a time,
+/// where the panel's rows lie contiguous. Either way every panel position
+/// receives the same value.
+pub fn pack_a(a: Operand<'_>, pc: usize, kc: usize, mb: usize, apack: &mut [f32]) {
+    let ld = a.ld;
     for q in 0..mb.div_ceil(MR) {
         let dst = &mut apack[q * MR * kc..(q + 1) * MR * kc];
+        let i0 = q * MR;
+        let mr_eff = MR.min(mb - i0);
+        if a.trans {
+            for (p, d) in dst.chunks_exact_mut(MR).enumerate() {
+                let src = &a.data[(pc + p) * ld + i0..(pc + p) * ld + i0 + mr_eff];
+                d[..mr_eff].copy_from_slice(src);
+                d[mr_eff..].fill(0.0);
+            }
+            continue;
+        }
         for ii in 0..MR {
-            let i = q * MR + ii;
+            let i = i0 + ii;
             if i < mb {
-                let src = &a[i * k + pc..i * k + pc + kc];
+                let src = &a.data[i * ld + pc..i * ld + pc + kc];
                 for (p, &v) in src.iter().enumerate() {
                     dst[p * MR + ii] = v;
                 }
@@ -370,7 +436,7 @@ mod tests {
         let b = fill(n as u64 * 17 + 2, k * n);
         // dirty output: the packed kernel must fully overwrite it
         let mut c = vec![f32::NAN; mb * n];
-        gemm_block(&a, &b, &mut c, mb, n, k);
+        gemm_block(Operand::rows(&a, k), Operand::rows(&b, n), &mut c, mb, n, k);
         let want = naive(&a, &b, mb, n, k);
         for (i, (got, want)) in c.iter().zip(&want).enumerate() {
             assert!(
@@ -406,7 +472,7 @@ mod tests {
     #[test]
     fn k_zero_zeroes_a_dirty_output() {
         let mut c = vec![f32::NAN; 12];
-        gemm_block(&[], &[], &mut c, 3, 4, 0);
+        gemm_block(Operand::rows(&[], 0), Operand::rows(&[], 4), &mut c, 3, 4, 0);
         assert!(c.iter().all(|&v| v == 0.0));
     }
 
@@ -431,15 +497,15 @@ mod tests {
         let a = fill(3, m * k);
         let b = fill(4, k * n);
         let mut whole = vec![f32::NAN; m * n];
-        gemm_block(&a, &b, &mut whole, m, n, k);
+        gemm_block(Operand::rows(&a, k), Operand::rows(&b, n), &mut whole, m, n, k);
         for rb in [MR, 2 * MR, 3 * MR] {
             let mut split = vec![f32::NAN; m * n];
             let mut i0 = 0;
             while i0 < m {
                 let i1 = (i0 + rb).min(m);
                 gemm_block(
-                    &a[i0 * k..i1 * k],
-                    &b,
+                    Operand::rows(&a[i0 * k..i1 * k], k),
+                    Operand::rows(&b, n),
                     &mut split[i0 * n..i1 * n],
                     i1 - i0,
                     n,

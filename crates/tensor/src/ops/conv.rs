@@ -1,9 +1,10 @@
-//! 2-D convolution via `im2col` + batched matmul.
+//! 2-D convolution as one autograd node over the packed GEMM.
 //!
 //! The skeleton models use `[N, C, T, V]` tensors where `T` is time and `V`
 //! is the joint dimension; temporal convolutions are `k×1` kernels over `T`
 //! with optional stride and dilation, which this general implementation
-//! covers.
+//! covers, and every other convolution is a pointwise (`1×1`) channel
+//! mixer.
 
 use crate::autograd::{Backward, BackwardCtx};
 use crate::{NdArray, Tensor};
@@ -73,73 +74,105 @@ impl Conv2dSpec {
     }
 }
 
-struct Im2ColOp {
+/// The one autograd node of [`Tensor::conv2d`]. It keeps the im2col
+/// columns of a convolution that needs them (`k×1`, strided or padded
+/// kernels) for the weight gradient; a unit-stride `1×1` convolution keeps
+/// nothing, because its columns are its input.
+struct Conv2dOp {
     spec: Conv2dSpec,
-    in_shape: Vec<usize>,
+    cols: Option<NdArray>,
 }
 
-impl Backward for Im2ColOp {
-    fn backward(&self, g: NdArray, _ctx: &BackwardCtx<'_>) -> Vec<Option<NdArray>> {
-        let s = &self.spec;
-        let (c, h, w) = (self.in_shape[1], self.in_shape[2], self.in_shape[3]);
-        vec![Some(g.col2im(
-            c, h, w, s.kernel.0, s.kernel.1, s.stride.0, s.stride.1, s.padding.0, s.padding.1,
-            s.dilation.0, s.dilation.1,
-        ))]
+impl Backward for Conv2dOp {
+    fn backward(&self, g: NdArray, ctx: &BackwardCtx<'_>) -> Vec<Option<NdArray>> {
+        let x = ctx.parents[0].data();
+        let w = ctx.parents[1].data();
+        let (n, cout) = (g.shape()[0], g.shape()[1]);
+        let l = g.shape()[2] * g.shape()[3];
+        let w2d = [cout, w.shape()[1..].iter().product()];
+        let cols_shape = [n, w2d[1], l];
+        // db: g summed over every axis but the channel (the axes a
+        // broadcast bias add would reduce)
+        let db = ctx.parents.get(2).map(|b| {
+            b.requires_grad().then(|| {
+                let axes: Vec<usize> = [0, 2, 3].into_iter().filter(|&d| g.shape()[d] != 1).collect();
+                g.sum_axes(&axes, true).into_shape(&[cout])
+            })
+        });
+        let g = g.into_shape(&[n, cout, l]);
+        // dW = Σ_n g·colsᵀ, the columns' transpose packed where it lies
+        let dw = ctx.parents[1].requires_grad().then(|| {
+            let cols = match &self.cols {
+                Some(cols) => cols.view(),
+                None => x.view_as(&cols_shape),
+            };
+            g.view().matmul(cols.t()).reduce_to_shape(&w2d).into_shape(w.shape())
+        });
+        // dx = Wᵀ·g, folded back onto the input unless the columns are it
+        let dx = ctx.parents[0].requires_grad().then(|| {
+            let dcols = w.view_as(&w2d).t().matmul(g.view());
+            if self.cols.is_none() {
+                return dcols.into_shape(x.shape());
+            }
+            let s = &self.spec;
+            let (c, h, wd) = (x.shape()[1], x.shape()[2], x.shape()[3]);
+            dcols.col2im(
+                c, h, wd, s.kernel.0, s.kernel.1, s.stride.0, s.stride.1, s.padding.0, s.padding.1,
+                s.dilation.0, s.dilation.1,
+            )
+        });
+        let mut grads = vec![dx, dw];
+        grads.extend(db);
+        grads
     }
 
     fn name(&self) -> &'static str {
-        "im2col"
+        "conv2d"
     }
 }
 
 impl Tensor {
-    /// Unfold `[N, C, H, W]` into `[N, C·kh·kw, Ho·Wo]` columns. The
-    /// gradient is the adjoint scatter-add (`col2im`).
-    pub fn im2col(&self, spec: Conv2dSpec) -> Tensor {
-        let in_shape = self.shape();
-        assert_eq!(in_shape.len(), 4, "im2col expects [N, C, H, W]");
-        let out = self.data().im2col(
-            spec.kernel.0,
-            spec.kernel.1,
-            spec.stride.0,
-            spec.stride.1,
-            spec.padding.0,
-            spec.padding.1,
-            spec.dilation.0,
-            spec.dilation.1,
-        );
-        Tensor::from_op(out, vec![self.clone()], Box::new(Im2ColOp { spec, in_shape }))
-    }
-
     /// 2-D convolution: `self` is `[N, Cin, H, W]`, `weight` is
     /// `[Cout, Cin, kh, kw]`, optional `bias` is `[Cout]`. Returns
     /// `[N, Cout, Ho, Wo]`.
     ///
-    /// Implemented as `im2col` + batched matmul so the gradient reuses the
-    /// (independently verified) matmul and `col2im` adjoints.
+    /// One autograd node: the output is the packed product of the
+    /// `[Cout, Cin·kh·kw]` weight with the im2col columns, read in place
+    /// as a `[N, Cout, Ho, Wo]` array, with the bias added in place. A
+    /// unit-stride `1×1` convolution multiplies the input itself, so it
+    /// builds no columns and its input gradient folds nothing back.
     pub fn conv2d(&self, weight: &Tensor, bias: Option<&Tensor>, spec: Conv2dSpec) -> Tensor {
-        let in_shape = self.shape();
-        let w_shape = weight.shape();
+        let x = self.data();
+        let w = weight.data();
+        let (in_shape, w_shape) = (x.shape(), w.shape());
         assert_eq!(in_shape.len(), 4, "conv2d input must be [N, Cin, H, W]");
         assert_eq!(w_shape.len(), 4, "conv2d weight must be [Cout, Cin, kh, kw]");
         assert_eq!(in_shape[1], w_shape[1], "conv2d channel mismatch");
         assert_eq!((w_shape[2], w_shape[3]), spec.kernel, "conv2d kernel/spec mismatch");
         let (n, cout) = (in_shape[0], w_shape[0]);
         let (ho, wo) = spec.out_size(in_shape[2], in_shape[3]);
-        let ckk = w_shape[1] * w_shape[2] * w_shape[3];
-
-        let cols = self.im2col(spec); // [N, CKK, L]
-        let w2d = weight.reshape(&[cout, ckk]); // broadcast over batch
-        let out = w2d.matmul(&cols); // [N, Cout, L]
-        let out = out.reshape(&[n, cout, ho, wo]);
-        match bias {
-            Some(b) => {
-                assert_eq!(b.shape(), vec![cout], "conv2d bias must be [Cout]");
-                out.add(&b.reshape(&[1, cout, 1, 1]))
-            }
-            None => out,
+        let w2d = [cout, w_shape[1] * w_shape[2] * w_shape[3]];
+        let cols_shape = [n, w2d[1], ho * wo];
+        let s = &spec;
+        let cols = (!s.columns_are_input()).then(|| {
+            x.im2col(
+                s.kernel.0, s.kernel.1, s.stride.0, s.stride.1, s.padding.0, s.padding.1,
+                s.dilation.0, s.dilation.1,
+            )
+        });
+        let cols_view = match &cols {
+            Some(cols) => cols.view(),
+            None => x.view_as(&cols_shape),
+        };
+        let mut out = w.view_as(&w2d).matmul(cols_view).into_shape(&[n, cout, ho, wo]);
+        let mut parents = vec![self.clone(), weight.clone()];
+        if let Some(b) = bias {
+            assert_eq!(b.shape(), vec![cout], "conv2d bias must be [Cout]");
+            out.bias_relu_inplace(b.data().data(), false);
+            parents.push(b.clone());
         }
+        drop((x, w));
+        Tensor::from_op(out, parents, Box::new(Conv2dOp { spec, cols }))
     }
 }
 

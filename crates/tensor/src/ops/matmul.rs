@@ -10,12 +10,13 @@ impl Backward for MatmulOp {
         let a = ctx.parents[0].data();
         let b = ctx.parents[1].data();
         // dA = g @ Bᵀ, dB = Aᵀ @ g — then sum away broadcast batch dims.
+        // The transposes are read where the operands lie (`ArrayView::t`).
         let ga = ctx.parents[0]
             .requires_grad()
-            .then(|| g.matmul(&b.transpose_last2()).reduce_to_shape(a.shape()));
+            .then(|| g.view().matmul(b.view().t()).reduce_to_shape(a.shape()));
         let gb = ctx.parents[1]
             .requires_grad()
-            .then(|| a.transpose_last2().matmul(&g).reduce_to_shape(b.shape()));
+            .then(|| a.view().t().matmul(g.view()).reduce_to_shape(b.shape()));
         vec![ga, gb]
     }
 

@@ -12,11 +12,18 @@
 //!    `k` and the constant KC block size, never on the row-block split or
 //!    thread assignment.
 //!
+//! 3. **Transposed operands** — packing a stored transpose gives the
+//!    panels of its materialised copy, bit for bit, and a product read
+//!    through transposed views ([`ArrayView::t`](dhg_tensor::ArrayView::t))
+//!    equals `transpose_last2()` + `matmul` bit for bit, whichever kernel
+//!    the density probe picks.
+//!
 //! Shapes cover rectangular, degenerate (`m = 1`, `k = 1`, `n` not a
 //! multiple of the register tile) and broadcast-batched products.
 
+use dhg_tensor::gemm::{pack_a, pack_b_full, packed_b_len, Operand, KC, MR};
 use dhg_tensor::parallel::with_threads;
-use dhg_tensor::NdArray;
+use dhg_tensor::{ArrayView, NdArray, Workspace};
 use proptest::prelude::*;
 
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -71,6 +78,173 @@ fn check_pinned(a: &NdArray, b: &NdArray) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// `x` with every element whose position hashes below `zero_frac` set to
+/// zero. Near one half, the density probe's verdict turns on exactly which
+/// positions it samples.
+fn with_zeros(x: NdArray, zero_frac: f64, seed: u64) -> NdArray {
+    let shape = x.shape().to_vec();
+    let mut data = x.into_vec();
+    for (i, v) in data.iter_mut().enumerate() {
+        let h = (i as u64 ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(29);
+        if (h >> 11) as f64 / (1u64 << 53) as f64 <= zero_frac {
+            *v = 0.0;
+        }
+    }
+    NdArray::from_vec(data, &shape)
+}
+
+/// `x` read as its transpose when `t`, without copying.
+fn view(x: &NdArray, t: bool) -> ArrayView<'_> {
+    if t {
+        x.view().t()
+    } else {
+        x.view()
+    }
+}
+
+/// `x` with its transpose materialised when `t`.
+fn materialised(x: &NdArray, t: bool) -> NdArray {
+    if t {
+        x.transpose_last2()
+    } else {
+        x.clone()
+    }
+}
+
+/// The product of the stored operands `a` and `b`, each read as its
+/// transpose where flagged: through views (auto dispatch and the forced
+/// packed kernel) against `transpose_last2()` + `matmul`, bit for bit.
+/// Returns the auto result.
+fn check_transposed(a: &NdArray, ta: bool, b: &NdArray, tb: bool) -> Result<NdArray, String> {
+    let (am, bm) = (materialised(a, ta), materialised(b, tb));
+    let got = view(a, ta).matmul(view(b, tb));
+    if bits(&got) != bits(&am.matmul(&bm)) {
+        return Err(format!("auto: {:?}{} x {:?}{}", a.shape(), ["", "ᵀ"][ta as usize], b.shape(), ["", "ᵀ"][tb as usize]));
+    }
+    let packed = view(a, ta).matmul_packed_ws(view(b, tb), &mut Workspace::new());
+    if bits(&packed) != bits(&am.matmul_packed(&bm)) {
+        return Err(format!("packed: {:?}{} x {:?}{}", a.shape(), ["", "ᵀ"][ta as usize], b.shape(), ["", "ᵀ"][tb as usize]));
+    }
+    Ok(got)
+}
+
+/// The stored image of a logical `[.., rows, cols]` operand: the operand
+/// itself, or its transpose when it is to be read through `t()`.
+fn stored(batch: &[usize], rows: usize, cols: usize, t: bool, seed: u64) -> NdArray {
+    let mut shape = batch.to_vec();
+    shape.extend(if t { [cols, rows] } else { [rows, cols] });
+    filled(&shape, seed)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    #[test]
+    fn packing_a_stored_transpose_gives_the_materialised_panels(
+        rows in 1usize..40,
+        depth in 1usize..40,
+        deep in any::<bool>(),
+        seed in 0u64..1000,
+    ) {
+        // k past KC packs a second, ragged depth block; rows not a
+        // multiple of MR or NR leave ragged edge panels
+        let k = depth + if deep { KC } else { 0 };
+        let b = filled(&[k, rows], seed);
+        let bt = b.transpose_last2();
+        let mut want = vec![f32::NAN; packed_b_len(k, rows)];
+        let mut got = vec![f32::NAN; packed_b_len(k, rows)];
+        pack_b_full(Operand::rows(b.data(), rows), &mut want, rows, k);
+        pack_b_full(Operand::transposed(bt.data(), k), &mut got, rows, k);
+        let panel_bits = |p: &[f32]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(panel_bits(&got), panel_bits(&want));
+
+        let a = filled(&[rows, k], seed ^ 0x5A5A);
+        let at = a.transpose_last2();
+        let mut pc = 0;
+        while pc < k {
+            let kc = KC.min(k - pc);
+            let mut want = vec![f32::NAN; rows.div_ceil(MR) * MR * kc];
+            let mut got = want.clone();
+            pack_a(Operand::rows(a.data(), k), pc, kc, rows, &mut want);
+            pack_a(Operand::transposed(at.data(), rows), pc, kc, rows, &mut got);
+            prop_assert_eq!(panel_bits(&got), panel_bits(&want), "depth block {}", pc);
+            pc += kc;
+        }
+    }
+
+    #[test]
+    fn transposed_operands_match_the_materialised_transpose(
+        nb in 1usize..4,
+        side in 0usize..3,
+        m in 1usize..24,
+        one_row in any::<bool>(),
+        depth in 1usize..40,
+        deep in any::<bool>(),
+        n in 1usize..40,
+        ta in any::<bool>(),
+        tb in any::<bool>(),
+        seed in 0u64..1000,
+    ) {
+        // m = 1, k past KC, ragged n, and the batch broadcast on either
+        // side (side 0: both batched, 1: A only, 2: B only)
+        let m = if one_row { 1 } else { m };
+        let k = depth + if deep { KC } else { 0 };
+        let (ba, bb): (&[usize], &[usize]) = match side {
+            0 => (&[nb], &[nb]),
+            1 => (&[nb], &[]),
+            _ => (&[1], &[nb]),
+        };
+        let a = stored(ba, m, k, ta, seed);
+        let b = stored(bb, k, n, tb, seed ^ 0x3C3C);
+        let r = check_transposed(&a, ta, &b, tb);
+        prop_assert!(r.is_ok(), "{:?}", r.err());
+    }
+}
+
+/// Operands near half zeros, large enough for the strided density probe:
+/// a transposed A must sample its logical order (else the kernel choice,
+/// and with it the bits, can flip), a transposed operand routed to the
+/// zero-skip row kernel is materialised, and both probe verdicts occur.
+#[test]
+fn near_half_zero_operands_keep_the_probe_verdict() {
+    let (nb, m, k, n) = (3, 40, 70, 33);
+    assert!(nb * m * k > 4096, "the strided probe must run");
+    let (mut row_kernel, mut packed_kernel) = (0, 0);
+    for step in 0..=20 {
+        let frac = 0.40 + 0.01 * step as f64;
+        for (ta, tb) in [(false, true), (true, false), (true, true)] {
+            let a = with_zeros(stored(&[nb], m, k, ta, step), frac, step ^ 0x77);
+            let b = stored(&[], k, n, tb, step ^ 0x99);
+            let got = check_transposed(&a, ta, &b, tb).unwrap();
+            let (am, bm) = (materialised(&a, ta), materialised(&b, tb));
+            if bits(&got) == bits(&am.matmul_reference(&bm)) {
+                row_kernel += 1;
+            } else {
+                assert_eq!(bits(&got), bits(&am.matmul_packed(&bm)), "frac {frac}");
+                packed_kernel += 1;
+            }
+        }
+    }
+    assert!(row_kernel > 0 && packed_kernel > 0, "row {row_kernel}, packed {packed_kernel}");
+}
+
+/// Enough distinct B images that they pack in parallel: transposed or
+/// not, the product is the same bits at every thread count.
+#[test]
+fn parallel_packing_of_transposed_images_is_thread_invariant() {
+    let (nb, m, k, n) = (8, 24, 64, 600);
+    assert!(nb * packed_b_len(k, n) >= dhg_tensor::parallel::MIN_PARALLEL_WORK);
+    for tb in [false, true] {
+        let a = filled(&[m, k], 5);
+        let b = stored(&[nb], k, n, tb, 6);
+        let want = with_threads(1, || check_transposed(&a, false, &b, tb).unwrap());
+        for &t in &THREADS[1..] {
+            let got = with_threads(t, || check_transposed(&a, false, &b, tb).unwrap());
+            assert_eq!(bits(&got), bits(&want), "{t} threads, tb = {tb}");
+        }
+    }
 }
 
 proptest! {

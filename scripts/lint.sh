@@ -20,6 +20,7 @@
 #   DL004  `unsafe` without a SAFETY: comment
 #   DL005  unwrap/expect/assert on the serving request path
 #   DL006  retry loops without backoff on the serving request path
+#   DL007  materialised transpose as a matmul operand in hot-path crates
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -85,8 +85,8 @@ fn training_is_deterministic_given_seeds() {
 
 #[test]
 fn training_forward_builds_the_pinned_graph() {
-    // Counted on the building thread: an unfused BatchNorm or a stray node
-    // changes these numbers.
+    // Counted on the building thread: an unfused BatchNorm or convolution,
+    // or a stray node, changes these numbers.
     use dhgcn::skeleton::{batch_samples, SkeletonSample};
     use dhgcn::tensor::graph_nodes_created;
     let dataset = SkeletonDataset::ntu60_like(4, 2, 32, 5);
@@ -99,11 +99,20 @@ fn training_forward_builds_the_pinned_graph() {
     bn.forward(&x);
     assert_eq!(graph_nodes_created() - before, 1, "a training BatchNorm2d is one node");
 
+    for conv in [
+        dhgcn::nn::Conv2d::pointwise(3, 4, &mut rand_seed(0)),
+        dhgcn::nn::Conv2d::temporal(3, 4, 3, 2, 2, &mut rand_seed(0)),
+    ] {
+        let before = graph_nodes_created();
+        conv.forward(&x);
+        assert_eq!(graph_nodes_created() - before, 1, "a biased Conv2d is one node");
+    }
+
     let mut model = Zoo::new(dataset.topology.clone(), 60, 0).dhgcn();
     model.set_training(true);
     let before = graph_nodes_created();
     let _loss = model.forward(&x).cross_entropy(&labels);
-    assert_eq!(graph_nodes_created() - before, 177, "Zoo::new DHGCN training forward + cross_entropy");
+    assert_eq!(graph_nodes_created() - before, 92, "Zoo::new DHGCN training forward + cross_entropy");
 }
 
 #[test]

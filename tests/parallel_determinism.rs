@@ -10,6 +10,7 @@ use dhgcn::hypergraph::{
 };
 use dhgcn::prelude::*;
 use dhgcn::skeleton::{batch_samples, static_hypergraph, SkeletonSample};
+use dhgcn::tensor::gemm::packed_b_len;
 use dhgcn::tensor::ops::Conv2dSpec;
 use dhgcn::tensor::parallel::{num_threads, with_threads, MIN_PARALLEL_WORK};
 use proptest::prelude::*;
@@ -82,24 +83,50 @@ fn sparse_lhs_matmul_is_bitwise_identical_across_thread_counts() {
 
 #[test]
 fn conv2d_forward_and_backward_are_bitwise_identical() {
-    // [4, 8, 64, 25] through a temporal 3×1 conv: the internal batched
-    // matmul clears the parallel threshold (4·16·1600·24 ≈ 2.5M ops)
-    let x0 = random_array(&[4, 8, 64, 25], 5);
-    let w0 = random_array(&[16, 8, 3, 1], 6);
-    let spec = Conv2dSpec::temporal(3, 1, 1);
-    let run = || {
-        let x = Tensor::param(x0.clone());
-        let w = Tensor::param(w0.clone());
-        let y = x.conv2d(&w, None, spec);
-        y.sum_all().backward();
-        (y.array(), x.grad().unwrap(), w.grad().unwrap())
-    };
-    let (sy, sgx, sgw) = with_threads(1, run);
-    for t in THREADS {
-        let (py, pgx, pgw) = with_threads(t, run);
-        assert_bitwise_eq(&sy, &py, &format!("conv2d forward, threads = {t}"));
-        assert_bitwise_eq(&sgx, &pgx, &format!("conv2d input grad, threads = {t}"));
-        assert_bitwise_eq(&sgw, &pgw, &format!("conv2d weight grad, threads = {t}"));
+    // Three convolution nodes: an unbiased 3×1 (im2col columns), a biased
+    // 1×1 (the input is its own columns: no im2col, no col2im) and a
+    // biased, strided, dilated 3×1. At [8, 24, 64, 25] into 48 channels
+    // every product's distinct B images — forward, dW and dx — hold more
+    // than MIN_PARALLEL_WORK floats, so they are packed in parallel.
+    let x0 = random_array(&[8, 24, 64, 25], 5);
+    let cases = [
+        ("3x1", Conv2dSpec::temporal(3, 1, 1), false),
+        ("biased 1x1", Conv2dSpec::pointwise(), true),
+        ("biased 3x1 stride 2 dilation 2", Conv2dSpec::temporal(3, 2, 2), true),
+    ];
+    for (i, (what, spec, biased)) in cases.into_iter().enumerate() {
+        let (kh, kw) = spec.kernel;
+        let (cin, cout, ckk) = (24, 48, 24 * kh * kw);
+        let (ho, wo) = spec.out_size(64, 25);
+        let l = ho * wo;
+        // forward W·cols, dW = g·colsᵀ, dx = Wᵀ·g: 8 distinct B images each
+        for (k, n) in [(ckk, l), (l, ckk), (cout, l)] {
+            assert!(8 * packed_b_len(k, n) > MIN_PARALLEL_WORK, "{what}: [{k}, {n}] packs serially");
+        }
+        let w0 = random_array(&[cout, cin, kh, kw], 6 + i as u64);
+        let b0 = random_array(&[cout], 9 + i as u64);
+        let r = Tensor::constant(random_array(&[8, cout, ho, wo], 12 + i as u64));
+        let run = || {
+            let x = Tensor::param(x0.clone());
+            let w = Tensor::param(w0.clone());
+            let b = biased.then(|| Tensor::param(b0.clone()));
+            let y = x.conv2d(&w, b.as_ref(), spec);
+            // a weighted sum, so every output position has its own gradient
+            y.mul(&r).sum_all().backward();
+            let gb = b.map(|b| b.grad().unwrap());
+            (y.array(), x.grad().unwrap(), w.grad().unwrap(), gb)
+        };
+        let (sy, sgx, sgw, sgb) = with_threads(1, run);
+        for t in THREADS {
+            let (py, pgx, pgw, pgb) = with_threads(t, run);
+            assert_bitwise_eq(&sy, &py, &format!("{what} conv2d forward, threads = {t}"));
+            assert_bitwise_eq(&sgx, &pgx, &format!("{what} conv2d input grad, threads = {t}"));
+            assert_bitwise_eq(&sgw, &pgw, &format!("{what} conv2d weight grad, threads = {t}"));
+            assert_eq!(sgb.is_some(), pgb.is_some());
+            if let (Some(s), Some(p)) = (&sgb, &pgb) {
+                assert_bitwise_eq(s, p, &format!("{what} conv2d bias grad, threads = {t}"));
+            }
+        }
     }
 }
 
