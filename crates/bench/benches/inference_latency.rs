@@ -1,20 +1,19 @@
-//! Serving-path latency: the same DHGCN-lite batch pushed through the
-//! three execution modes — grad-recording eval-mode `forward`, the default
-//! `no_grad` fallback, and the compiled inference path (Conv+BN folded,
-//! fused hypergraph operator cached, workspace-recycled buffers). All
-//! three modes ride the packed cache-blocked GEMM (`dhg_tensor::gemm`)
-//! for their dense conv and propagation matmuls, so this bench also
-//! tracks end-to-end regressions in the matmul dispatch.
-//!
-//! The setup asserts the mode contract before measuring anything: the
-//! no_grad path is bitwise identical to the grad path, and the folded path
-//! agrees within 1e-5 per logit.
+//! Serving-path latency: the same DHGCN-lite batch pushed through the two
+//! execution modes of its one forward — grad-recording eval mode and the
+//! served path, `InferenceSession::logits` (the eval forward under
+//! `no_grad`, with the session's workspace recycling buffers). Both ride
+//! the packed cache-blocked GEMM (`dhg_tensor::gemm`) for their dense
+//! conv and propagation matmuls, so this bench also tracks end-to-end
+//! regressions in the matmul dispatch. That the session serves exactly
+//! the `no_grad` eval forward is pinned by `dhg-train`'s
+//! `infer::tests::session_is_the_no_grad_eval_forward_and_builds_no_graph`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dhg_nn::Module;
 use dhg_skeleton::SkeletonTopology;
-use dhg_tensor::{NdArray, Tensor, Workspace};
+use dhg_tensor::{NdArray, Tensor};
 use dhg_train::zoo::Zoo;
+use dhg_train::InferenceSession;
 use std::hint::black_box;
 
 fn batch() -> Tensor {
@@ -26,34 +25,14 @@ fn batch() -> Tensor {
 
 fn bench_inference_latency(c: &mut Criterion) {
     let zoo = Zoo::new(SkeletonTopology::ntu25(), 8, 0);
-    let mut model = zoo.dhgcn_lite();
+    let model = zoo.dhgcn_lite();
     let x = batch();
     model.forward(&x); // move BN running stats off their init values
-    model.set_training(false);
-
-    // the contract the comparison rides on
-    let grad_logits = model.forward(&x).array();
-    let mut ws = Workspace::new();
-    let no_grad_logits = model.forward_inference(&x, &mut ws).array();
-    assert_eq!(grad_logits, no_grad_logits, "no_grad fallback must be bitwise identical");
-    model.prepare_inference();
-    let folded_logits = model.forward_inference(&x, &mut ws).array();
-    assert!(
-        grad_logits.allclose(&folded_logits, 1e-4, 1e-5),
-        "folded logits drifted past tolerance"
-    );
+    let mut session = InferenceSession::new(model);
 
     let mut group = c.benchmark_group("inference_latency_b8_t24");
-    group.bench_function("grad_eval", |b| b.iter(|| black_box(model.forward(&x))));
-    group.bench_function("no_grad", |b| {
-        b.iter(|| {
-            let _guard = dhg_tensor::no_grad();
-            black_box(model.forward(&x))
-        })
-    });
-    group.bench_function("folded", |b| {
-        b.iter(|| black_box(model.forward_inference(&x, &mut ws)))
-    });
+    group.bench_function("grad_eval", |b| b.iter(|| black_box(session.model().forward(&x))));
+    group.bench_function("session", |b| b.iter(|| black_box(session.logits(&x))));
     group.finish();
 }
 

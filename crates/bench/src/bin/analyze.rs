@@ -5,12 +5,14 @@
 //!
 //! 1. **shape compatibility** end-to-end at representative `[N, C, T, V]`
 //!    inputs (joint stream, bone stream and two-stream fusion),
-//! 2. **inference readiness** — warmed BatchNorm statistics, serving
-//!    caches prepared, and zero autograd nodes built on the compiled path,
+//! 2. **inference readiness** — warmed BatchNorm statistics,
 //! 3. **hypergraph incidence invariants** — binary `H`, full joint
 //!    coverage, normalised `Imp` weights, non-singular degree matrices,
-//! 4. **workspace aliasing** — one audited `forward_inference` pass per
-//!    model must report zero buffer-alias hazards,
+//! 4. **the serving path** — one `InferenceSession::logits` call per
+//!    model on `[x, 0, 0]` (a window beside two all-zero ones, like
+//!    cameras with no detection) and one on `x` alone: zero autograd
+//!    nodes, the `[3, K]` output shape, row 0 bitwise equal to the solo
+//!    logits, and zero workspace alias hazards,
 //! 5. **memory budget** (`--budget [BYTES]`) — every model's predicted
 //!    peak workspace (from the plan IR's static cost model) must fit the
 //!    serve workspace cap (default: `dhg_tensor::DEFAULT_BYTE_BUDGET`).
@@ -28,8 +30,9 @@
 use dhg_core::TwoStream;
 use dhg_nn::{analyze, DiagCode, Module, Plan, SymShape};
 use dhg_skeleton::SkeletonTopology;
-use dhg_tensor::{NdArray, Tensor, Workspace};
+use dhg_tensor::{NdArray, Tensor};
 use dhg_train::zoo::Zoo;
+use dhg_train::InferenceSession;
 use std::process::ExitCode;
 
 /// Deterministic representative batch `[n, 3, t, v]`.
@@ -40,13 +43,47 @@ fn batch(n: usize, t: usize, v: usize) -> Tensor {
     ))
 }
 
-/// Warm BN statistics with one training-mode pass, then compile for
-/// serving — the state a correctly deployed model is in.
+/// Warm BN statistics with one training-mode pass, then switch to eval
+/// mode — the state a correctly deployed model is in.
 fn warmed(zoo: &Zoo, name: &str, x: &Tensor) -> Box<dyn Module> {
     let mut m = zoo.by_name(name).unwrap_or_else(|| panic!("unknown model {name}"));
     m.forward(x);
-    m.prepare_inference();
+    m.set_training(false);
     m
+}
+
+/// `[x, 0, 0]`: the first window of `x` beside two all-zero windows.
+fn beside_zeros(x: &Tensor) -> Tensor {
+    let first = x.array().slice_axis(0, 0, 1);
+    let zeros = NdArray::zeros(&[2, first.shape()[1], first.shape()[2], first.shape()[3]]);
+    Tensor::constant(NdArray::concat(&[&first, &zeros], 0))
+}
+
+/// Serve `model` through an `InferenceSession`, once on `[x, 0, 0]` and
+/// once on `x`'s first window alone; every way the serving path breaks
+/// its contract, as one message each.
+fn audit_serving(model: Box<dyn Module>, x: &Tensor, classes: usize) -> Vec<String> {
+    let mut faults = Vec::new();
+    let mut session = InferenceSession::new(model);
+    let batch = beside_zeros(x);
+    let solo = Tensor::constant(batch.array().slice_axis(0, 0, 1));
+    let nodes_before = dhg_tensor::graph_nodes_created();
+    let batched = session.logits(&batch);
+    let alone = session.logits(&solo);
+    let nodes_built = dhg_tensor::graph_nodes_created() - nodes_before;
+    if nodes_built > 0 {
+        faults.push(format!("built {nodes_built} autograd node(s) while serving"));
+    }
+    if batched.shape() != [3, classes] {
+        faults.push(format!("serving output shape {:?}", batched.shape()));
+    } else if batched.data()[..classes].iter().zip(alone.data()).any(|(a, b)| a.to_bits() != b.to_bits()) {
+        faults.push("row 0 of [x, 0, 0] differs from x served alone".to_string());
+    }
+    let hazards = session.workspace().alias_hazards();
+    if hazards > 0 {
+        faults.push(format!("{hazards} workspace alias hazard(s)"));
+    }
+    faults
 }
 
 /// The plan's predicted peak workspace bytes, if it does not fit the cap.
@@ -94,27 +131,16 @@ fn audit_topology(label: &str, topology: SkeletonTopology, t: usize, budget: Opt
         }
         failures += check_budget(label, name, &plan, budget);
 
-        // compiled-path execution audit: no autograd nodes, no buffer
-        // aliasing hazards
-        let mut ws = Workspace::new();
-        let nodes_before = dhg_tensor::graph_nodes_created();
-        let y = m.forward_inference(&x, &mut ws);
-        let nodes_built = dhg_tensor::graph_nodes_created() - nodes_before;
-        if nodes_built > 0 {
-            println!("FAIL {label:<12} {name:<12} built {nodes_built} autograd node(s) while serving");
-            failures += 1;
+        // the serving path: no autograd nodes, batch-invariant rows, no
+        // buffer aliasing hazards
+        let faults = audit_serving(m, &x, 4);
+        if faults.is_empty() {
+            println!("ok   {label:<12} {name:<12} serving: [x, 0, 0] row 0 == x alone, 0 nodes");
         }
-        if ws.alias_hazards() > 0 {
-            println!(
-                "FAIL {label:<12} {name:<12} {} workspace alias hazard(s)",
-                ws.alias_hazards()
-            );
-            failures += 1;
+        for fault in &faults {
+            println!("FAIL {label:<12} {name:<12} serving: {fault}");
         }
-        if y.shape() != [2, 4] {
-            println!("FAIL {label:<12} {name:<12} serving output shape {:?}", y.shape());
-            failures += 1;
-        }
+        failures += faults.len();
 
         // two-stream late fusion: joint + bone models must agree on [N, K]
         let fused = TwoStream::new(warmed(&zoo, name, &x), warmed(&zoo, name, &x));
@@ -158,18 +184,25 @@ fn self_test() -> usize {
         expect(&mut missed, &format!("{name} rejects a rank-2 input"), wrong_rank.has_errors());
     }
 
-    // cold, unprepared eval-mode models must at least warn
-    for name in ["ST-GCN", "TCN", "DHGCN", "DHGCN-lite"] {
+    // cold eval-mode models must warn — exactly those with BatchNorm
+    // statistics (ST-LSTM and Lie Group have none to be cold)
+    for name in Zoo::NAMES {
         let mut m = zoo.by_name(name).unwrap();
-        m.set_training(false); // never trained, never prepared
-        let r = analyze(&m.plan(&SymShape::nctv(3, t, v)));
-        expect(
-            &mut missed,
-            &format!("{name} cold eval mode is flagged"),
-            !r.with_code(DiagCode::BnStatsCold).is_empty()
-                || !r.with_code(DiagCode::NotPrepared).is_empty(),
-        );
+        m.set_training(false); // never trained
+        let has_stats = !m.buffers().is_empty();
+        let flagged = !analyze(&m.plan(&SymShape::nctv(3, t, v))).with_code(DiagCode::BnStatsCold).is_empty();
+        let what = if has_stats { "is flagged" } else { "has no statistics to flag" };
+        expect(&mut missed, &format!("{name} cold eval mode {what}"), flagged == has_stats);
     }
+
+    // the serving audit catches a grad-free product left on the density-
+    // probed kernel: its row 0 moves beside two all-zero windows
+    let probed = Box::new(ProbedHead::new(3 * t * v, 4));
+    expect(
+        &mut missed,
+        "a density-probed grad-free head is flagged as batch-variant",
+        audit_serving(probed, &x, 4).iter().any(|f| f.contains("row 0")),
+    );
 
     // seeded incidence-invariant violations
     let hg = dhg_skeleton::static_hypergraph(&topology);
@@ -234,6 +267,28 @@ fn self_test() -> usize {
     );
 
     missed
+}
+
+/// A classifier head on the raw window, `[N, C·T·V] × W`, multiplied with
+/// [`NdArray::matmul`]'s density-probed dispatch even under `no_grad` —
+/// the batch-variance bug every served product must avoid.
+struct ProbedHead {
+    w: NdArray,
+}
+
+impl ProbedHead {
+    fn new(features: usize, classes: usize) -> Self {
+        let w = (0..features * classes).map(|i| (i as f32 * 0.37).sin() * 0.1).collect();
+        ProbedHead { w: NdArray::from_vec(w, &[features, classes]) }
+    }
+}
+
+impl Module for ProbedHead {
+    fn forward(&self, x: &Tensor) -> Tensor {
+        let x = x.array();
+        let rows = x.shape()[0];
+        Tensor::constant(x.into_shape(&[rows, self.w.shape()[0]]).matmul(&self.w))
+    }
 }
 
 fn main() -> ExitCode {

@@ -13,8 +13,9 @@
 //! * `checkpoint` — the checkpoint bytes of a freshly built model
 //!   (parameter and buffer order, initial values);
 //! * `plan.<mode>.<shape>` — the plan's ops, side ops, diagnostics and
-//!   [`dhg_nn::CostSummary`] in training, cold-eval and prepared modes,
-//!   at a valid input and at a wrong channel count, joint count and rank;
+//!   [`dhg_nn::CostSummary`] in training, cold-eval and prepared (eval
+//!   mode after one warming forward) modes, at a valid input and at a
+//!   wrong channel count, joint count and rank;
 //! * `train.step<k>` — the loss, every gradient and the BatchNorm
 //!   buffers of two SGD steps;
 //! * `logits.b<n>.t<k>` — `InferenceSession::logits` at batch `n` and
@@ -114,14 +115,14 @@ fn fingerprint(c: &Config) {
         h.0
     });
 
-    // plans: training, cold eval (untouched BN statistics, no caches) and
-    // prepared after one warming forward; malformed shapes on the last
+    // plans: training, cold eval (untouched BN statistics) and prepared
+    // (eval mode after one warming forward); malformed shapes on the last
     let train = (c.build)();
     let mut cold = (c.build)();
     cold.set_training(false);
     let mut prepared = (c.build)();
     prepared.forward(&batch(2, v, 0));
-    prepared.prepare_inference();
+    prepared.set_training(false);
     let shapes = [
         ("valid", SymShape::nctv(3, FRAMES, v)),
         ("channel", SymShape::nctv(4, FRAMES, v)),

@@ -83,8 +83,8 @@ impl Module for AgcnBlock {
         // per-sample operator: (base + B) broadcast over the batch, plus C
         let structural = self.base.add(&self.b).reshape(&[1, v, v]);
         let op = att.add(&structural);
-        let mixed = apply_per_sample_vertex_op(x, &op);
-        self.tail.forward(x, &self.theta.forward(&mixed))
+        let spatial = self.theta.forward(&apply_per_sample_vertex_op(x, &op));
+        self.tail.forward(x, spatial)
     }
 
     fn parameters(&self) -> Vec<Tensor> {
@@ -144,7 +144,7 @@ impl Module for AgcnBlock {
             "adaptive_vertex_op",
             "base + B + C per sample",
             input.clone(),
-            OpCost::vertex_op(c, t, v),
+            OpCost::vertex_op(c, t, v, 1),
         );
         p.extend("theta", self.theta.plan(&p.output().clone()));
         if p.has_errors() {

@@ -1,7 +1,7 @@
 //! Shared machinery of every spatial (hyper)graph convolution.
 
-use dhg_nn::{Conv2d, EvalConv, Module};
-use dhg_tensor::{parallel, NdArray, Tensor, Workspace};
+use dhg_nn::{Conv2d, Module};
+use dhg_tensor::{NdArray, Tensor};
 use rand::Rng;
 
 /// The geometry every model in the zoo is built for.
@@ -58,14 +58,18 @@ pub fn small_stages() -> Vec<StageSpec> {
 /// `y[n,c,t,v] = Σ_u op[v,u] · x[n,c,t,u]`.
 ///
 /// `x` is `[N, C, T, V]`, `op` is `[V, V]` (e.g. a normalised adjacency,
-/// Eq. 1, or a hypergraph operator, Eq. 5). Implemented as a broadcast
-/// batched matmul on the joint axis so the gradient comes from the tested
-/// matmul adjoints.
+/// Eq. 1, or a hypergraph operator, Eq. 5). With gradients enabled this
+/// is a broadcast batched matmul on the joint axis, so the gradient comes
+/// from the tested matmul adjoints; under `no_grad` it is one grad-free
+/// product: the features read in place as `[N, C·T, V]` rows times `opᵀ`.
 pub fn apply_vertex_op(x: &Tensor, op: &Tensor) -> Tensor {
     let xs = x.shape();
     assert_eq!(xs.len(), 4, "features must be [N, C, T, V]");
     let v = xs[3];
     assert_eq!(op.shape(), vec![v, v], "operator must be [V, V]");
+    if !dhg_tensor::is_grad_enabled() {
+        return mix_in_place(x, op);
+    }
     // y = x @ opᵀ over the trailing joint axis
     x.matmul(&op.transpose_last2())
 }
@@ -75,7 +79,9 @@ pub fn apply_vertex_op(x: &Tensor, op: &Tensor) -> Tensor {
 ///
 /// `x` is `[N, C, T, V]`, `op` is `[N, T, V, V]` (the dynamic operators of
 /// Eq. 9 or the dynamic topology of §3.4). The feature tensor is permuted
-/// so that the batched matmul batches over `(N, T)`.
+/// so that the batched matmul batches over `(N, T)`; under `no_grad` each
+/// frame's `[C, V]` rows take one packed product against its operator
+/// read transposed where it lies.
 pub fn apply_dynamic_vertex_op(x: &Tensor, op: &Tensor) -> Tensor {
     let xs = x.shape();
     let os = op.shape();
@@ -85,99 +91,68 @@ pub fn apply_dynamic_vertex_op(x: &Tensor, op: &Tensor) -> Tensor {
     assert_eq!(os[1], xs[2], "frame mismatch");
     assert_eq!(os[2], xs[3], "operator must be square in V");
     assert_eq!(os[3], xs[3], "operator must be square in V");
+    if !dhg_tensor::is_grad_enabled() {
+        // [N, C, T, V] → [N, T, C, V] · opᵀ → back
+        let rows = x.data().permute(&[0, 2, 1, 3]);
+        let y = rows.view().matmul_packed(op.data().view().t());
+        drop(rows);
+        return Tensor::constant(y.permute(&[0, 2, 1, 3]));
+    }
     // [N, C, T, V] → [N, T, V, C]; op [N,T,V,V] @ x' → [N, T, V, C] → back
     let xp = x.permute(&[0, 2, 3, 1]);
     let yp = op.matmul(&xp);
     yp.permute(&[0, 3, 1, 2])
 }
 
-/// The `[.., V, V]` operator blocks of `op`, each transposed, in a
-/// workspace buffer: the right-hand operand of the grad-free vertex mixes,
-/// which all compute `y = x · opᵀ` on the packed GEMM. Each distinct
-/// operator is transposed (and then packed) once per call.
-fn transposed_blocks(op: &NdArray, ws: &mut Workspace) -> NdArray {
-    let nd = op.ndim();
-    let mut perm: Vec<usize> = (0..nd).collect();
-    perm.swap(nd - 2, nd - 1);
-    op.permute_ws(&perm, ws)
-}
-
-/// Grad-free [`apply_vertex_op`]: shared `[V, V]` operator on raw arrays,
-/// one `[N·C·T, V] × [V, V]` product.
+/// The grad-free shared or per-sample vertex mix: the features read in
+/// place as `[N, C·T, V]` rows times `opᵀ`, with `op` (`[V, V]` or
+/// `[N, V, V]`) read transposed where it lies — one product, no permute.
 ///
-/// Like every vertex mix, this forces the packed kernel: the features are
-/// the GEMM's left operand, and the automatic dispatch's density probe
-/// over a whole micro-batch could otherwise switch kernels — and a
-/// request's bits — when a ReLU-sparse neighbour shares the batch.
-pub fn apply_vertex_op_eval(x: &NdArray, op: &NdArray, ws: &mut Workspace) -> NdArray {
-    let s = x.shape();
-    let v = s[3];
-    assert_eq!(op.shape(), &[v, v], "operator must be [V, V]");
-    let op_t = transposed_blocks(op, ws);
-    let rows = [s[0] * s[1] * s[2], v];
-    let y = x.view_as(&rows).matmul_packed_ws(op_t.view(), ws);
-    ws.recycle(op_t);
-    y.into_shape(s)
+/// Like every grad-free product with activations on the left, it pins
+/// the packed kernel: the automatic dispatch's density probe over a whole
+/// micro-batch could otherwise switch kernels, and a request's bits, when
+/// a ReLU-sparse or all-zero neighbour shares the batch.
+fn mix_in_place(x: &Tensor, op: &Tensor) -> Tensor {
+    let (xd, od) = (x.data(), op.data());
+    let s = xd.shape();
+    let rows = [s[0], s[1] * s[2], s[3]];
+    let y = xd.view_as(&rows).matmul_packed(od.view().t());
+    Tensor::constant(y.into_shape(s))
 }
 
-/// Grad-free [`apply_per_sample_vertex_op`]: `op` is `[N, V, V]`; one
-/// `[C·T, V] × [V, V]` product per sample.
-pub fn apply_per_sample_vertex_op_eval(x: &NdArray, op: &NdArray, ws: &mut Workspace) -> NdArray {
-    let s = x.shape();
-    let (n, v) = (s[0], s[3]);
-    assert_eq!(op.shape(), &[n, v, v], "operator must be [N, V, V]");
-    let op_t = transposed_blocks(op, ws);
-    let rows = [n, s[1] * s[2], v];
-    let y = x.view_as(&rows).matmul_packed_ws(op_t.view(), ws);
-    ws.recycle(op_t);
-    y.into_shape(s)
-}
-
-/// Grad-free [`apply_dynamic_vertex_op`]: `op` is `[N, T, V, V]`. The
-/// features are gathered to `[N, T, C, V]` so each frame's rows are one
-/// `[C, V] × [V, V]` product, and the result is scattered back.
-pub fn apply_dynamic_vertex_op_eval(x: &NdArray, op: &NdArray, ws: &mut Workspace) -> NdArray {
-    let s = x.shape();
-    let (n, t, v) = (s[0], s[2], s[3]);
-    assert_eq!(op.shape(), &[n, t, v, v], "operator must be [N, T, V, V]");
-    let op_t = transposed_blocks(op, ws);
-    let rows = x.permute_ws(&[0, 2, 1, 3], ws);
-    let y = rows.matmul_packed_ws(&op_t, ws);
-    ws.recycle(rows);
-    ws.recycle(op_t);
-    let out = y.permute_ws(&[0, 2, 1, 3], ws);
-    ws.recycle(y);
-    out
-}
-
-/// Operator granularity of a grad-free vertex mix, as its plan records it.
+/// Operator granularity of a vertex mix, as its plan records it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum MixOperator {
-    /// One `[V, V]` operator for the whole batch ([`apply_vertex_op_eval`]).
+    /// One `[V, V]` operator for the whole batch ([`apply_vertex_op`]).
     Shared,
-    /// `[N, V, V]` ([`apply_per_sample_vertex_op_eval`]).
+    /// `[N, V, V]` ([`apply_per_sample_vertex_op`]).
     PerSample,
-    /// `[N, T, V, V]` ([`apply_dynamic_vertex_op_eval`]).
+    /// `[N, T, V, V]` ([`apply_dynamic_vertex_op`]).
     PerFrame,
 }
 
-/// Record a grad-free vertex mix of the plan's current `[N, C, T, V]`
-/// output as op `name` with arithmetic `cost`, whose scratch becomes the
-/// packed images of the operator blocks.
+/// Record a vertex mix of the plan's current `[N, C, T, V]` output as op
+/// `name`, costed as [`dhg_nn::OpCost::vertex_op`] over the `operator`'s
+/// distinct `[V, V]` blocks per sample plus `extra` (work done on the
+/// operators themselves); its scratch is the packed images of those
+/// blocks.
 pub(crate) fn plan_vertex_mix(
     p: &mut dhg_nn::Plan,
     name: &str,
     detail: impl Into<String>,
     operator: MixOperator,
-    cost: dhg_nn::OpCost,
+    extra: dhg_nn::OpCost,
 ) {
     let shape = p.output().clone();
-    let v = shape.known(3).unwrap_or(1) as u64;
+    let dim = |d: usize| shape.known(d).unwrap_or(1) as u64;
+    let (c, t, v) = (dim(1), dim(2), dim(3));
     let blocks = match operator {
-        MixOperator::PerFrame => shape.known(2).unwrap_or(1) as u64,
+        MixOperator::PerFrame => t,
         MixOperator::Shared | MixOperator::PerSample => 1,
     };
-    let cost = cost.with_scratch(blocks * dhg_nn::packed_b_bytes(v, v));
+    let cost = dhg_nn::OpCost::vertex_op(c, t, v, blocks)
+        .plus(extra)
+        .with_scratch(blocks * dhg_nn::packed_b_bytes(v, v));
     p.push_op_costed(name, detail, shape, cost);
 }
 
@@ -254,68 +229,16 @@ impl StaticBranch {
                 return p;
             }
         }
-        let vcost = OpCost::vertex_op(
-            input.known(1).unwrap_or(1) as u64,
-            input.known(2).unwrap_or(1) as u64,
-            op_v as u64,
-        );
         plan_vertex_mix(
             &mut p,
             "vertex_op",
             format!("importance-weighted [{op_v}, {op_v}] operator"),
             MixOperator::Shared,
-            vcost,
+            OpCost::default(),
         );
         p.extend("theta", self.theta.plan(&p.output().clone()));
         p
     }
-
-    /// Bake the branch for serving: the importance-weighted operator is
-    /// precomputed once and Θ absorbs the block BN's per-channel affine
-    /// `(scale, shift)`.
-    pub(crate) fn compile(&self, scale: &[f32], shift: &[f32]) -> StaticBranchEval {
-        let op = self.op.data();
-        let imp = self.importance.data();
-        let weighted: Vec<f32> =
-            op.data().iter().zip(imp.data()).map(|(&a, &b)| a * b).collect();
-        StaticBranchEval {
-            op: NdArray::from_vec(weighted, op.shape()),
-            theta: EvalConv::fold_affine(&self.theta, scale, shift),
-        }
-    }
-}
-
-/// Compiled [`StaticBranch`]: cached weighted operator + folded Θ.
-pub(crate) struct StaticBranchEval {
-    op: NdArray,
-    theta: EvalConv,
-}
-
-impl StaticBranchEval {
-    pub(crate) fn forward(&self, x: &NdArray, ws: &mut Workspace) -> NdArray {
-        let mixed = apply_vertex_op_eval(x, &self.op, ws);
-        let out = self.theta.forward(&mixed, ws);
-        ws.recycle(mixed);
-        out
-    }
-}
-
-/// Grad-free classifier head: `logits = x W (+ b)` on raw arrays, with the
-/// matmul output drawn from the workspace. The pooled features are the
-/// left operand, so the product is forced onto the packed kernel like the
-/// vertex mixes (see [`apply_vertex_op_eval`]).
-pub fn linear_eval(fc: &dhg_nn::Linear, x: &NdArray, ws: &mut Workspace) -> NdArray {
-    let mut y = x.matmul_packed_ws(&fc.weight().data(), ws);
-    if let Some(b) = fc.bias() {
-        let bd = b.data();
-        let k = bd.data().len();
-        for row in y.data_mut().chunks_mut(k) {
-            for (l, &bv) in row.iter_mut().zip(bd.data()) {
-                *l += bv;
-            }
-        }
-    }
-    y
 }
 
 /// Input data normalisation as published for the ST-GCN family: batch
@@ -345,40 +268,6 @@ impl DataBn {
     pub fn stats_cold(&self) -> bool {
         self.bn.stats_cold()
     }
-
-    /// Eval-mode DataBn as one per-(channel, joint) affine map. The inner
-    /// BN runs over `C·V` folded channels where folded channel `c·V + v`
-    /// normalises coordinate `c` of joint `v`, so the affine applies to the
-    /// native `[N, C, T, V]` layout directly — no permute, no reshape.
-    pub fn eval_affine(&self) -> (Vec<f32>, Vec<f32>) {
-        self.bn.eval_affine()
-    }
-
-    /// Grad-free eval forward using a precomputed [`DataBn::eval_affine`].
-    pub fn forward_affine(
-        &self,
-        x: &NdArray,
-        scale: &[f32],
-        shift: &[f32],
-        ws: &mut Workspace,
-    ) -> NdArray {
-        let s = x.shape();
-        assert_eq!(s.len(), 4, "DataBn expects [N, C, T, V]");
-        assert_eq!(s[1], self.channels, "DataBn channel mismatch");
-        assert_eq!(s[3], self.joints, "DataBn joint mismatch");
-        let (n, c, t, v) = (s[0], s[1], s[2], s[3]);
-        let mut out = ws.take(n * c * t * v);
-        let xd = x.data();
-        parallel::for_each_block(&mut out, v, n * c * t * v, |item, row| {
-            let ci = (item / t) % c;
-            let xrow = &xd[item * v..(item + 1) * v];
-            for (vi, (o, &xv)) in row.iter_mut().zip(xrow).enumerate() {
-                let k = ci * v + vi;
-                *o = scale[k] * xv + shift[k];
-            }
-        });
-        NdArray::from_vec(out, &[n, c, t, v])
-    }
 }
 
 impl dhg_nn::Module for DataBn {
@@ -388,6 +277,12 @@ impl dhg_nn::Module for DataBn {
         assert_eq!(s[1], self.channels, "DataBn channel mismatch");
         assert_eq!(s[3], self.joints, "DataBn joint mismatch");
         let (n, c, t, v) = (s[0], s[1], s[2], s[3]);
+        if !self.bn.training() {
+            // folded channel c·V + v normalises coordinate c of joint v,
+            // so the eval affine applies to [N, C, T, V] as it lies
+            let (rm, rv) = (self.bn.running_mean(), self.bn.running_var());
+            return x.batch_norm_eval(self.bn.gamma(), self.bn.beta(), &rm, &rv, self.bn.eps());
+        }
         // [N, C, T, V] → [N, C·V, T, 1] → BN → back
         let folded = x.permute(&[0, 1, 3, 2]).reshape(&[n, c * v, t, 1]);
         let normed = self.bn.forward(&folded);
@@ -454,6 +349,7 @@ impl dhg_nn::Module for DataBn {
 ///
 /// `x` is `[N, C, T, V]`, `op` is `[N, V, V]` (e.g. 2s-AGCN's adaptive
 /// `A + B + C` operator, which varies per sample but not per frame).
+/// Under `no_grad` it is one grad-free product with no permute.
 pub fn apply_per_sample_vertex_op(x: &Tensor, op: &Tensor) -> Tensor {
     let xs = x.shape();
     let os = op.shape();
@@ -462,6 +358,9 @@ pub fn apply_per_sample_vertex_op(x: &Tensor, op: &Tensor) -> Tensor {
     assert_eq!(os[0], xs[0], "batch mismatch");
     assert_eq!(os[1], xs[3], "operator must be square in V");
     assert_eq!(os[2], xs[3], "operator must be square in V");
+    if !dhg_tensor::is_grad_enabled() {
+        return mix_in_place(x, op);
+    }
     let (n, v) = (xs[0], xs[3]);
     let xp = x.permute(&[0, 2, 3, 1]); // [N, T, V, C]
     let opb = op.reshape(&[n, 1, v, v]); // broadcast over T
@@ -528,34 +427,28 @@ mod tests {
     }
 
     #[test]
-    fn eval_mix_kernels_match_tensor_paths() {
-        let mut ws = Workspace::new();
+    fn grad_free_mixes_match_the_recorded_mixes() {
         let (n, c, t, v) = (2, 3, 4, 5);
         let x = NdArray::from_vec(
             (0..n * c * t * v).map(|i| (i as f32 * 0.17).sin()).collect(),
             &[n, c, t, v],
         );
-        let xt = Tensor::constant(x.clone());
         let op = NdArray::from_vec((0..v * v).map(|i| (i as f32 * 0.3).cos()).collect(), &[v, v]);
-        let a = apply_vertex_op(&xt, &Tensor::constant(op.clone())).array();
-        let b = apply_vertex_op_eval(&x, &op, &mut ws);
-        assert!(a.allclose(&b, 1e-5, 1e-6));
-
         let ops = NdArray::from_vec(
             (0..n * v * v).map(|i| (i as f32 * 0.11).sin()).collect(),
             &[n, v, v],
         );
-        let a = apply_per_sample_vertex_op(&xt, &Tensor::constant(ops.clone())).array();
-        let b = apply_per_sample_vertex_op_eval(&x, &ops, &mut ws);
-        assert!(a.allclose(&b, 1e-5, 1e-6));
-
         let dops = NdArray::from_vec(
             (0..n * t * v * v).map(|i| (i as f32 * 0.07).cos()).collect(),
             &[n, t, v, v],
         );
-        let a = apply_dynamic_vertex_op(&xt, &Tensor::constant(dops.clone())).array();
-        let b = apply_dynamic_vertex_op_eval(&x, &dops, &mut ws);
-        assert!(a.allclose(&b, 1e-5, 1e-6));
+        for ((kind, mix), op) in MIXES.into_iter().zip([op, ops, dops]) {
+            let (xt, ot) = (Tensor::param(x.clone()), Tensor::constant(op.clone()));
+            let recorded = mix(&xt, &ot);
+            assert!(recorded.requires_grad(), "{kind}: grad mode records the graph");
+            let free = grad_free(mix, &x, &op);
+            assert!(recorded.array().allclose(&free, 1e-5, 1e-6), "{kind} mix");
+        }
     }
 
     /// Deterministic values in `[lo, hi)` (an LCG, so the suite needs no RNG).
@@ -580,13 +473,19 @@ mod tests {
         d
     }
 
-    /// The three eval vertex mixes, named by operator granularity.
-    type EvalMix = fn(&NdArray, &NdArray, &mut Workspace) -> NdArray;
-    const MIXES: [(&str, EvalMix); 3] = [
-        ("static", apply_vertex_op_eval),
-        ("per-sample", apply_per_sample_vertex_op_eval),
-        ("per-frame", apply_dynamic_vertex_op_eval),
+    /// The three vertex mixes, named by operator granularity.
+    type Mix = fn(&Tensor, &Tensor) -> Tensor;
+    const MIXES: [(&str, Mix); 3] = [
+        ("static", apply_vertex_op),
+        ("per-sample", apply_per_sample_vertex_op),
+        ("per-frame", apply_dynamic_vertex_op),
     ];
+
+    /// `mix` under `no_grad`, on raw arrays.
+    fn grad_free(mix: Mix, x: &NdArray, op: &NdArray) -> NdArray {
+        let _g = dhg_tensor::no_grad();
+        mix(&Tensor::constant(x.clone()), &Tensor::constant(op.clone())).array()
+    }
 
     fn op_for(kind: &str, seed: u64, n: usize, t: usize, v: usize) -> NdArray {
         match kind {
@@ -629,8 +528,7 @@ mod tests {
     }
 
     #[test]
-    fn eval_mixes_match_the_index_formula() {
-        let mut ws = Workspace::new();
+    fn grad_free_mixes_match_the_index_formula() {
         let mut seed = 0;
         for v in [18, 25] {
             for c in [3, 24, 48] {
@@ -640,13 +538,12 @@ mod tests {
                         let x = NdArray::from_vec(fill(seed, n * c * t * v, -1.0, 1.0), &[n, c, t, v]);
                         for (kind, mix) in MIXES {
                             let op = op_for(kind, seed + 1000, n, t, v);
-                            let got = mix(&x, &op, &mut ws);
+                            let got = grad_free(mix, &x, &op);
                             let want = naive_mix(kind, &x, &op);
                             assert!(
                                 got.allclose(&want, 1e-5, 1e-6),
                                 "{kind} mix diverged at [N={n}, C={c}, T={t}, V={v}]"
                             );
-                            ws.recycle(got);
                         }
                     }
                 }
@@ -655,7 +552,7 @@ mod tests {
     }
 
     #[test]
-    fn eval_mix_rows_are_bitwise_batch_invariant_beside_sparse_neighbours() {
+    fn grad_free_mix_rows_are_bitwise_batch_invariant_beside_sparse_neighbours() {
         // A sample's rows must carry the same bits alone and inside a batch
         // whose other samples are ReLU-sparse (7 of 8 values zero): a
         // density-probed dispatch over the whole batch would see a mostly
@@ -671,13 +568,12 @@ mod tests {
         let batch: Vec<f32> = [sparse(12), dense.clone(), sparse(13)].concat();
         let alone = NdArray::from_vec(dense, &[1, c, t, v]);
         let batch = NdArray::from_vec(batch, &[3, c, t, v]);
-        let mut ws = Workspace::new();
         for (kind, mix) in MIXES {
             let op3 = op_for(kind, 21, 3, t, v);
             // sample 1's own operator, cut out of the batch operator
             let op1 = if kind == "static" { op3.clone() } else { op3.slice_axis(0, 1, 1) };
-            let solo = mix(&alone, &op1, &mut ws);
-            let batched = mix(&batch, &op3, &mut ws);
+            let solo = grad_free(mix, &alone, &op1);
+            let batched = grad_free(mix, &batch, &op3);
             assert_eq!(
                 bits(&solo),
                 bits(&batched.slice_axis(0, 1, 1)),
@@ -687,13 +583,13 @@ mod tests {
     }
 
     #[test]
-    fn eval_mixes_are_bitwise_identical_across_thread_counts() {
+    fn grad_free_mixes_are_bitwise_identical_across_thread_counts() {
         let (n, c, t, v) = (3, 48, 32, 25);
         let x = NdArray::from_vec(fill(5, n * c * t * v, -1.0, 1.0), &[n, c, t, v]);
         for (kind, mix) in MIXES {
             let op = op_for(kind, 6, n, t, v);
             let run = |threads| {
-                dhg_tensor::parallel::with_threads(threads, || bits(&mix(&x, &op, &mut Workspace::new())))
+                dhg_tensor::parallel::with_threads(threads, || bits(&grad_free(mix, &x, &op)))
             };
             let reference = run(1);
             for threads in [2, 8] {
@@ -703,7 +599,7 @@ mod tests {
     }
 
     #[test]
-    fn databn_affine_matches_eval_forward() {
+    fn databn_eval_matches_the_folded_layout_bitwise() {
         use dhg_nn::Module;
         let mut bn = DataBn::new(2, 3);
         // warm the running stats with a few training batches
@@ -715,18 +611,32 @@ mod tests {
             bn.forward(&x);
         }
         bn.set_training(false);
-        let x = NdArray::from_vec(
+        let x = Tensor::constant(NdArray::from_vec(
             (0..2 * 2 * 6 * 3).map(|j| (j as f32 * 0.19).cos()).collect(),
             &[2, 2, 6, 3],
-        );
-        let reference = {
-            let _g = dhg_tensor::no_grad();
-            bn.forward(&Tensor::constant(x.clone())).array()
-        };
-        let (scale, shift) = bn.eval_affine();
-        let mut ws = Workspace::new();
-        let got = bn.forward_affine(&x, &scale, &shift, &mut ws);
-        assert!(reference.allclose(&got, 1e-5, 1e-6));
+        ));
+        // the training layout: [N, C·V, T, 1] through the inner eval BN
+        let folded = x.permute(&[0, 1, 3, 2]).reshape(&[2, 6, 6, 1]);
+        let reference = bn.bn.forward(&folded).reshape(&[2, 2, 3, 6]).permute(&[0, 1, 3, 2]).array();
+        let _g = dhg_tensor::no_grad();
+        assert_eq!(bits(&bn.forward(&x).array()), bits(&reference));
+    }
+
+    #[test]
+    fn vertex_mix_plans_price_each_operator_once() {
+        use dhg_nn::{packed_b_bytes, OpCost, Plan, SymShape};
+        let (c, t, v) = (16u64, 8u64, 25u64);
+        let features = 4 * 2 * c * t * v; // read and written
+        for (operator, blocks) in
+            [(MixOperator::Shared, 1), (MixOperator::PerSample, 1), (MixOperator::PerFrame, t)]
+        {
+            let mut p = Plan::new(&SymShape::nctv(c as usize, t as usize, v as usize));
+            plan_vertex_mix(&mut p, "mix", "", operator, OpCost::default());
+            let cost = p.ops()[0].cost;
+            assert_eq!(cost.bytes, features + 4 * blocks * v * v, "{operator:?}");
+            assert_eq!(cost.flops, 2 * c * t * v * v, "{operator:?}");
+            assert_eq!(cost.scratch, blocks * packed_b_bytes(v, v), "{operator:?}");
+        }
     }
 
     #[test]

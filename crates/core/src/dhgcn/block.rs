@@ -1,14 +1,12 @@
 //! The DHST block: Dynamic Hypergraph Spatial-Temporal convolution
 //! (Fig. 5).
 
-use super::branches::{
-    JointWeightBranch, JointWeightBranchEval, TopologyBranch, TopologyBranchEval,
-};
+use super::branches::{JointWeightBranch, TopologyBranch};
 use super::model::{BranchConfig, TopologyGranularity};
-use crate::common::{StaticBranch, StaticBranchEval};
+use crate::common::StaticBranch;
 use crate::tcn::{block_rank_error, BlockTail};
 use dhg_nn::Buffer;
-use dhg_tensor::{NdArray, Tensor, Workspace};
+use dhg_tensor::{NdArray, Tensor};
 use rand::Rng;
 
 /// One backbone block: the sum of the active spatial branches, then the
@@ -19,16 +17,6 @@ pub struct DhstBlock {
     joint_weight_branch: Option<JointWeightBranch>,
     topology_branch: Option<TopologyBranch>,
     tail: BlockTail,
-    inference: Option<BlockInference>,
-}
-
-/// Serving caches of a [`DhstBlock`]'s branches: the tail's post-sum BN is
-/// folded into every branch Θ (scale on all, shift on exactly one — exact
-/// for a linear sum).
-struct BlockInference {
-    static_branch: Option<StaticBranchEval>,
-    joint_weight: Option<JointWeightBranchEval>,
-    topology: Option<TopologyBranchEval>,
 }
 
 impl DhstBlock {
@@ -74,7 +62,7 @@ impl DhstBlock {
             )
         });
         let tail = BlockTail::new(in_channels, out_channels, stride, dilation, dropout, rng);
-        DhstBlock { static_branch, joint_weight_branch, topology_branch, tail, inference: None }
+        DhstBlock { static_branch, joint_weight_branch, topology_branch, tail }
     }
 
     /// Temporal stride of this block.
@@ -108,7 +96,7 @@ impl DhstBlock {
         if let Some(b) = &self.topology_branch {
             add(b.forward(x));
         }
-        self.tail.forward(x, &acc.expect("at least one branch"))
+        self.tail.forward(x, acc.expect("at least one branch"))
     }
 
     /// All trainable parameters of the block.
@@ -128,41 +116,13 @@ impl DhstBlock {
     }
 
     /// Train/eval switch for the block's normalisation and dropout.
-    /// Returning to training drops the serving caches — the folded
-    /// weights would silently go stale as the parameters move.
     pub fn set_training(&mut self, training: bool) {
         self.tail.set_training(training);
-        if training {
-            self.inference = None;
-        }
     }
 
     /// Non-trainable state (BN running statistics) in a stable order.
     pub fn buffers(&self) -> Vec<Buffer> {
         self.tail.buffers()
-    }
-
-    /// Compile the block for serving: fold the post-sum BN into every
-    /// branch Θ, bake the residual projection and the temporal Conv+BN.
-    pub fn prepare_inference(&mut self) {
-        let (scale, shift) = self.tail.prepare_inference();
-        let zero = vec![0.0; scale.len()];
-        // the BN shift enters the sum exactly once, via the first branch
-        let mut shift_taken = false;
-        let mut next_shift = || -> &[f32] {
-            if shift_taken {
-                &zero
-            } else {
-                shift_taken = true;
-                &shift
-            }
-        };
-        let static_branch =
-            self.static_branch.as_ref().map(|b| b.compile(&scale, next_shift()));
-        let joint_weight =
-            self.joint_weight_branch.as_ref().map(|b| b.compile(&scale, next_shift()));
-        let topology = self.topology_branch.as_ref().map(|b| b.compile(&scale, next_shift()));
-        self.inference = Some(BlockInference { static_branch, joint_weight, topology });
     }
 
     /// Static shape plan mirroring [`DhstBlock::forward`]: every active
@@ -211,54 +171,8 @@ impl DhstBlock {
                 sum_out = Some(out);
             }
         }
-        if self.tail.plan(&mut p, input) && !self.tail.training() && self.inference.is_none() {
-            p.warn(
-                DiagCode::NotPrepared,
-                "eval-mode DhstBlock without serving caches; call prepare_inference()",
-            );
-        }
+        self.tail.plan(&mut p, input);
         p
-    }
-
-    /// Grad-free eval forward on raw arrays using the caches built by
-    /// [`DhstBlock::prepare_inference`]. `dyn_ops` mirrors
-    /// [`DhstBlock::forward`].
-    pub fn forward_eval(
-        &self,
-        x: &NdArray,
-        dyn_ops: Option<&NdArray>,
-        ws: &mut Workspace,
-    ) -> NdArray {
-        let inf = self
-            .inference
-            .as_ref()
-            .expect("DhstBlock::forward_eval requires prepare_inference()");
-        let mut acc: Option<NdArray> = None;
-        let accumulate = |y: NdArray, acc: &mut Option<NdArray>, ws: &mut Workspace| {
-            match acc {
-                Some(a) => {
-                    a.add_assign_scaled(&y, 1.0);
-                    ws.recycle(y);
-                }
-                None => *acc = Some(y),
-            }
-        };
-        if let Some(b) = &inf.static_branch {
-            let y = b.forward(x, ws);
-            accumulate(y, &mut acc, ws);
-        }
-        if let Some(b) = &inf.joint_weight {
-            let ops = dyn_ops.expect("joint-weight branch requires dynamic operators");
-            let y = b.forward(x, ops, ws);
-            accumulate(y, &mut acc, ws);
-        }
-        if let Some(b) = &inf.topology {
-            let y = b.forward(x, ws);
-            accumulate(y, &mut acc, ws);
-        }
-        let mut spatial = acc.expect("at least one branch");
-        spatial.relu_inplace();
-        self.tail.forward_eval(x, spatial, ws)
     }
 }
 
@@ -349,44 +263,6 @@ mod tests {
             0.0,
             &mut rng,
         );
-    }
-
-    #[test]
-    fn compiled_block_matches_unfused_eval() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut b = DhstBlock::new(
-            &op(),
-            3,
-            8,
-            1,
-            1,
-            BranchConfig::full(),
-            3,
-            4,
-            4,
-            TopologyGranularity::PerSample,
-            0.0,
-            &mut rng,
-        );
-        let x = NdArray::from_vec(
-            (0..2 * 3 * 4 * 25).map(|i| (i as f32 * 0.019).sin()).collect(),
-            &[2, 3, 4, 25],
-        );
-        let ops = dyn_ops(2, 4, 25);
-        // warm the BNs so folding sees non-trivial statistics
-        b.forward(&Tensor::constant(x.clone()), Some(&ops));
-        b.set_training(false);
-        let reference = {
-            let _g = dhg_tensor::no_grad();
-            b.forward(&Tensor::constant(x.clone()), Some(&ops)).array()
-        };
-        b.prepare_inference();
-        let mut ws = Workspace::new();
-        let got = b.forward_eval(&x, Some(&ops.data()), &mut ws);
-        assert!(reference.allclose(&got, 1e-4, 1e-5), "fold diverged");
-        // and the caches drop when training resumes
-        b.set_training(true);
-        assert!(b.inference.is_none());
     }
 
     #[test]

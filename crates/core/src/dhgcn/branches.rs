@@ -2,12 +2,11 @@
 //! ([`crate::common::StaticBranch`]) is ST-GCN's spatial part too.
 
 use crate::common::{
-    apply_dynamic_vertex_op, apply_dynamic_vertex_op_eval, apply_per_sample_vertex_op,
-    apply_per_sample_vertex_op_eval, plan_vertex_mix, MixOperator,
+    apply_dynamic_vertex_op, apply_per_sample_vertex_op, plan_vertex_mix, MixOperator,
 };
-use dhg_hypergraph::{stacked_operators, stacked_operators_with, TopologyConfig};
-use dhg_nn::{Conv2d, EvalConv, Module};
-use dhg_tensor::{NdArray, Tensor, Workspace};
+use dhg_hypergraph::{stacked_operators, TopologyConfig};
+use dhg_nn::{Conv2d, Module};
+use dhg_tensor::{NdArray, Tensor};
 use rand::Rng;
 
 use super::model::TopologyGranularity;
@@ -61,54 +60,17 @@ impl JointWeightBranch {
                 return p;
             }
         }
-        let (c, t) = (input.known(1).unwrap_or(1) as u64, input.known(2).unwrap_or(1) as u64);
-        let ops_shape = SymShape::batched(&[t as usize, op_v, op_v]);
-        let vcost = OpCost::vertex_op(c, t, op_v as u64)
-            .plus(OpCost::elementwise(&ops_shape));
+        // the importance mask weights every frame's operator first
+        let ops_shape = SymShape::batched(&[input.known(2).unwrap_or(1), op_v, op_v]);
         plan_vertex_mix(
             &mut p,
             "dynamic_vertex_op",
             "per-frame Eq. 9 operators",
             MixOperator::PerFrame,
-            vcost,
+            OpCost::elementwise(&ops_shape),
         );
         p.extend("theta", self.theta.plan(&p.output().clone()));
         p
-    }
-
-    /// Bake the branch for serving (Θ absorbs the block BN affine).
-    pub(crate) fn compile(&self, scale: &[f32], shift: &[f32]) -> JointWeightBranchEval {
-        JointWeightBranchEval {
-            importance: self.importance.data().clone(),
-            theta: EvalConv::fold_affine(&self.theta, scale, shift),
-        }
-    }
-}
-
-/// Compiled [`JointWeightBranch`]: folded Θ; the per-frame operators still
-/// arrive as data each forward.
-pub(crate) struct JointWeightBranchEval {
-    importance: NdArray,
-    theta: EvalConv,
-}
-
-impl JointWeightBranchEval {
-    /// `ops` is `[N, T, V, V]` from the model's Eq. 9 construction.
-    pub(crate) fn forward(&self, x: &NdArray, ops: &NdArray, ws: &mut Workspace) -> NdArray {
-        let imp = self.importance.data();
-        let vv = imp.len();
-        let mut weighted = ws.take(ops.data().len());
-        for (blk, o) in weighted.chunks_mut(vv).zip(ops.data().chunks(vv)) {
-            for ((w, &ov), &iv) in blk.iter_mut().zip(o).zip(imp) {
-                *w = ov * iv;
-            }
-        }
-        let weighted = NdArray::from_vec(weighted, ops.shape());
-        let mixed = apply_dynamic_vertex_op_eval(x, &weighted, ws);
-        ws.recycle(weighted);
-        let out = self.theta.forward(&mixed, ws);
-        ws.recycle(mixed);
-        out
     }
 }
 
@@ -175,19 +137,17 @@ impl TopologyBranch {
         let embedded = self.embed.forward(x).relu();
         debug_assert_eq!(embedded.shape()[1], self.embed_channels);
         // coordinates for topology construction: detached embedded features
-        let feats = embedded.data().permute(&[0, 2, 3, 1]); // [N, T, V, E]
-        let config = TopologyConfig::new(self.kn, self.km, self.seed);
-        let stacked = stacked_operators(&feats, self.granularity, &config);
-        let mixed = match self.granularity {
-            TopologyGranularity::PerSample => {
-                let op = Tensor::constant(stacked).mul(&self.importance).add(&self.learned);
-                apply_per_sample_vertex_op(&embedded, &op)
-            }
-            TopologyGranularity::PerFrame => {
-                let op = Tensor::constant(stacked).mul(&self.importance).add(&self.learned);
-                apply_dynamic_vertex_op(&embedded, &op)
-            }
+        let stacked = {
+            let feats = embedded.data().permute(&[0, 2, 3, 1]); // [N, T, V, E]
+            let config = TopologyConfig::new(self.kn, self.km, self.seed);
+            stacked_operators(&feats, self.granularity, &config)
         };
+        let op = Tensor::constant(stacked).mul(&self.importance).add(&self.learned);
+        let mixed = match self.granularity {
+            TopologyGranularity::PerSample => apply_per_sample_vertex_op(&embedded, &op),
+            TopologyGranularity::PerFrame => apply_dynamic_vertex_op(&embedded, &op),
+        };
+        drop((embedded, op));
         self.theta.forward(&mixed)
     }
 
@@ -223,77 +183,15 @@ impl TopologyBranch {
             TopologyGranularity::PerSample => ("per-sample", MixOperator::PerSample),
             TopologyGranularity::PerFrame => ("per-frame", MixOperator::PerFrame),
         };
-        let vcost = OpCost::vertex_op(
-            self.embed_channels as u64,
-            input.known(2).unwrap_or(1) as u64,
-            op_v as u64,
-        );
         plan_vertex_mix(
             &mut p,
             "topology_vertex_op",
             format!("{mode} k-NN(k={}) + k-means(k={}) hyperedges", self.kn, self.km),
             operator,
-            vcost,
+            OpCost::default(),
         );
         p.extend("theta", self.theta.plan(&p.output().clone()));
         p
-    }
-
-    /// Bake the branch for serving: the embedding runs as a folded kernel
-    /// with fused ReLU and Θ absorbs the block BN affine. The discrete
-    /// hypergraph construction stays data-dependent, so it runs per
-    /// forward exactly as in training — same seed, same operators.
-    pub(crate) fn compile(&self, scale: &[f32], shift: &[f32]) -> TopologyBranchEval {
-        TopologyBranchEval {
-            embed: EvalConv::from_conv(&self.embed),
-            importance: self.importance.data().clone(),
-            learned: self.learned.data().clone(),
-            theta: EvalConv::fold_affine(&self.theta, scale, shift),
-            kn: self.kn,
-            km: self.km,
-            granularity: self.granularity,
-            seed: self.seed,
-        }
-    }
-}
-
-/// Compiled [`TopologyBranch`].
-pub(crate) struct TopologyBranchEval {
-    embed: EvalConv,
-    importance: NdArray,
-    learned: NdArray,
-    theta: EvalConv,
-    kn: usize,
-    km: usize,
-    granularity: TopologyGranularity,
-    seed: u64,
-}
-
-impl TopologyBranchEval {
-    pub(crate) fn forward(&self, x: &NdArray, ws: &mut Workspace) -> NdArray {
-        let embedded = self.embed.forward_relu(x, ws);
-        let feats = embedded.permute(&[0, 2, 3, 1]); // [N, T, V, E]
-        let config = TopologyConfig::new(self.kn, self.km, self.seed);
-        let imp = self.importance.data();
-        let learned = self.learned.data();
-        // importance mask ∘ operator + learned refinement, fused into the
-        // sharded construction sweep (one pass per [V, V] block)
-        let weight_block = |blk: &mut [f32]| {
-            for ((w, &iv), &lv) in blk.iter_mut().zip(imp).zip(learned) {
-                *w = *w * iv + lv;
-            }
-        };
-        let stacked = stacked_operators_with(&feats, self.granularity, &config, weight_block);
-        let mixed = match self.granularity {
-            TopologyGranularity::PerSample => {
-                apply_per_sample_vertex_op_eval(&embedded, &stacked, ws)
-            }
-            TopologyGranularity::PerFrame => apply_dynamic_vertex_op_eval(&embedded, &stacked, ws),
-        };
-        ws.recycle(embedded);
-        let out = self.theta.forward(&mixed, ws);
-        ws.recycle(mixed);
-        out
     }
 }
 

@@ -16,16 +16,16 @@
 //!    (`C → C/r → C_out`), shrinking the dominant parameter mass.
 
 use crate::common::{
-    apply_per_sample_vertex_op, apply_per_sample_vertex_op_eval, linear_eval,
-    plan_static_hypergraph, plan_vertex_mix, DataBn, MixOperator, ModelDims, StageSpec,
+    apply_per_sample_vertex_op, plan_static_hypergraph, plan_vertex_mix, DataBn, MixOperator,
+    ModelDims, StageSpec,
 };
 use crate::tcn::{block_rank_error, BlockTail};
 use dhg_hypergraph::{
     dynamic_operators, from_scratch_operator, normalize_rows, Hypergraph, TopologyConfig,
 };
-use dhg_nn::{global_avg_pool, Buffer, Conv2d, EvalConv, Linear, Module};
+use dhg_nn::{global_avg_pool, Buffer, Conv2d, Linear, Module};
 use dhg_skeleton::{static_hypergraph, SkeletonTopology};
-use dhg_tensor::{NdArray, Tensor, Workspace};
+use dhg_tensor::{NdArray, Tensor};
 use rand::Rng;
 
 /// Configuration of [`DhgcnLite`].
@@ -113,14 +113,6 @@ impl LowRankTheta {
 struct LiteBlock {
     theta: LowRankTheta,
     tail: BlockTail,
-    inference: Option<LiteBlockInference>,
-}
-
-/// Serving caches of a [`LiteBlock`]'s spatial part: the tail's BN folds
-/// into the expanding half of the low-rank Θ.
-struct LiteBlockInference {
-    reduce: Option<EvalConv>,
-    expand: EvalConv,
 }
 
 impl LiteBlock {
@@ -134,41 +126,13 @@ impl LiteBlock {
     ) -> Self {
         let theta = LowRankTheta::new(in_channels, out_channels, reduction, rng);
         let tail = BlockTail::new(in_channels, out_channels, stride, 1, dropout, rng);
-        LiteBlock { theta, tail, inference: None }
-    }
-
-    fn prepare_inference(&mut self) {
-        let (scale, shift) = self.tail.prepare_inference();
-        self.inference = Some(LiteBlockInference {
-            reduce: self.theta.reduce.as_ref().map(EvalConv::from_conv),
-            expand: EvalConv::fold_affine(&self.theta.expand, &scale, &shift),
-        });
-    }
-
-    /// Grad-free eval forward on raw arrays (caches from
-    /// [`LiteBlock::prepare_inference`]); `op` is the fused per-sample
-    /// operator `[N, V, V]`.
-    fn forward_eval(&self, x: &NdArray, op: &NdArray, ws: &mut Workspace) -> NdArray {
-        let inf = self.inference.as_ref().expect("LiteBlock eval requires prepare_inference()");
-        let mixed = apply_per_sample_vertex_op_eval(x, op, ws);
-        let h = match &inf.reduce {
-            Some(r) => {
-                let t = r.forward(&mixed, ws);
-                ws.recycle(mixed);
-                t
-            }
-            None => mixed,
-        };
-        // BN folded into the expansion, ReLU fused into its output pass
-        let spatial = inf.expand.forward_relu(&h, ws);
-        ws.recycle(h);
-        self.tail.forward_eval(x, spatial, ws)
+        LiteBlock { theta, tail }
     }
 
     /// `op` is the fused per-sample operator `[N, V, V]`.
     fn forward(&self, x: &Tensor, op: &Tensor) -> Tensor {
-        let mixed = apply_per_sample_vertex_op(x, op);
-        self.tail.forward(x, &self.theta.forward(&mixed))
+        let spatial = self.theta.forward(&apply_per_sample_vertex_op(x, op));
+        self.tail.forward(x, spatial)
     }
 
     fn parameters(&self) -> Vec<Tensor> {
@@ -179,39 +143,26 @@ impl LiteBlock {
 
     fn set_training(&mut self, training: bool) {
         self.tail.set_training(training);
-        if training {
-            self.inference = None;
-        }
     }
 
     fn plan(&self, input: &dhg_nn::SymShape) -> dhg_nn::Plan {
-        use dhg_nn::{DiagCode, OpCost, Plan};
+        use dhg_nn::{OpCost, Plan};
         if let Some(p) = block_rank_error(input) {
             return p;
         }
         let mut p = Plan::new(input);
-        let vcost = OpCost::vertex_op(
-            input.known(1).unwrap_or(1) as u64,
-            input.known(2).unwrap_or(1) as u64,
-            input.known(3).unwrap_or(1) as u64,
-        );
         plan_vertex_mix(
             &mut p,
             "fused_vertex_op",
             "per-sample fused operator",
             MixOperator::PerSample,
-            vcost,
+            OpCost::default(),
         );
         p.extend("theta", self.theta.plan(&p.output().clone()));
         if p.has_errors() {
             return p;
         }
-        if self.tail.plan(&mut p, input) && !self.tail.training() && self.inference.is_none() {
-            p.warn(
-                DiagCode::NotPrepared,
-                "eval-mode LiteBlock without serving caches; call prepare_inference()",
-            );
-        }
+        self.tail.plan(&mut p, input);
         p
     }
 }
@@ -226,16 +177,6 @@ pub struct DhgcnLite {
     embed: Conv2d,
     blocks: Vec<LiteBlock>,
     fc: Linear,
-    inference: Option<LiteInference>,
-}
-
-/// Model-level serving caches of [`DhgcnLite`].
-struct LiteInference {
-    /// Folded topology embedding (a fixed random projection, so plain
-    /// weights with fused ReLU).
-    embed: EvalConv,
-    bn_scale: Vec<f32>,
-    bn_shift: Vec<f32>,
 }
 
 impl DhgcnLite {
@@ -270,7 +211,6 @@ impl DhgcnLite {
             embed,
             blocks,
             fc,
-            inference: None,
         }
     }
 
@@ -327,39 +267,6 @@ impl DhgcnLite {
             .add(&self.static_op.reshape(&[1, v, v]))
             .add(&self.learned.reshape(&[1, v, v]))
     }
-
-    /// Grad-free [`DhgcnLite::fused_operator`] on raw arrays: same
-    /// constructions and seed, with the topology embedding run through the
-    /// folded kernel and the four summands accumulated in place.
-    fn fused_operator_eval(&self, x: &NdArray, inf: &LiteInference, ws: &mut Workspace) -> NdArray {
-        let s = x.shape();
-        let (n, t, v) = (s[0], s[2], s[3]);
-        let coords = x.permute(&[0, 2, 3, 1]); // [N, T, V, 3]
-        let mut fused = Vec::with_capacity(n * v * v);
-        for ni in 0..n {
-            let sample = coords.slice_axis(0, ni, 1).reshape(&[t, v, 3]);
-            let joint_ops = dynamic_operators(&self.static_hg, &sample); // [T, V, V]
-            fused.extend(joint_ops.mean_axes(&[0], false).data());
-        }
-        let embedded = inf.embed.forward_relu(x, ws);
-        let e = embedded.shape()[1];
-        let feats = embedded.permute(&[0, 2, 3, 1]).mean_axes(&[1], false); // [N, V, E]
-        ws.recycle(embedded);
-        let sod = self.static_op.data();
-        let ld = self.learned.data();
-        let cfg = self.topology_config();
-        for ni in 0..n {
-            let c = &feats.data()[ni * v * e..(ni + 1) * v * e];
-            let topo = normalize_rows(&from_scratch_operator(c, v, e, &cfg));
-            let blk = &mut fused[ni * v * v..(ni + 1) * v * v];
-            for (((f, &tv), &sv), &lv) in
-                blk.iter_mut().zip(topo.data()).zip(sod.data()).zip(ld.data())
-            {
-                *f += tv + sv + lv;
-            }
-        }
-        NdArray::from_vec(fused, &[n, v, v])
-    }
 }
 
 impl Module for DhgcnLite {
@@ -405,51 +312,10 @@ impl Module for DhgcnLite {
         for b in &mut self.blocks {
             b.set_training(training);
         }
-        if training {
-            self.inference = None;
-        }
-    }
-
-    fn prepare_inference(&mut self) {
-        self.set_training(false);
-        for b in &mut self.blocks {
-            b.prepare_inference();
-        }
-        let (bn_scale, bn_shift) = self.input_bn.eval_affine();
-        self.inference = Some(LiteInference {
-            embed: EvalConv::from_conv(&self.embed),
-            bn_scale,
-            bn_shift,
-        });
-    }
-
-    fn forward_inference(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        let Some(inf) = &self.inference else {
-            // not compiled: grad-free but otherwise identical to forward
-            let _guard = dhg_tensor::no_grad();
-            return self.forward(x);
-        };
-        let _guard = dhg_tensor::no_grad();
-        let shape = x.shape();
-        assert_eq!(shape.len(), 4, "input must be [N, C, T, V]");
-        assert_eq!(shape[1], self.config.dims.in_channels, "channel mismatch");
-        assert_eq!(shape[3], self.config.dims.n_joints, "joint mismatch");
-        let xnd = x.data();
-        let op = self.fused_operator_eval(&xnd, inf, ws);
-        let mut h = self.input_bn.forward_affine(&xnd, &inf.bn_scale, &inf.bn_shift, ws);
-        for block in &self.blocks {
-            let next = block.forward_eval(&h, &op, ws);
-            ws.recycle(h);
-            h = next;
-        }
-        ws.recycle(op);
-        let pooled = h.mean_axes(&[2, 3], false); // [N, C]
-        ws.recycle(h);
-        Tensor::constant(linear_eval(&self.fc, &pooled, ws))
     }
 
     fn plan(&self, input: &dhg_nn::SymShape) -> dhg_nn::Plan {
-        use dhg_nn::{DiagCode, Plan, SymShape};
+        use dhg_nn::{Plan, SymShape};
         let mut p = Plan::new(input);
         if !p.expect_nctv(self.config.dims.in_channels, self.config.dims.n_joints)
             || p.has_errors()
@@ -467,7 +333,7 @@ impl Module for DhgcnLite {
         let c = input.known(1).unwrap_or(1) as u64;
         let t = input.known(2).unwrap_or(1) as u64;
         let e = self.config.embed_channels as u64;
-        let op_cost = dhg_nn::OpCost::vertex_op(c.max(e), t, v as u64)
+        let op_cost = dhg_nn::OpCost::vertex_op(c.max(e), t, v as u64, t)
             .with_scratch(4 * e * t * v as u64);
         p.push_op_costed(
             "fused_operator",
@@ -489,12 +355,6 @@ impl Module for DhgcnLite {
         let pooled = SymShape(vec![input.at(0), channels]);
         p.push_op("global_avg_pool", "mean over (T, V)", pooled);
         p.extend("fc", self.fc.plan(&p.output().clone()));
-        if !self.input_bn.training() && self.inference.is_none() {
-            p.warn(
-                DiagCode::NotPrepared,
-                "eval-mode DHGCN-lite without folded serving caches; call prepare_inference() before serving",
-            );
-        }
         p
     }
 }
@@ -526,20 +386,25 @@ mod tests {
     }
 
     #[test]
-    fn grad_and_no_grad_logits_are_bitwise_identical_across_thread_counts() {
+    fn grad_and_no_grad_logits_are_each_bitwise_identical_across_thread_counts() {
         let mut m = lite();
-        m.set_training(false);
         let x = input(2, 8);
-        let mut ws = Workspace::new();
-        let reference = m.forward(&x).array();
-        for threads in [1usize, 2, 8] {
+        m.forward(&x); // warm BN statistics
+        m.set_training(false);
+        let recorded_at =
+            |threads| dhg_tensor::parallel::with_threads(threads, || m.forward(&x).array());
+        let served = |threads| {
             dhg_tensor::parallel::with_threads(threads, || {
-                let grad = m.forward(&x).array();
-                // unprepared forward_inference = the default no_grad path
-                let no_grad = m.forward_inference(&x, &mut ws).array();
-                assert_eq!(reference, grad, "grad path diverged at {threads} threads");
-                assert_eq!(reference, no_grad, "no_grad path diverged at {threads} threads");
-            });
+                let _g = dhg_tensor::no_grad();
+                m.forward(&x).array()
+            })
+        };
+        let recorded = recorded_at(1);
+        let reference = served(1);
+        assert!(reference.allclose(&recorded, 1e-5, 1e-6), "no_grad eval drifted from grad-mode eval");
+        for threads in [2usize, 8] {
+            assert_eq!(recorded, recorded_at(threads), "grad-mode eval diverged at {threads} threads");
+            assert_eq!(reference, served(threads), "no_grad eval diverged at {threads} threads");
         }
     }
 
@@ -590,32 +455,6 @@ mod tests {
         let op = m.fused_operator(&input(3, 8));
         assert_eq!(op.shape(), vec![3, 25, 25]);
         assert!(op.array().data().iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn compiled_inference_matches_eval_within_tolerance() {
-        let mut m = lite();
-        let x = input(2, 10);
-        // warm the BN statistics so folding is non-trivial
-        m.forward(&x);
-        m.set_training(false);
-        let reference = {
-            let _g = dhg_tensor::no_grad();
-            m.forward(&x).array()
-        };
-        m.prepare_inference();
-        let mut ws = Workspace::new();
-        let before = dhg_tensor::graph_nodes_created();
-        let got = m.forward_inference(&x, &mut ws).array();
-        assert_eq!(
-            dhg_tensor::graph_nodes_created(),
-            before,
-            "compiled inference must not allocate autograd nodes"
-        );
-        assert!(reference.allclose(&got, 1e-4, 1e-5), "compiled logits diverged");
-        // a second call reuses pooled buffers and stays put
-        let again = m.forward_inference(&x, &mut ws).array();
-        assert_eq!(got, again);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::common::{paper_stages, plan_static_hypergraph, small_stages, ModelDim
 use dhg_hypergraph::{dynamic_operators, Hypergraph};
 use dhg_nn::{global_avg_pool, Buffer, Linear, Module};
 use dhg_skeleton::{static_hypergraph, SkeletonTopology};
-use dhg_tensor::{NdArray, Tensor, Workspace};
+use dhg_tensor::{NdArray, Tensor};
 use rand::Rng;
 
 /// Which spatial branches are active — the Tab. 4 ablation axis.
@@ -146,9 +146,6 @@ pub struct Dhgcn {
     input_bn: crate::common::DataBn,
     blocks: Vec<DhstBlock>,
     fc: Linear,
-    /// Cached input-BN eval affine; present iff the model is compiled for
-    /// serving (every block then holds its own folded caches).
-    inference: Option<(Vec<f32>, Vec<f32>)>,
 }
 
 impl Dhgcn {
@@ -186,7 +183,7 @@ impl Dhgcn {
             in_ch = stage.channels;
         }
         let fc = Linear::new(in_ch, config.dims.n_classes, rng);
-        Dhgcn { config, static_hg, input_bn, blocks, fc, inference: None }
+        Dhgcn { config, static_hg, input_bn, blocks, fc }
     }
 
     /// Build over a skeleton topology's standard static hypergraph
@@ -287,21 +284,10 @@ impl Module for Dhgcn {
         for b in &mut self.blocks {
             b.set_training(training);
         }
-        if training {
-            self.inference = None;
-        }
-    }
-
-    fn prepare_inference(&mut self) {
-        self.set_training(false);
-        for b in &mut self.blocks {
-            b.prepare_inference();
-        }
-        self.inference = Some(self.input_bn.eval_affine());
     }
 
     fn plan(&self, input: &dhg_nn::SymShape) -> dhg_nn::Plan {
-        use dhg_nn::{DiagCode, Plan, SymShape};
+        use dhg_nn::{Plan, SymShape};
         let mut p = Plan::new(input);
         if !p.expect_nctv(self.config.dims.in_channels, self.config.dims.n_joints)
             || p.has_errors()
@@ -322,46 +308,7 @@ impl Module for Dhgcn {
         let channels = p.output().at(1);
         p.push_op("global_avg_pool", "mean over (T, V)", SymShape(vec![input.at(0), channels]));
         p.extend("fc", self.fc.plan(&p.output().clone()));
-        if !self.input_bn.training() && self.inference.is_none() {
-            p.warn(
-                DiagCode::NotPrepared,
-                "eval-mode Dhgcn without a compiled serving path; call prepare_inference()",
-            );
-        }
         p
-    }
-
-    fn forward_inference(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        let _guard = dhg_tensor::no_grad();
-        let Some((bn_scale, bn_shift)) = &self.inference else {
-            // not compiled: grad-free but otherwise identical to forward
-            return self.forward(x);
-        };
-        let shape = x.shape();
-        assert_eq!(shape.len(), 4, "input must be [N, C, T, V]");
-        assert_eq!(shape[1], self.config.dims.in_channels, "channel mismatch");
-        assert_eq!(shape[3], self.config.dims.n_joints, "joint mismatch");
-        let xnd = x.data();
-        let needs_ops = self.blocks.iter().any(|b| b.needs_dynamic_ops());
-        let mut ops: Option<NdArray> = needs_ops.then(|| self.dynamic_joint_weight_ops(&xnd));
-        let mut h = self.input_bn.forward_affine(&xnd, bn_scale, bn_shift, ws);
-        for block in &self.blocks {
-            let block_ops = block
-                .needs_dynamic_ops()
-                .then(|| ops.as_ref().expect("ops precomputed"));
-            let next = block.forward_eval(&h, block_ops, ws);
-            ws.recycle(h);
-            h = next;
-            if block.stride() > 1 {
-                if let Some(o) = &ops {
-                    let t_out = h.shape()[2];
-                    ops = Some(Self::subsample_ops(o, t_out, block.stride()));
-                }
-            }
-        }
-        let pooled = h.mean_axes(&[2, 3], false); // [N, C]
-        ws.recycle(h);
-        Tensor::constant(crate::common::linear_eval(&self.fc, &pooled, ws))
     }
 }
 
@@ -445,33 +392,17 @@ mod tests {
     }
 
     #[test]
-    fn compiled_inference_matches_eval_and_builds_no_graph() {
+    fn grad_free_eval_forward_builds_no_graph() {
         let mut m = small_model(BranchConfig::full());
         let x = input(2, 8);
-        // warm BN statistics, then switch to eval
-        m.forward(&x);
+        m.forward(&x); // warm BN statistics
         m.set_training(false);
-        let reference = {
-            let _g = dhg_tensor::no_grad();
-            m.forward(&x).array()
-        };
-        m.prepare_inference();
-        let mut ws = dhg_tensor::Workspace::new();
+        let recorded = m.forward(&x).array();
+        let _g = dhg_tensor::no_grad();
         let before = dhg_tensor::graph_nodes_created();
-        let got = m.forward_inference(&x, &mut ws).array();
-        assert_eq!(
-            dhg_tensor::graph_nodes_created(),
-            before,
-            "compiled inference must not allocate autograd nodes"
-        );
-        assert_eq!(got.shape(), reference.shape());
-        assert!(reference.allclose(&got, 1e-4, 1e-5), "compiled logits diverged");
-        // uncompiled default: grad-free but bitwise identical to forward
-        // (set_training(true) drops the compiled caches)
-        m.set_training(true);
-        m.set_training(false);
-        let unprepared = m.forward_inference(&x, &mut ws).array();
-        assert_eq!(unprepared, reference);
+        let served = m.forward(&x).array();
+        assert_eq!(dhg_tensor::graph_nodes_created(), before, "no_grad eval built graph nodes");
+        assert!(served.allclose(&recorded, 1e-5, 1e-6));
     }
 
     #[test]

@@ -71,7 +71,7 @@ impl Module for PbBlock {
                 None => part,
             });
         }
-        self.tail.forward(x, &acc.expect("at least one part"))
+        self.tail.forward(x, acc.expect("at least one part"))
     }
 
     fn parameters(&self) -> Vec<Tensor> {
@@ -112,7 +112,6 @@ impl Module for PbBlock {
         // every part mixes the block input with its own operator and Θ;
         // part 0 anchors the chain, the others run beside it and are
         // summed into it, so their output shapes must agree
-        let (c, t) = (input.known(1).unwrap_or(1) as u64, input.known(2).unwrap_or(1) as u64);
         let n_parts = self.convs.len();
         let part = |i: usize| {
             let (op, theta) = &self.convs[i];
@@ -123,7 +122,7 @@ impl Module for PbBlock {
                 "vertex_op",
                 format!("part {i} of {n_parts}: [{v}, {v}] operator"),
                 MixOperator::Shared,
-                OpCost::vertex_op(c, t, v as u64),
+                OpCost::default(),
             );
             pp.extend("theta", theta.plan(input));
             pp

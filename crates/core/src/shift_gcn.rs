@@ -74,10 +74,10 @@ impl ShiftBlock {
 impl Module for ShiftBlock {
     fn forward(&self, x: &Tensor) -> Tensor {
         // shift → pointwise → shift again (shift-conv-shift, as published)
-        let shifted = spatial_shift(x, self.groups);
-        let mixed = self.theta.forward(&shifted);
-        let mixed = spatial_shift(&mixed, self.groups.min(mixed.shape()[1]));
-        self.tail.forward(x, &mixed)
+        let mixed = self.theta.forward(&spatial_shift(x, self.groups));
+        let shifted = spatial_shift(&mixed, self.groups.min(mixed.shape()[1]));
+        drop(mixed);
+        self.tail.forward(x, shifted)
     }
 
     fn parameters(&self) -> Vec<Tensor> {

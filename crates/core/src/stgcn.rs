@@ -1,10 +1,10 @@
 //! ST-GCN \[37\]: the first graph-convolutional skeleton model (§3.1) and
 //! the reference GCN baseline of Tabs. 6–7.
 
-use crate::common::{linear_eval, ModelDims, StageSpec, StaticBranch, StaticBranchEval};
+use crate::common::{ModelDims, StageSpec, StaticBranch};
 use crate::tcn::{block_rank_error, BlockTail};
 use dhg_nn::{global_avg_pool, Buffer, Linear, Module};
-use dhg_tensor::{NdArray, Tensor, Workspace};
+use dhg_tensor::{NdArray, Tensor};
 use rand::Rng;
 
 /// One spatial-temporal block: fixed-operator graph convolution (Eq. 1)
@@ -13,9 +13,6 @@ use rand::Rng;
 pub struct StGcnBlock {
     spatial: StaticBranch,
     tail: BlockTail,
-    /// Serving cache: importance-weighted operator precomputed, the tail's
-    /// BN folded into Θ.
-    inference: Option<StaticBranchEval>,
 }
 
 impl StGcnBlock {
@@ -30,22 +27,13 @@ impl StGcnBlock {
     ) -> Self {
         let spatial = StaticBranch::new(op, in_channels, out_channels, rng);
         let tail = BlockTail::new(in_channels, out_channels, stride, 1, dropout, rng);
-        StGcnBlock { spatial, tail, inference: None }
-    }
-
-    /// Grad-free eval forward on raw arrays; requires
-    /// [`Module::prepare_inference`].
-    fn forward_eval(&self, x: &NdArray, ws: &mut Workspace) -> NdArray {
-        let inf = self.inference.as_ref().expect("StGcnBlock eval requires prepare_inference()");
-        let mut spatial = inf.forward(x, ws);
-        spatial.relu_inplace();
-        self.tail.forward_eval(x, spatial, ws)
+        StGcnBlock { spatial, tail }
     }
 }
 
 impl Module for StGcnBlock {
     fn forward(&self, x: &Tensor) -> Tensor {
-        self.tail.forward(x, &self.spatial.forward(x))
+        self.tail.forward(x, self.spatial.forward(x))
     }
 
     fn parameters(&self) -> Vec<Tensor> {
@@ -60,14 +48,6 @@ impl Module for StGcnBlock {
 
     fn set_training(&mut self, training: bool) {
         self.tail.set_training(training);
-        if training {
-            self.inference = None;
-        }
-    }
-
-    fn prepare_inference(&mut self) {
-        let (scale, shift) = self.tail.prepare_inference();
-        self.inference = Some(self.spatial.compile(&scale, &shift));
     }
 
     fn plan(&self, input: &dhg_nn::SymShape) -> dhg_nn::Plan {
@@ -78,12 +58,7 @@ impl Module for StGcnBlock {
         if p.has_errors() {
             return p;
         }
-        if self.tail.plan(&mut p, input) && !self.tail.training() && self.inference.is_none() {
-            p.warn(
-                dhg_nn::DiagCode::NotPrepared,
-                "eval-mode StGcnBlock without serving caches; call prepare_inference()",
-            );
-        }
+        self.tail.plan(&mut p, input);
         p
     }
 }
@@ -96,8 +71,6 @@ pub struct StGcn {
     blocks: Vec<StGcnBlock>,
     fc: Linear,
     dims: ModelDims,
-    /// Cached input-BN eval affine; present iff compiled for serving.
-    inference: Option<(Vec<f32>, Vec<f32>)>,
 }
 
 impl StGcn {
@@ -127,7 +100,7 @@ impl StGcn {
             in_ch = stage.channels;
         }
         let fc = Linear::new(in_ch, dims.n_classes, rng);
-        StGcn { input_bn, blocks, fc, dims, inference: None }
+        StGcn { input_bn, blocks, fc, dims }
     }
 
     /// Number of blocks in the backbone.
@@ -176,21 +149,10 @@ impl Module for StGcn {
         for b in &mut self.blocks {
             b.set_training(training);
         }
-        if training {
-            self.inference = None;
-        }
-    }
-
-    fn prepare_inference(&mut self) {
-        self.set_training(false);
-        for b in &mut self.blocks {
-            b.prepare_inference();
-        }
-        self.inference = Some(self.input_bn.eval_affine());
     }
 
     fn plan(&self, input: &dhg_nn::SymShape) -> dhg_nn::Plan {
-        use dhg_nn::{DiagCode, Plan, SymShape};
+        use dhg_nn::{Plan, SymShape};
         let mut p = Plan::new(input);
         if !p.expect_nctv(self.dims.in_channels, self.dims.n_joints) || p.has_errors() {
             return p;
@@ -205,35 +167,7 @@ impl Module for StGcn {
         let channels = p.output().at(1);
         p.push_op("global_avg_pool", "mean over (T, V)", SymShape(vec![input.at(0), channels]));
         p.extend("fc", self.fc.plan(&p.output().clone()));
-        if !self.input_bn.training() && self.inference.is_none() {
-            p.warn(
-                DiagCode::NotPrepared,
-                "eval-mode StGcn without a compiled serving path; call prepare_inference()",
-            );
-        }
         p
-    }
-
-    fn forward_inference(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        let Some((bn_scale, bn_shift)) = &self.inference else {
-            let _guard = dhg_tensor::no_grad();
-            return self.forward(x);
-        };
-        let _guard = dhg_tensor::no_grad();
-        let shape = x.shape();
-        assert_eq!(shape.len(), 4, "input must be [N, C, T, V]");
-        assert_eq!(shape[1], self.dims.in_channels, "channel mismatch");
-        assert_eq!(shape[3], self.dims.n_joints, "joint mismatch");
-        let xnd = x.data();
-        let mut h = self.input_bn.forward_affine(&xnd, bn_scale, bn_shift, ws);
-        for block in &self.blocks {
-            let next = block.forward_eval(&h, ws);
-            ws.recycle(h);
-            h = next;
-        }
-        let pooled = h.mean_axes(&[2, 3], false); // [N, C]
-        ws.recycle(h);
-        Tensor::constant(linear_eval(&self.fc, &pooled, ws))
     }
 }
 
@@ -287,25 +221,6 @@ mod tests {
         let h = m.blocks[1].forward(&h);
         let h = m.blocks[2].forward(&h);
         assert_eq!(h.shape(), vec![1, 32, 8, 25]);
-    }
-
-    #[test]
-    fn compiled_inference_matches_eval_within_tolerance() {
-        let mut m = model();
-        let x = Tensor::constant(NdArray::from_vec(
-            (0..2 * 3 * 16 * 25).map(|i| (i as f32 * 0.023).sin()).collect(),
-            &[2, 3, 16, 25],
-        ));
-        m.forward(&x); // warm BN stats
-        m.set_training(false);
-        let reference = {
-            let _g = dhg_tensor::no_grad();
-            m.forward(&x).array()
-        };
-        m.prepare_inference();
-        let mut ws = Workspace::new();
-        let got = m.forward_inference(&x, &mut ws).array();
-        assert!(reference.allclose(&got, 1e-4, 1e-5), "compiled logits diverged");
     }
 
     #[test]

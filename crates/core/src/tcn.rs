@@ -2,9 +2,9 @@
 //! fixed at `3 × 1`, receptive field widened via dilation), and the block
 //! tail around it.
 
-use dhg_nn::{BatchNorm2d, Buffer, Conv2d, DiagCode, Dropout, EvalConv, Module, Plan, SymShape};
+use dhg_nn::{BatchNorm2d, Buffer, Conv2d, DiagCode, Dropout, Module, Plan, SymShape};
 use dhg_tensor::ops::Conv2dSpec;
-use dhg_tensor::{NdArray, Tensor, Workspace};
+use dhg_tensor::Tensor;
 use rand::Rng;
 
 /// `3×1` temporal convolution → BatchNorm → (optional) dropout. ReLU and
@@ -14,9 +14,6 @@ pub struct TemporalConv {
     bn: BatchNorm2d,
     dropout: Option<Dropout>,
     stride: usize,
-    /// Conv+BN folded for serving; built by [`Module::prepare_inference`],
-    /// dropped when training resumes.
-    inference: Option<EvalConv>,
 }
 
 impl TemporalConv {
@@ -32,22 +29,12 @@ impl TemporalConv {
         let conv = Conv2d::temporal(in_channels, out_channels, 3, stride, dilation, rng);
         let bn = BatchNorm2d::new(out_channels);
         let dropout = if dropout > 0.0 { Some(Dropout::new(dropout, rng.gen())) } else { None };
-        TemporalConv { conv, bn, dropout, stride, inference: None }
+        TemporalConv { conv, bn, dropout, stride }
     }
 
     /// The temporal stride (2 halves the frame count).
     pub fn stride(&self) -> usize {
         self.stride
-    }
-
-    /// Grad-free eval forward on raw arrays through the folded Conv+BN
-    /// kernel (dropout is the identity in eval mode). Requires
-    /// [`Module::prepare_inference`] to have run.
-    pub fn forward_eval(&self, x: &NdArray, ws: &mut Workspace) -> NdArray {
-        self.inference
-            .as_ref()
-            .expect("TemporalConv::forward_eval requires prepare_inference()")
-            .forward(x, ws)
     }
 }
 
@@ -75,15 +62,6 @@ impl Module for TemporalConv {
         if let Some(d) = &mut self.dropout {
             d.set_training(training);
         }
-        if training {
-            // folded weights are stale once the parameters move again
-            self.inference = None;
-        }
-    }
-
-    fn prepare_inference(&mut self) {
-        self.set_training(false);
-        self.inference = Some(EvalConv::from_conv_bn(&self.conv, &self.bn));
     }
 
     fn plan(&self, input: &SymShape) -> Plan {
@@ -111,8 +89,6 @@ pub(crate) struct BlockTail {
     pub(crate) tcn: TemporalConv,
     /// Projection for the residual path when channels or stride change.
     pub(crate) residual_proj: Option<Conv2d>,
-    /// `residual_proj` baked for serving by [`BlockTail::prepare_inference`].
-    residual: Option<EvalConv>,
 }
 
 impl BlockTail {
@@ -137,13 +113,18 @@ impl BlockTail {
             };
             Conv2d::new(in_channels, out_channels, spec, rng)
         });
-        BlockTail { bn, tcn, residual_proj, residual: None }
+        BlockTail { bn, tcn, residual_proj }
     }
 
     /// `relu(tcn(relu(bn(spatial))) + residual(x))` for block input `x`.
-    pub(crate) fn forward(&self, x: &Tensor, spatial: &Tensor) -> Tensor {
-        let spatial = self.bn.forward(spatial).relu();
-        let temporal = self.tcn.forward(&spatial);
+    /// Each intermediate is dropped as soon as the next one exists, so a
+    /// grad-free forward holds no more than two block-sized arrays
+    /// beside `x`.
+    pub(crate) fn forward(&self, x: &Tensor, spatial: Tensor) -> Tensor {
+        let normed = self.bn.forward(&spatial).relu();
+        drop(spatial);
+        let temporal = self.tcn.forward(&normed);
+        drop(normed);
         let residual = match &self.residual_proj {
             Some(proj) => proj.forward(x),
             None => x.clone(),
@@ -168,56 +149,20 @@ impl BlockTail {
         bs
     }
 
-    /// Whether the tail is in training mode.
-    pub(crate) fn training(&self) -> bool {
-        self.bn.training()
-    }
-
-    /// Train/eval switch; returning to training drops the serving caches,
-    /// whose folded weights would go stale as the parameters move.
+    /// Train/eval switch.
     pub(crate) fn set_training(&mut self, training: bool) {
         self.bn.set_training(training);
         self.tcn.set_training(training);
-        if training {
-            self.residual = None;
-        }
-    }
-
-    /// Compile the tail for serving: fold the temporal Conv+BN and bake
-    /// the residual projection. Returns the eval affine of the tail's
-    /// BatchNorm for the owner to fold into its spatial Θ.
-    pub(crate) fn prepare_inference(&mut self) -> (Vec<f32>, Vec<f32>) {
-        self.set_training(false);
-        self.tcn.prepare_inference();
-        self.residual = self.residual_proj.as_ref().map(EvalConv::from_conv);
-        self.bn.eval_affine()
-    }
-
-    /// Grad-free tail on raw arrays after [`BlockTail::prepare_inference`]:
-    /// `spatial` already carries the folded BatchNorm and the ReLU.
-    pub(crate) fn forward_eval(&self, x: &NdArray, spatial: NdArray, ws: &mut Workspace) -> NdArray {
-        let mut out = self.tcn.forward_eval(&spatial, ws);
-        ws.recycle(spatial);
-        match &self.residual {
-            Some(proj) => {
-                let r = proj.forward(x, ws);
-                out.add_relu_inplace(&r);
-                ws.recycle(r);
-            }
-            None => out.add_relu_inplace(x),
-        }
-        out
     }
 
     /// Record the tail on `p`, whose output is the spatial part's, for
-    /// block input `input`. Returns false if it stopped at an error in or
-    /// before the temporal unit.
-    pub(crate) fn plan(&self, p: &mut Plan, input: &SymShape) -> bool {
+    /// block input `input`.
+    pub(crate) fn plan(&self, p: &mut Plan, input: &SymShape) {
         p.extend("bn", self.bn.plan(&p.output().clone()));
         p.push_op("relu", "", p.output().clone());
         p.extend("tcn", self.tcn.plan(&p.output().clone()));
         if p.has_errors() {
-            return false;
+            return;
         }
         let main_out = p.output().clone();
         let residual_out = match &self.residual_proj {
@@ -231,7 +176,6 @@ impl BlockTail {
             );
         }
         p.push_op("residual_add_relu", "", main_out);
-        true
     }
 }
 
@@ -279,35 +223,6 @@ mod tests {
         let t = TemporalConv::new(4, 4, 1, 2, 0.0, &mut rng);
         let x = Tensor::constant(NdArray::ones(&[1, 4, 12, 25]));
         assert_eq!(t.forward(&x).shape(), vec![1, 4, 12, 25]);
-    }
-
-    #[test]
-    fn folded_eval_matches_unfused_within_tolerance() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut t = TemporalConv::new(3, 4, 1, 1, 0.0, &mut rng);
-        // warm the BN stats, then compare the two eval paths
-        for i in 0..3 {
-            let x = Tensor::constant(NdArray::from_vec(
-                (0..2 * 3 * 8 * 5).map(|j| ((i * 17 + j) as f32 * 0.11).sin()).collect(),
-                &[2, 3, 8, 5],
-            ));
-            t.forward(&x);
-        }
-        t.prepare_inference();
-        let x = NdArray::from_vec(
-            (0..2 * 3 * 8 * 5).map(|j| (j as f32 * 0.07).cos()).collect(),
-            &[2, 3, 8, 5],
-        );
-        let reference = {
-            let _g = dhg_tensor::no_grad();
-            t.forward(&Tensor::constant(x.clone())).array()
-        };
-        let mut ws = Workspace::new();
-        let got = t.forward_eval(&x, &mut ws);
-        assert!(reference.allclose(&got, 1e-5, 1e-6));
-        // resuming training must drop the folded cache
-        t.set_training(true);
-        assert!(t.inference.is_none());
     }
 
     #[test]

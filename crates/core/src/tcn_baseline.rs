@@ -3,10 +3,10 @@
 //! convolutions — no graph structure at all, which is exactly why the
 //! GCN/DHGCN family beats it.
 
-use crate::common::{linear_eval, ModelDims};
+use crate::common::ModelDims;
 use crate::tcn::TemporalConv;
 use dhg_nn::{global_avg_pool, BatchNorm2d, Buffer, Linear, Module};
-use dhg_tensor::{Tensor, Workspace};
+use dhg_tensor::Tensor;
 use rand::Rng;
 
 /// Interpretable temporal-convolution classifier over flattened joints.
@@ -15,8 +15,6 @@ pub struct TcnClassifier {
     layers: Vec<TemporalConv>,
     fc: Linear,
     dims: ModelDims,
-    /// Cached input-BN eval affine; present iff compiled for serving.
-    inference: Option<(Vec<f32>, Vec<f32>)>,
 }
 
 impl TcnClassifier {
@@ -35,7 +33,7 @@ impl TcnClassifier {
             in_ch = w;
         }
         let fc = Linear::new(in_ch, dims.n_classes, rng);
-        TcnClassifier { input_bn, layers, fc, dims, inference: None }
+        TcnClassifier { input_bn, layers, fc, dims }
     }
 
     /// The model geometry.
@@ -74,9 +72,6 @@ impl Module for TcnClassifier {
         for l in &mut self.layers {
             l.set_training(training);
         }
-        if training {
-            self.inference = None;
-        }
     }
 
     fn buffers(&self) -> Vec<Buffer> {
@@ -87,16 +82,8 @@ impl Module for TcnClassifier {
         bs
     }
 
-    fn prepare_inference(&mut self) {
-        self.set_training(false);
-        for l in &mut self.layers {
-            l.prepare_inference();
-        }
-        self.inference = Some(self.input_bn.eval_affine());
-    }
-
     fn plan(&self, input: &dhg_nn::SymShape) -> dhg_nn::Plan {
-        use dhg_nn::{DiagCode, Dim, Plan, SymShape};
+        use dhg_nn::{Dim, Plan, SymShape};
         let mut p = Plan::new(input);
         if !p.expect_nctv(self.dims.in_channels, self.dims.n_joints) || p.has_errors() {
             return p;
@@ -115,54 +102,7 @@ impl Module for TcnClassifier {
         let channels = p.output().at(1);
         p.push_op("global_avg_pool", "mean over (T, V)", SymShape(vec![input.at(0), channels]));
         p.extend("fc", self.fc.plan(&p.output().clone()));
-        if !self.input_bn.training() && self.inference.is_none() {
-            p.warn(
-                DiagCode::NotPrepared,
-                "eval-mode TcnClassifier without a compiled serving path; call prepare_inference()",
-            );
-        }
         p
-    }
-
-    fn forward_inference(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        let Some((scale, shift)) = &self.inference else {
-            let _guard = dhg_tensor::no_grad();
-            return self.forward(x);
-        };
-        let _guard = dhg_tensor::no_grad();
-        let s = x.shape();
-        assert_eq!(s.len(), 4, "input must be [N, C, T, V]");
-        let (n, c, t, v) = (s[0], s[1], s[2], s[3]);
-        assert_eq!(c, self.dims.in_channels);
-        assert_eq!(v, self.dims.n_joints);
-        let xnd = x.data();
-        let xs = xnd.data();
-        // Flatten joints into channels and apply the input-BN affine in the
-        // same pass: [N, C, T, V] → normalised [N, C·V, T, 1].
-        let mut flat = ws.take(n * c * v * t);
-        for ni in 0..n {
-            for ci in 0..c {
-                for vi in 0..v {
-                    let k = ci * v + vi;
-                    let (sc, sh) = (scale[k], shift[k]);
-                    let src = (ni * c + ci) * t * v + vi;
-                    let dst = ((ni * c + ci) * v + vi) * t;
-                    for ti in 0..t {
-                        flat[dst + ti] = sc * xs[src + ti * v] + sh;
-                    }
-                }
-            }
-        }
-        let mut h = dhg_tensor::NdArray::from_vec(flat, &[n, c * v, t, 1]);
-        for layer in &self.layers {
-            let mut next = layer.forward_eval(&h, ws);
-            next.relu_inplace();
-            ws.recycle(h);
-            h = next;
-        }
-        let pooled = h.mean_axes(&[2, 3], false); // [N, C]
-        ws.recycle(h);
-        Tensor::constant(linear_eval(&self.fc, &pooled, ws))
     }
 }
 
@@ -198,33 +138,6 @@ mod tests {
         let x = Tensor::constant(NdArray::ones(&[1, 3, 8, 18]));
         m.forward(&x).cross_entropy(&[0]).backward();
         assert!(m.parameters().iter().all(|p| p.grad().is_some()));
-    }
-
-    #[test]
-    fn compiled_inference_matches_eval_within_tolerance() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut m = TcnClassifier::new(
-            ModelDims { in_channels: 3, n_joints: 25, n_classes: 6 },
-            &[16, 16],
-            0.0,
-            &mut rng,
-        );
-        let x = Tensor::constant(NdArray::from_vec(
-            (0..2 * 3 * 16 * 25).map(|i| (i as f32 * 0.017).sin()).collect(),
-            &[2, 3, 16, 25],
-        ));
-        m.forward(&x); // warm BN stats
-        m.set_training(false);
-        let reference = {
-            let _g = dhg_tensor::no_grad();
-            m.forward(&x).array()
-        };
-        m.prepare_inference();
-        let mut ws = Workspace::new();
-        let before = dhg_tensor::graph_nodes_created();
-        let got = m.forward_inference(&x, &mut ws).array();
-        assert_eq!(dhg_tensor::graph_nodes_created(), before, "compiled path built graph nodes");
-        assert!(reference.allclose(&got, 1e-4, 1e-5), "compiled logits diverged");
     }
 
     #[test]

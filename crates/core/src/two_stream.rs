@@ -41,12 +41,6 @@ impl<M: Module> TwoStream<M> {
         self.bone.set_training(training);
     }
 
-    /// Compile both streams for serving (see [`Module::prepare_inference`]).
-    pub fn prepare_inference(&mut self) {
-        self.joint.prepare_inference();
-        self.bone.prepare_inference();
-    }
-
     /// Statically verify the late-fusion contract without running either
     /// stream: each per-stream plan must be clean, and both plans must
     /// produce the same score shape `[N, K]` — the condition

@@ -43,8 +43,5 @@ pub use graph::Graph;
 pub use hypergraph::Hypergraph;
 pub use kmeans::kmeans_hyperedges;
 pub use knn::knn_hyperedges;
-pub use topology::{
-    from_scratch_operator, stacked_operators, stacked_operators_with, TopologyConfig,
-    TopologyGranularity,
-};
+pub use topology::{from_scratch_operator, stacked_operators, TopologyConfig, TopologyGranularity};
 pub use validate::{validate_hypergraph, validate_imp, validate_incidence, IncidenceIssue};

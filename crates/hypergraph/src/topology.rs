@@ -3,8 +3,8 @@
 //! clusters, united into one normalised `[V, V]` operator.
 //!
 //! [`from_scratch_operator`] builds one operator from one coordinate set;
-//! [`stacked_operators`] and [`stacked_operators_with`] stack them for a
-//! batch, per sample or per frame, sharded over the worker pool. The
+//! [`stacked_operators`] stacks them for a batch, per sample or per
+//! frame, sharded over the worker pool. The
 //! construction is stateless: identical coordinates and seed always give
 //! the identical operator, whatever the call order or thread count.
 
@@ -58,18 +58,14 @@ pub fn from_scratch_operator(coords: &[f32], v: usize, d: usize, config: &Topolo
 }
 
 /// Stack per-sample or per-(sample, frame) topology operators for a batch
-/// of embedded features `feats ∈ [N, T, V, E]`, sharded over the worker
-/// pool exactly like the historical in-branch loops (one `[V, V]` block
-/// per closure call ⇒ bitwise-deterministic at any thread count).
-///
-/// `post` runs on each finished `[V, V]` block in place — the eval path
-/// uses it to fuse the importance mask and learned refinement without a
-/// second sweep. Pass a no-op for the plain operators.
-pub fn stacked_operators_with(
+/// of embedded features `feats ∈ [N, T, V, E]` (`[N, V, V]` per sample,
+/// `[N, T, V, V]` per frame), sharded over the worker pool exactly like
+/// the historical in-branch loops (one `[V, V]` block per closure call ⇒
+/// bitwise-deterministic at any thread count).
+pub fn stacked_operators(
     feats: &NdArray,
     granularity: TopologyGranularity,
     config: &TopologyConfig,
-    post: impl Fn(&mut [f32]) + Sync,
 ) -> NdArray {
     assert_eq!(feats.ndim(), 4, "feats must be [N, T, V, E]");
     let s = feats.shape();
@@ -84,7 +80,6 @@ pub fn stacked_operators_with(
             dhg_tensor::parallel::for_each_block(stacked.data_mut(), v * v, work, |ni, blk| {
                 let coords = &mean.data()[ni * v * e..(ni + 1) * v * e];
                 blk.copy_from_slice(from_scratch_operator(coords, v, e, config).data());
-                post(blk);
             });
             stacked
         }
@@ -97,21 +92,10 @@ pub fn stacked_operators_with(
                 let base = item * v * e;
                 let coords = &feats.data()[base..base + v * e];
                 blk.copy_from_slice(from_scratch_operator(coords, v, e, config).data());
-                post(blk);
             });
             stacked
         }
     }
-}
-
-/// [`stacked_operators_with`] without a post-processing step: the plain
-/// stacked operators (`[N, V, V]` per-sample, `[N, T, V, V]` per-frame).
-pub fn stacked_operators(
-    feats: &NdArray,
-    granularity: TopologyGranularity,
-    config: &TopologyConfig,
-) -> NdArray {
-    stacked_operators_with(feats, granularity, config, |_| {})
 }
 
 #[cfg(test)]
@@ -143,20 +127,16 @@ mod tests {
     }
 
     #[test]
-    fn stacked_operators_per_frame_shape_and_post() {
+    fn stacked_operators_per_frame_matches_manual_loop() {
         let (n, t, v, e) = (1, 2, 6, 3);
         let feats = NdArray::from_vec(cloud(n * t * v, e, 11), &[n, t, v, e]);
         let cfg = config();
-        let plain = stacked_operators(&feats, TopologyGranularity::PerFrame, &cfg);
-        assert_eq!(plain.shape(), &[n, t, v, v]);
-        let doubled =
-            stacked_operators_with(&feats, TopologyGranularity::PerFrame, &cfg, |blk| {
-                for x in blk {
-                    *x *= 2.0;
-                }
-            });
-        for (a, b) in plain.data().iter().zip(doubled.data()) {
-            assert_eq!(a * 2.0, *b);
+        let got = stacked_operators(&feats, TopologyGranularity::PerFrame, &cfg);
+        assert_eq!(got.shape(), &[n, t, v, v]);
+        for ti in 0..t {
+            let coords = &feats.data()[ti * v * e..(ti + 1) * v * e];
+            let want = from_scratch_operator(coords, v, e, &cfg);
+            assert_eq!(got.slice_axis(1, ti, 1).reshape(&[v, v]), want);
         }
     }
 }

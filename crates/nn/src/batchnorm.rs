@@ -11,7 +11,7 @@ use std::rc::Rc;
 ///
 /// In training mode, batch statistics normalise the input and update
 /// exponential running estimates; in eval mode the running estimates are
-/// used as constants.
+/// used as constants, in one pass ([`Tensor::batch_norm_eval`]).
 pub struct BatchNorm2d {
     gamma: Tensor,
     beta: Tensor,
@@ -80,25 +80,6 @@ impl BatchNorm2d {
     pub fn eps(&self) -> f32 {
         self.eps
     }
-
-    /// Eval-mode BatchNorm collapsed to a per-channel affine map:
-    /// `y_c = scale_c · x_c + shift_c` with `scale_c = γ_c/√(σ²_c + ε)` and
-    /// `shift_c = β_c − scale_c·μ_c` over the running statistics. This is
-    /// the quantity Conv+BN folding bakes into the convolution weights.
-    pub fn eval_affine(&self) -> (Vec<f32>, Vec<f32>) {
-        let gamma = self.gamma.data();
-        let beta = self.beta.data();
-        let rm = self.running_mean.borrow();
-        let rv = self.running_var.borrow();
-        let mut scale = Vec::with_capacity(self.channels);
-        let mut shift = Vec::with_capacity(self.channels);
-        for c in 0..self.channels {
-            let s = gamma.data()[c] / (rv.data()[c] + self.eps).sqrt();
-            scale.push(s);
-            shift.push(beta.data()[c] - s * rm.data()[c]);
-        }
-        (scale, shift)
-    }
 }
 
 impl Module for BatchNorm2d {
@@ -122,12 +103,8 @@ impl Module for BatchNorm2d {
             *rv = rv.mul_scalar(1.0 - m).add(&var.mul_scalar(m * bessel));
             y
         } else {
-            let view = [1, self.channels, 1, 1];
-            let mean = Tensor::constant(self.running_mean.borrow().reshape(&view));
-            let var = Tensor::constant(self.running_var.borrow().reshape(&view));
-            let denom = var.add_scalar(self.eps).sqrt();
-            let xhat = x.sub(&mean).div(&denom);
-            xhat.mul(&self.gamma.reshape(&view)).add(&self.beta.reshape(&view))
+            let (rm, rv) = (self.running_mean.borrow(), self.running_var.borrow());
+            x.batch_norm_eval(&self.gamma, &self.beta, &rm, &rv, self.eps)
         }
     }
 
@@ -322,6 +299,42 @@ mod tests {
             bn.forward(&x);
             assert_eq!(dhg_tensor::graph_nodes_created() - before, 1);
         }
+    }
+
+    #[test]
+    fn eval_forward_matches_the_composed_formula_in_one_node() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let mut bn = BatchNorm2d::new(3);
+        for _ in 0..3 {
+            bn.forward(&Tensor::constant(random_uniform(&[4, 3, 5, 5], -2.0, 3.0, &mut rng)));
+        }
+        bn.set_training(false);
+        *bn.gamma().data_mut() = random_uniform(&[3], 0.5, 1.5, &mut rng);
+        *bn.beta().data_mut() = random_uniform(&[3], -0.5, 0.5, &mut rng);
+        let x = Tensor::param(random_uniform(&[2, 3, 4, 6], -3.0, 3.0, &mut rng));
+        // (x − μ)/√(σ² + ε)·γ + β over the running statistics
+        let view = [1, 3, 1, 1];
+        let mean = Tensor::constant(bn.running_mean().reshape(&view));
+        let var = Tensor::constant(bn.running_var().reshape(&view));
+        let composed = x
+            .sub(&mean)
+            .div(&var.add_scalar(bn.eps()).sqrt())
+            .mul(&bn.gamma().reshape(&view))
+            .add(&bn.beta().reshape(&view));
+        let before = dhg_tensor::graph_nodes_created();
+        let y = bn.forward(&x);
+        assert_eq!(dhg_tensor::graph_nodes_created() - before, 1, "one node");
+        assert!(y.array().allclose(&composed.array(), 1e-5, 1e-5));
+        let w = Tensor::constant(random_uniform(&[2, 3, 4, 6], -1.0, 1.0, &mut rng));
+        y.mul(&w).sum_all().backward();
+        let (dx, dg, db) = (x.grad().unwrap(), bn.gamma().grad().unwrap(), bn.beta().grad().unwrap());
+        for p in [&x, bn.gamma(), bn.beta()] {
+            p.zero_grad();
+        }
+        composed.mul(&w).sum_all().backward();
+        assert!(dx.allclose(&x.grad().unwrap(), 1e-5, 1e-5), "dx");
+        assert!(dg.allclose(&bn.gamma().grad().unwrap(), 1e-5, 1e-5), "dgamma");
+        assert!(db.allclose(&bn.beta().grad().unwrap(), 1e-5, 1e-5), "dbeta");
     }
 
     #[test]

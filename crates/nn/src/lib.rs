@@ -12,7 +12,6 @@ pub mod batchnorm;
 pub mod conv;
 pub mod dropout;
 pub mod fault;
-pub mod fold;
 pub mod init;
 pub mod linear;
 pub mod lstm;
@@ -26,7 +25,6 @@ pub use batchnorm::BatchNorm2d;
 pub use conv::Conv2d;
 pub use dropout::Dropout;
 pub use fault::{FaultConfig, FaultPlan, FaultSite};
-pub use fold::EvalConv;
 pub use linear::Linear;
 pub use lstm::Lstm;
 pub use metrics::{

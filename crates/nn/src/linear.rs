@@ -145,6 +145,21 @@ mod tests {
     }
 
     #[test]
+    fn grad_free_rows_keep_their_bits_beside_zero_rows() {
+        // [x; 0; 0] is mostly zeros: a density-probed product would take
+        // the zero-skip kernel for the batch and the packed one for x alone
+        let mut rng = StdRng::seed_from_u64(4);
+        let l = Linear::new(300, 10, &mut rng);
+        let x: Vec<f32> = (0..300).map(|i| (i as f32 * 0.37).sin()).collect();
+        let mut batch = x.clone();
+        batch.resize(3 * 300, 0.0);
+        let _g = dhg_tensor::no_grad();
+        let alone = l.forward(&Tensor::constant(NdArray::from_vec(x, &[1, 300]))).array();
+        let batched = l.forward(&Tensor::constant(NdArray::from_vec(batch, &[3, 300]))).array();
+        assert_eq!(alone.data(), &batched.data()[..10]);
+    }
+
+    #[test]
     fn known_affine_map() {
         let mut rng = StdRng::seed_from_u64(0);
         let l = Linear::new(2, 2, &mut rng);

@@ -3,7 +3,7 @@
 
 use crate::init;
 use crate::module::Module;
-use crate::plan::{DiagCode, Plan, SymShape};
+use crate::plan::{packed_b_bytes, DiagCode, OpCost, Plan, SymShape};
 use dhg_tensor::{NdArray, Tensor};
 use rand::Rng;
 
@@ -107,7 +107,19 @@ impl Module for Lstm {
             }
         }
         let out = SymShape(vec![input.at(0), crate::plan::Dim::Known(self.hidden_size)]);
-        p.push_op("lstm", format!("{} -> {} (final hidden)", self.input_size, self.hidden_size), out);
+        let t = input.known(1).unwrap_or(1) as u64;
+        let (d, h) = (self.input_size as u64, self.hidden_size as u64);
+        // per step: the two gate products, the gate sums and the
+        // nonlinearities and state update; each step reads its input row
+        // and hidden state and writes its gates, while the weights stay
+        // resident as packed images, one product at a time
+        let cost = OpCost {
+            flops: t * (8 * h * (d + h) + 21 * h),
+            bytes: 4 * t * (d + h + 4 * h),
+            scratch: packed_b_bytes(d.max(h), 4 * h),
+        };
+        let detail = format!("{} -> {} (final hidden)", self.input_size, self.hidden_size);
+        p.push_op_costed("lstm", detail, out, cost);
         p
     }
 }

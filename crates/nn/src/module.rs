@@ -1,7 +1,7 @@
 //! The [`Module`] trait: the common interface of all layers and models.
 
 use crate::plan::{Plan, SymShape};
-use dhg_tensor::{NdArray, Tensor, Workspace};
+use dhg_tensor::{NdArray, Tensor};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -18,17 +18,12 @@ pub type Buffer = Rc<RefCell<NdArray>>;
 ///
 /// ## Execution modes
 ///
-/// [`Module::forward`] is the training path: it records autograd graph
-/// edges and uses batch statistics. [`Module::forward_inference`] is the
-/// serving path: it runs under a [`dhg_tensor::no_grad`] guard (zero graph
-/// nodes allocated) and may use weights pre-folded by
-/// [`Module::prepare_inference`] plus scratch buffers from the caller's
-/// [`Workspace`]. The contract: after `prepare_inference()`,
-/// `forward_inference` must agree with eval-mode `forward` bitwise when no
-/// folding applies, and within `1e-5` per logit when Conv+BN folding
-/// rewrites the arithmetic. Training again after `prepare_inference`
-/// invalidates the folded caches; call `set_training(true)` (which drops
-/// them) before resuming training.
+/// [`Module::forward`] is the one forward of a module. In training mode
+/// it records autograd graph edges and uses batch statistics. In eval mode
+/// (`set_training(false)`) under a [`dhg_tensor::no_grad`] guard it is the
+/// serving path: zero graph nodes, running statistics, and every
+/// activation-side product on the packed GEMM kernel, so a sample's
+/// outputs do not depend on its batch neighbours.
 pub trait Module {
     /// Compute the layer's output. Builds autograd graph edges whenever
     /// any involved tensor requires gradients.
@@ -48,25 +43,6 @@ pub trait Module {
     /// Switch between training (true) and evaluation (false) behaviour.
     fn set_training(&mut self, _training: bool) {}
 
-    /// Grad-free forward pass for serving. The default wraps
-    /// [`Module::forward`] in a [`dhg_tensor::no_grad`] guard — bitwise
-    /// identical outputs with zero graph construction. Models with a
-    /// compiled eval path (folded Conv+BN, cached hypergraph operators)
-    /// override this to run on [`NdArray`] kernels drawing scratch space
-    /// from `ws`.
-    fn forward_inference(&self, x: &Tensor, _ws: &mut Workspace) -> Tensor {
-        let _guard = dhg_tensor::no_grad();
-        self.forward(x)
-    }
-
-    /// One-time compilation step before serving: switch to eval mode and
-    /// build whatever caches [`Module::forward_inference`] uses (folded
-    /// Conv+BN weights, static-hypergraph propagation operators). Safe to
-    /// call repeatedly; caches are rebuilt from the current parameters.
-    fn prepare_inference(&mut self) {
-        self.set_training(false);
-    }
-
     /// Total number of scalar parameters.
     fn n_parameters(&self) -> usize {
         self.parameters().iter().map(|p| p.data().len()).sum()
@@ -77,8 +53,8 @@ pub trait Module {
     /// plan carries the shapes flowing between ops plus diagnostics for
     /// anything the static analyzer can prove wrong: shape
     /// incompatibilities (the same categories the eager path's asserts
-    /// raise), cold BatchNorm statistics in eval mode, missing
-    /// `prepare_inference` caches, and broken hypergraph invariants.
+    /// raise), cold BatchNorm statistics in eval mode, and broken
+    /// hypergraph invariants.
     ///
     /// The default is an honest passthrough: shape unchanged plus an
     /// `unplanned-module` warning, so un-implemented modules can never be
@@ -103,14 +79,6 @@ impl Module for Box<dyn Module> {
 
     fn set_training(&mut self, training: bool) {
         (**self).set_training(training)
-    }
-
-    fn forward_inference(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        (**self).forward_inference(x, ws)
-    }
-
-    fn prepare_inference(&mut self) {
-        (**self).prepare_inference()
     }
 
     fn plan(&self, input: &SymShape) -> Plan {

@@ -6,8 +6,8 @@
 //! [`Module::plan`](crate::Module::plan): given a symbolic input shape it
 //! returns a [`Plan`] — the ops it would execute, the shapes flowing
 //! between them, and any [`Diagnostic`]s found along the way (shape
-//! incompatibilities, cold BatchNorm statistics, missing serving caches,
-//! broken hypergraph invariants). [`analyze`] then verifies the chain is
+//! incompatibilities, cold BatchNorm statistics, broken hypergraph
+//! invariants). [`analyze`] then verifies the chain is
 //! internally consistent and produces a printable [`Report`].
 //!
 //! Shape checks deliberately reuse the wording of the runtime
@@ -136,8 +136,6 @@ pub enum DiagCode {
     FusionMismatch,
     /// Eval-mode BatchNorm whose running statistics were never updated.
     BnStatsCold,
-    /// Serving path requested but `prepare_inference` was not called.
-    NotPrepared,
     /// A module without a real `plan` implementation was encountered.
     UnplannedModule,
     /// A hyperedge with no member vertices.
@@ -167,7 +165,6 @@ impl DiagCode {
             DiagCode::TemporalUnderflow => "temporal-underflow",
             DiagCode::FusionMismatch => "fusion-mismatch",
             DiagCode::BnStatsCold => "bn-stats-cold",
-            DiagCode::NotPrepared => "not-prepared",
             DiagCode::UnplannedModule => "unplanned-module",
             DiagCode::IncidenceEmptyEdge => "incidence-empty-edge",
             DiagCode::IncidenceUncoveredVertex => "incidence-uncovered-vertex",
@@ -282,12 +279,15 @@ impl OpCost {
         }
     }
 
-    /// A per-frame vertex mix `[C, T, V] × [V, V]` (static hypergraph,
-    /// Eq. 9 joint-weight, or topology operators).
-    pub fn vertex_op(c: u64, t: u64, v: u64) -> Self {
+    /// A vertex mix of `[C, T, V]` features by `[V, V]` operators
+    /// (static hypergraph, Eq. 9 joint-weight, or topology operators),
+    /// `blocks` distinct operators per sample: 1 for a shared or
+    /// per-sample operator, `T` for one per frame. Bytes are the features
+    /// read and written plus the operators read.
+    pub fn vertex_op(c: u64, t: u64, v: u64, blocks: u64) -> Self {
         OpCost {
             flops: 2 * c * t * v * v,
-            bytes: 4 * (c * t * v + t * v * v + c * t * v),
+            bytes: 4 * (c * t * v + blocks * v * v + c * t * v),
             scratch: 0,
         }
     }
@@ -781,8 +781,10 @@ mod tests {
             4 * 3 * 200 + 4 * 3 * 208,
             "a strided 1x1 builds its columns"
         );
-        let v = OpCost::vertex_op(16, 8, 25);
+        let v = OpCost::vertex_op(16, 8, 25, 1);
         assert_eq!(v.flops, 2 * 16 * 8 * 25 * 25);
+        assert_eq!(v.bytes, 4 * (2 * 16 * 8 * 25 + 25 * 25), "features in and out, one operator");
+        assert_eq!(OpCost::vertex_op(16, 8, 25, 8).bytes, 4 * (2 * 16 * 8 * 25 + 8 * 25 * 25));
     }
 
     #[test]
@@ -813,7 +815,7 @@ mod tests {
         let mut side = Plan::new(&input);
         side.push_op_costed("proj", "", SymShape::nctv(8, 16, 25), OpCost::matmul(400, 3, 8));
         let mut nested = Plan::new(&input);
-        nested.push_op_costed("inner", "", input.clone(), OpCost::vertex_op(3, 16, 25));
+        nested.push_op_costed("inner", "", input.clone(), OpCost::vertex_op(3, 16, 25, 16));
         side.adopt("nested", &nested);
         let mut p = Plan::new(&input);
         p.push_op("relu", "", input.clone());

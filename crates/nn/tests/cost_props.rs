@@ -77,13 +77,13 @@ proptest! {
     ) {
         let (c64, t64, v64) = (c as u64, t as u64, v as u64);
         let (m64, k64, n64) = (m as u64, k as u64, n as u64);
-        prop_assert_eq!(OpCost::vertex_op(c64, t64, v64).flops, 2 * c64 * t64 * v64 * v64);
+        prop_assert_eq!(OpCost::vertex_op(c64, t64, v64, t64).flops, 2 * c64 * t64 * v64 * v64);
         prop_assert_eq!(OpCost::matmul(m64, k64, n64).flops, 2 * m64 * k64 * n64);
 
         let shape = SymShape::nctv(c, t, v);
         let mut p = Plan::new(&shape);
-        p.push_op_costed("incidence", "", shape.clone(), OpCost::vertex_op(c64, t64, v64));
-        p.push_op_costed("incidence2", "", shape.clone(), OpCost::vertex_op(c64, t64, v64));
+        p.push_op_costed("incidence", "", shape.clone(), OpCost::vertex_op(c64, t64, v64, t64));
+        p.push_op_costed("incidence2", "", shape.clone(), OpCost::vertex_op(c64, t64, v64, t64));
         p.push_op_costed(
             "proj",
             "",

@@ -15,15 +15,86 @@ use std::fmt;
 
 use crate::gemm::Operand;
 use crate::shape_check::ShapeError;
-use crate::workspace::Workspace;
+use crate::workspace::{give_installed, take_installed};
 
 /// A dense, contiguous, row-major `f32` n-dimensional array.
 ///
 /// The empty shape `[]` denotes a scalar holding exactly one element.
-#[derive(Clone, PartialEq)]
+///
+/// While a [`crate::Workspace`] is installed on the calling thread
+/// ([`crate::Workspace::install`]), the kernels here draw the storage of
+/// the arrays they build from it, and such an array gives its storage
+/// back when dropped. Without one, storage is an ordinary allocation.
 pub struct NdArray {
     shape: Vec<usize>,
     data: Vec<f32>,
+    /// Whether `data` was drawn from an installed workspace, and goes back
+    /// to the installed one on drop.
+    pooled: bool,
+}
+
+impl Clone for NdArray {
+    /// A copy in fresh storage: clones leave the forward that made the
+    /// original (`Tensor::array`), so they are never pool storage.
+    fn clone(&self) -> Self {
+        NdArray { shape: self.shape.clone(), data: self.data.clone(), pooled: false }
+    }
+}
+
+impl PartialEq for NdArray {
+    fn eq(&self, other: &Self) -> bool {
+        self.shape == other.shape && self.data == other.data
+    }
+}
+
+impl Drop for NdArray {
+    fn drop(&mut self) {
+        if self.pooled {
+            give_installed(std::mem::take(&mut self.data));
+        }
+    }
+}
+
+/// Storage for a new array: drawn from the calling thread's installed
+/// workspace when there is one, else freshly allocated.
+struct Storage {
+    data: Vec<f32>,
+    pooled: bool,
+}
+
+impl Storage {
+    /// `len` elements with unspecified contents; the caller overwrites
+    /// every one.
+    fn dirty(len: usize) -> Self {
+        match take_installed(len, false) {
+            Some(data) => Storage { data, pooled: true },
+            None => Storage { data: vec![0.0; len], pooled: false },
+        }
+    }
+
+    /// `len` zeros.
+    fn zeroed(len: usize) -> Self {
+        match take_installed(len, true) {
+            Some(data) => Storage { data, pooled: true },
+            None => Storage { data: vec![0.0; len], pooled: false },
+        }
+    }
+
+    /// Empty, with room for `len` elements the caller pushes.
+    fn empty(len: usize) -> Self {
+        match take_installed(len, false) {
+            Some(mut data) => {
+                data.clear();
+                Storage { data, pooled: true }
+            }
+            None => Storage { data: Vec::with_capacity(len), pooled: false },
+        }
+    }
+
+    fn array(self, shape: Vec<usize>) -> NdArray {
+        debug_assert_eq!(self.data.len(), numel(&shape), "storage does not match shape {shape:?}");
+        NdArray { shape, data: self.data, pooled: self.pooled }
+    }
 }
 
 impl fmt::Debug for NdArray {
@@ -108,19 +179,19 @@ fn broadcast_run(small: &[usize], full: &[usize]) -> Option<(usize, usize, usize
     Some((full[..a].iter().product(), full[a..b].iter().product(), full[b..].iter().product()))
 }
 
-/// `f(full, small)` over `full` read as `[outer, mid, inner]` and `small`
-/// as `[mid]` (see [`broadcast_run`]): each `inner`-long stretch of `full`
-/// pairs with one element of `small`, or, when `inner` is 1, each
-/// `mid`-long row with all of `small`.
+/// Push `f(full, small)` onto `out`, with `full` read as
+/// `[outer, mid, inner]` and `small` as `[mid]` (see [`broadcast_run`]):
+/// each `inner`-long stretch of `full` pairs with one element of `small`,
+/// or, when `inner` is 1, each `mid`-long row with all of `small`.
 fn broadcast_blocked(
+    out: &mut Vec<f32>,
     full: &[f32],
     small: &[f32],
     (_, mid, inner): (usize, usize, usize),
     f: impl Fn(f32, f32) -> f32,
-) -> Vec<f32> {
-    let mut out = Vec::with_capacity(full.len());
+) {
     if full.is_empty() {
-        return out;
+        return;
     }
     for block in full.chunks_exact(mid * inner) {
         if inner == 1 {
@@ -131,7 +202,6 @@ fn broadcast_blocked(
             }
         }
     }
-    out
 }
 
 /// Add `src`, read as `[outer, mid, inner]`, into `out` (`[mid]`), summing
@@ -166,7 +236,7 @@ impl NdArray {
 
     /// An array of zeros with the given shape.
     pub fn zeros(shape: &[usize]) -> Self {
-        NdArray { shape: shape.to_vec(), data: vec![0.0; numel(shape)] }
+        Storage::zeroed(numel(shape)).array(shape.to_vec())
     }
 
     /// An array of ones with the given shape.
@@ -176,7 +246,15 @@ impl NdArray {
 
     /// An array filled with `value`.
     pub fn full(shape: &[usize], value: f32) -> Self {
-        NdArray { shape: shape.to_vec(), data: vec![value; numel(shape)] }
+        let n = numel(shape);
+        let s = match take_installed(n, false) {
+            Some(mut data) => {
+                data.fill(value);
+                Storage { data, pooled: true }
+            }
+            None => Storage { data: vec![value; n], pooled: false },
+        };
+        s.array(shape.to_vec())
     }
 
     /// Wrap an existing buffer. Panics if `data.len()` does not match the
@@ -189,12 +267,18 @@ impl NdArray {
             data.len(),
             shape
         );
-        NdArray { shape: shape.to_vec(), data }
+        NdArray { shape: shape.to_vec(), data, pooled: false }
+    }
+
+    /// An array of `shape` with unspecified contents, which the caller
+    /// overwrites: a kernel's output buffer.
+    pub(crate) fn for_overwrite(shape: &[usize]) -> Self {
+        Storage::dirty(numel(shape)).array(shape.to_vec())
     }
 
     /// A rank-0 scalar.
     pub fn scalar(value: f32) -> Self {
-        NdArray { shape: vec![], data: vec![value] }
+        NdArray { shape: vec![], data: vec![value], pooled: false }
     }
 
     /// The `n × n` identity matrix.
@@ -246,9 +330,11 @@ impl NdArray {
         &mut self.data
     }
 
-    /// Consume the array and return its flat buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
+    /// Consume the array and return its flat buffer. The buffer leaves
+    /// any installed workspace for good.
+    pub fn into_vec(mut self) -> Vec<f32> {
+        self.pooled = false;
+        std::mem::take(&mut self.data)
     }
 
     /// Value of a rank-0 or single-element array.
@@ -288,7 +374,9 @@ impl NdArray {
 
     /// Apply `f` to every element, producing a new array.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
-        NdArray { shape: self.shape.clone(), data: self.data.iter().map(|&v| f(v)).collect() }
+        let mut s = Storage::empty(self.len());
+        s.data.extend(self.data.iter().map(|&v| f(v)));
+        s.array(self.shape.clone())
     }
 
     /// Apply `f` to every element in place.
@@ -310,10 +398,9 @@ impl NdArray {
     /// Combine two same-shaped arrays elementwise (no broadcasting).
     pub fn zip_map(&self, other: &Self, f: impl Fn(f32, f32) -> f32) -> Self {
         assert_eq!(self.shape, other.shape, "zip_map shape mismatch");
-        NdArray {
-            shape: self.shape.clone(),
-            data: self.data.iter().zip(&other.data).map(|(&a, &b)| f(a, b)).collect(),
-        }
+        let mut s = Storage::empty(self.len());
+        s.data.extend(self.data.iter().zip(&other.data).map(|(&a, &b)| f(a, b)));
+        s.array(self.shape.clone())
     }
 
     /// Elementwise binary operation with numpy broadcasting.
@@ -332,22 +419,23 @@ impl NdArray {
         let out_shape = broadcast_shape(&self.shape, &other.shape).unwrap_or_else(|| {
             panic!("broadcast mismatch: {:?} vs {:?}", self.shape, other.shape)
         });
+        let n = numel(&out_shape);
+        let mut out = Storage::empty(n);
         if self.shape == out_shape {
             if let Some(run) = broadcast_run(&other.shape, &out_shape) {
-                let data = broadcast_blocked(&self.data, &other.data, run, f);
-                return NdArray { shape: out_shape, data };
+                broadcast_blocked(&mut out.data, &self.data, &other.data, run, f);
+                return out.array(out_shape);
             }
         } else if other.shape == out_shape {
             if let Some(run) = broadcast_run(&self.shape, &out_shape) {
-                let data = broadcast_blocked(&other.data, &self.data, run, |b, a| f(a, b));
-                return NdArray { shape: out_shape, data };
+                broadcast_blocked(&mut out.data, &other.data, &self.data, run, |b, a| f(a, b));
+                return out.array(out_shape);
             }
         }
-        let n = numel(&out_shape);
         let sa = broadcast_strides(&self.shape, &out_shape);
         let sb = broadcast_strides(&other.shape, &out_shape);
         let nd = out_shape.len();
-        let mut data = Vec::with_capacity(n);
+        let data = &mut out.data;
         let mut idx = vec![0usize; nd];
         let (mut oa, mut ob) = (0usize, 0usize);
         for _ in 0..n {
@@ -365,7 +453,7 @@ impl NdArray {
                 ob -= sb[d] * out_shape[d];
             }
         }
-        NdArray { shape: out_shape, data }
+        out.array(out_shape)
     }
 
     /// Elementwise sum with broadcasting.
@@ -406,62 +494,17 @@ impl NdArray {
         }
     }
 
-    /// `max(x, 0)` applied in place — the inference-path ReLU, which reuses
-    /// the input buffer instead of allocating a fresh array.
-    pub fn relu_inplace(&mut self) {
-        for v in &mut self.data {
-            *v = v.max(0.0);
-        }
-    }
-
-    /// `self += other` followed by an in-place ReLU, fused into one pass
-    /// (the residual-join epilogue of every block's inference path).
-    pub fn add_relu_inplace(&mut self, other: &Self) {
-        assert_eq!(self.shape, other.shape, "add_relu_inplace shape mismatch");
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a = (*a + b).max(0.0);
-        }
-    }
-
-    /// Per-channel affine `x[n, c, ...] = x[n, c, ...] * scale[c] + shift[c]`
-    /// over axis 1, in place. This is exactly an eval-mode BatchNorm once
-    /// the running statistics are folded into `(scale, shift)`.
-    pub fn channel_affine_inplace(&mut self, scale: &[f32], shift: &[f32]) {
-        assert!(self.ndim() >= 2, "channel_affine_inplace needs rank >= 2");
+    /// Add `bias[c]` to every element of channel `c` (axis 1) in place —
+    /// the bias epilogue of a convolution, with no broadcast operand.
+    pub fn add_channel_bias(&mut self, bias: &[f32]) {
+        assert!(self.ndim() >= 2, "add_channel_bias needs rank >= 2");
         let c = self.shape[1];
-        assert_eq!(scale.len(), c, "channel_affine_inplace scale length mismatch");
-        assert_eq!(shift.len(), c, "channel_affine_inplace shift length mismatch");
+        assert_eq!(bias.len(), c, "add_channel_bias bias length mismatch");
         let inner: usize = self.shape[2..].iter().product();
         for plane in self.data.chunks_mut(c * inner) {
-            for (ci, chan) in plane.chunks_mut(inner).enumerate() {
-                let (s, b) = (scale[ci], shift[ci]);
+            for (chan, &b) in plane.chunks_mut(inner).zip(bias) {
                 for v in chan {
-                    *v = *v * s + b;
-                }
-            }
-        }
-    }
-
-    /// Add `bias[c]` to every element of channel `c` (axis 1), optionally
-    /// fusing a ReLU into the same pass — the epilogue of a folded
-    /// convolution, replacing the separate broadcast-add and ReLU ops of
-    /// the training path.
-    pub fn bias_relu_inplace(&mut self, bias: &[f32], relu: bool) {
-        assert!(self.ndim() >= 2, "bias_relu_inplace needs rank >= 2");
-        let c = self.shape[1];
-        assert_eq!(bias.len(), c, "bias_relu_inplace bias length mismatch");
-        let inner: usize = self.shape[2..].iter().product();
-        for plane in self.data.chunks_mut(c * inner) {
-            for (ci, chan) in plane.chunks_mut(inner).enumerate() {
-                let b = bias[ci];
-                if relu {
-                    for v in chan {
-                        *v = (*v + b).max(0.0);
-                    }
-                } else {
-                    for v in chan {
-                        *v += b;
-                    }
+                    *v += b;
                 }
             }
         }
@@ -476,16 +519,19 @@ impl NdArray {
     pub fn reshape(&self, shape: &[usize]) -> Self {
         let shape = resolve_reshape(self.len(), shape);
         assert_eq!(numel(&shape), self.len(), "reshape to {shape:?} from {:?}", self.shape);
-        NdArray { shape, data: self.data.clone() }
+        let mut s = Storage::empty(self.len());
+        s.data.extend_from_slice(&self.data);
+        s.array(shape)
     }
 
     /// [`NdArray::reshape`] by value: reinterpret the shape without copying
     /// the buffer. The zero-cost reshape for owned intermediates on the
     /// inference path (`reshape` on a borrowed array must clone).
-    pub fn into_shape(self, shape: &[usize]) -> Self {
+    pub fn into_shape(mut self, shape: &[usize]) -> Self {
         let shape = resolve_reshape(self.len(), shape);
         assert_eq!(numel(&shape), self.len(), "into_shape to {shape:?} from {:?}", self.shape);
-        NdArray { shape, data: self.data }
+        let pooled = std::mem::replace(&mut self.pooled, false);
+        NdArray { shape, data: std::mem::take(&mut self.data), pooled }
     }
 
     /// Materialise a permutation of the axes. `perm` must be a permutation of
@@ -498,16 +544,6 @@ impl NdArray {
     /// walks an index odometer. Both only move elements, so the result is
     /// the same bits either way.
     pub fn permute(&self, perm: &[usize]) -> Self {
-        self.permute_impl(perm, None)
-    }
-
-    /// [`NdArray::permute`] with the output buffer drawn from a
-    /// [`Workspace`]. Bitwise identical to `permute`.
-    pub fn permute_ws(&self, perm: &[usize], ws: &mut Workspace) -> Self {
-        self.permute_impl(perm, Some(ws))
-    }
-
-    fn permute_impl(&self, perm: &[usize], ws: Option<&mut Workspace>) -> Self {
         let nd = self.ndim();
         assert_eq!(perm.len(), nd, "permute rank mismatch");
         let mut seen = vec![false; nd];
@@ -516,15 +552,12 @@ impl NdArray {
             seen[p] = true;
         }
         let out_shape: Vec<usize> = perm.iter().map(|&p| self.shape[p]).collect();
-        let n = self.len();
         // every element is overwritten below, so a dirty buffer is fine
-        let mut data = match ws {
-            Some(ws) => ws.take(n),
-            None => vec![0.0f32; n],
-        };
+        let mut out = Storage::dirty(self.len());
+        let data = &mut out.data;
         if let Some((rows, cols, inner)) = adjacent_group_swap(&self.shape, perm) {
-            swap_axis_groups(&self.data, &mut data, rows, cols, inner);
-            return NdArray { shape: out_shape, data };
+            swap_axis_groups(&self.data, data, rows, cols, inner);
+            return out.array(out_shape);
         }
         let in_strides = contiguous_strides(&self.shape);
         // stride of output dim d in the *input* buffer
@@ -543,7 +576,7 @@ impl NdArray {
                 off -= strides[d] * out_shape[d];
             }
         }
-        NdArray { shape: out_shape, data }
+        out.array(out_shape)
     }
 
     /// Swap the last two axes (matrix transpose for the batched case).
@@ -603,15 +636,15 @@ impl NdArray {
         }
         let outer: usize = parts[0].shape[..axis].iter().product();
         let inner: usize = parts[0].shape[axis + 1..].iter().product();
-        let mut data = Vec::with_capacity(numel(&out_shape));
+        let mut out = Storage::empty(numel(&out_shape));
         for o in 0..outer {
             for p in parts {
                 let block = p.shape[axis] * inner;
                 let start = o * block;
-                data.extend_from_slice(&p.data[start..start + block]);
+                out.data.extend_from_slice(&p.data[start..start + block]);
             }
         }
-        NdArray { shape: out_shape, data }
+        out.array(out_shape)
     }
 
     /// Extract `len` consecutive indices starting at `start` along `axis`.
@@ -622,13 +655,13 @@ impl NdArray {
         let inner: usize = self.shape[axis + 1..].iter().product();
         let mut out_shape = self.shape.clone();
         out_shape[axis] = len;
-        let mut data = Vec::with_capacity(outer * len * inner);
+        let mut out = Storage::empty(outer * len * inner);
         let src_block = self.shape[axis] * inner;
         for o in 0..outer {
             let base = o * src_block + start * inner;
-            data.extend_from_slice(&self.data[base..base + len * inner]);
+            out.data.extend_from_slice(&self.data[base..base + len * inner]);
         }
-        NdArray { shape: out_shape, data }
+        out.array(out_shape)
     }
 
     /// Scatter-add `src` (shaped like the slice) back into a zero array of
@@ -799,7 +832,7 @@ impl NdArray {
     /// `allclose(1e-5)` (pinned by the property suite) but not bit-for-bit,
     /// which is why [`NdArray::matmul_reference`] stays available.
     pub fn matmul(&self, other: &Self) -> Self {
-        self.view().matmul_with(other.view(), None, MatmulKernel::Auto)
+        self.view().matmul_with(other.view(), MatmulKernel::Auto)
     }
 
     /// [`NdArray::matmul`] forced onto the retained reference `ikj` row
@@ -807,7 +840,7 @@ impl NdArray {
     /// baseline the packed kernel is pinned against in the property suite
     /// and the "before" side of the GEMM benchmarks.
     pub fn matmul_reference(&self, other: &Self) -> Self {
-        self.view().matmul_with(other.view(), None, MatmulKernel::Reference)
+        self.view().matmul_with(other.view(), MatmulKernel::Reference)
     }
 
     /// [`NdArray::matmul`] forced onto the packed cache-blocked kernel,
@@ -816,24 +849,7 @@ impl NdArray {
     /// tests use this to exercise the packed kernel on shapes the automatic
     /// dispatch would route elsewhere.
     pub fn matmul_packed(&self, other: &Self) -> Self {
-        self.view().matmul_with(other.view(), None, MatmulKernel::Packed)
-    }
-
-    /// [`NdArray::matmul_packed`] with the output and packing buffers drawn
-    /// from a [`Workspace`]. Bitwise identical to `matmul_packed`.
-    ///
-    /// This is the entry point for products whose *left* operand is
-    /// activation data (see [`ArrayView::matmul_packed_ws`]).
-    pub fn matmul_packed_ws(&self, other: &Self, ws: &mut Workspace) -> Self {
-        self.view().matmul_packed_ws(other.view(), ws)
-    }
-
-    /// [`NdArray::matmul`] with the output buffer drawn from (and other
-    /// temporaries avoided via) a [`Workspace`], so repeated grad-free
-    /// forwards reuse storage instead of allocating per call. Bitwise
-    /// identical to `matmul`.
-    pub fn matmul_ws(&self, other: &Self, ws: &mut Workspace) -> Self {
-        self.view().matmul_ws(other.view(), ws)
+        self.view().matmul_packed(other.view())
     }
 
     /// [`NdArray::matmul`] returning a typed [`ShapeError`] instead of
@@ -842,7 +858,7 @@ impl NdArray {
     /// the runtime report one diagnostic.
     pub fn try_matmul(&self, other: &Self) -> Result<Self, ShapeError> {
         crate::shape_check::check_matmul(&self.shape, &other.shape)?;
-        Ok(matmul_impl(self.view(), other.view(), None, MatmulKernel::Auto))
+        Ok(matmul_impl(self.view(), other.view(), MatmulKernel::Auto))
     }
 
     /// This array as a borrowed [`ArrayView`] of its own shape.
@@ -870,14 +886,7 @@ impl NdArray {
     /// see [`crate::parallel`] for the determinism contract.
     #[allow(clippy::too_many_arguments)]
     pub fn im2col(&self, kh: usize, kw: usize, sh: usize, sw: usize, ph: usize, pw: usize, dh: usize, dw: usize) -> Self {
-        self.try_im2col_impl(kh, kw, sh, sw, ph, pw, dh, dw, None).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`NdArray::im2col`] with the column buffer drawn from a
-    /// [`Workspace`]. Bitwise identical to `im2col`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn im2col_ws(&self, kh: usize, kw: usize, sh: usize, sw: usize, ph: usize, pw: usize, dh: usize, dw: usize, ws: &mut Workspace) -> Self {
-        self.try_im2col_impl(kh, kw, sh, sw, ph, pw, dh, dw, Some(ws)).unwrap_or_else(|e| panic!("{e}"))
+        self.try_im2col(kh, kw, sh, sw, ph, pw, dh, dw).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// [`NdArray::im2col`] returning a typed [`ShapeError`] instead of
@@ -885,17 +894,12 @@ impl NdArray {
     /// kernel — same `Display` text as the panicking entry point.
     #[allow(clippy::too_many_arguments)]
     pub fn try_im2col(&self, kh: usize, kw: usize, sh: usize, sw: usize, ph: usize, pw: usize, dh: usize, dw: usize) -> Result<Self, ShapeError> {
-        self.try_im2col_impl(kh, kw, sh, sw, ph, pw, dh, dw, None)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn try_im2col_impl(&self, kh: usize, kw: usize, sh: usize, sw: usize, ph: usize, pw: usize, dh: usize, dw: usize, ws: Option<&mut Workspace>) -> Result<Self, ShapeError> {
         crate::shape_check::check_im2col(&self.shape, kh, kw, sh, sw, ph, pw, dh, dw)?;
-        Ok(self.im2col_impl(kh, kw, sh, sw, ph, pw, dh, dw, ws))
+        Ok(self.im2col_impl(kh, kw, sh, sw, ph, pw, dh, dw))
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn im2col_impl(&self, kh: usize, kw: usize, sh: usize, sw: usize, ph: usize, pw: usize, dh: usize, dw: usize, ws: Option<&mut Workspace>) -> Self {
+    fn im2col_impl(&self, kh: usize, kw: usize, sh: usize, sw: usize, ph: usize, pw: usize, dh: usize, dw: usize) -> Self {
         debug_assert_eq!(self.ndim(), 4, "im2col expects [N, C, H, W]");
         let (n, c, h, w) = (self.shape[0], self.shape[1], self.shape[2], self.shape[3]);
         let (ho, wo) = conv_out_size(h, w, kh, kw, sh, sw, ph, pw, dh, dw);
@@ -903,14 +907,11 @@ impl NdArray {
         let ckk = c * kh * kw;
         let kk = kh * kw;
         // padding positions are skipped by the copy loop below, so the
-        // buffer must start zeroed either way
-        let mut out = match ws {
-            Some(ws) => ws.take_zeroed(n * ckk * l),
-            None => vec![0.0f32; n * ckk * l],
-        };
+        // buffer must start zeroed
+        let mut out = Storage::zeroed(n * ckk * l);
         let work = n * ckk * l;
         let rows = whole_rows(kw, sw, pw);
-        crate::parallel::for_each_block(&mut out, l.max(1), work, |item, row_out| {
+        crate::parallel::for_each_block(&mut out.data, l.max(1), work, |item, row_out| {
             // item indexes the (batch, channel, kernel-tap) row
             let (b, row) = (item / ckk, item % ckk);
             let (ci, tap) = (row / kk, row % kk);
@@ -936,7 +937,7 @@ impl NdArray {
                 }
             }
         });
-        NdArray { shape: vec![n, ckk, l], data: out }
+        out.array(vec![n, ckk, l])
     }
 
     /// Fold column form `[N, C*kh*kw, Ho*Wo]` back to `[N, C, H, W]`,
@@ -956,10 +957,10 @@ impl NdArray {
         assert_eq!(self.shape[1], c * kh * kw, "col2im channel-kernel mismatch");
         assert_eq!(self.shape[2], l, "col2im spatial mismatch");
         let ckk = c * kh * kw;
-        let mut out = vec![0.0f32; n * c * h * w];
+        let mut out = Storage::zeroed(n * c * h * w);
         let work = n * ckk * l;
         let rows = whole_rows(kw, sw, pw);
-        crate::parallel::for_each_block(&mut out, (h * w).max(1), work, |item, plane| {
+        crate::parallel::for_each_block(&mut out.data, (h * w).max(1), work, |item, plane| {
             // item indexes the (batch, channel) output plane
             let (b, ci) = (item / c, item % c);
             let src_b = b * ckk * l;
@@ -992,7 +993,7 @@ impl NdArray {
                 }
             }
         });
-        NdArray { shape: vec![n, c, h, w], data: out }
+        out.array(vec![n, c, h, w])
     }
 
     // ------------------------------------------------------------------
@@ -1053,33 +1054,27 @@ impl<'a> ArrayView<'a> {
 
     /// [`NdArray::matmul`] on views: automatic kernel dispatch.
     pub fn matmul(self, other: ArrayView<'_>) -> NdArray {
-        self.matmul_with(other, None, MatmulKernel::Auto)
+        self.matmul_with(other, MatmulKernel::Auto)
     }
 
-    /// [`NdArray::matmul_ws`] on views: automatic kernel dispatch, output
-    /// and packing buffers from `ws`.
-    pub fn matmul_ws(self, other: ArrayView<'_>, ws: &mut Workspace) -> NdArray {
-        self.matmul_with(other, Some(ws), MatmulKernel::Auto)
-    }
-
-    /// [`NdArray::matmul_packed`] on views, with the output and packing
-    /// buffers from `ws`.
+    /// [`NdArray::matmul_packed`] on views: the packed kernel whatever
+    /// the operands' density.
     ///
-    /// Products whose *left* operand is activation data must come here
-    /// rather than through [`ArrayView::matmul_ws`]: the automatic
-    /// dispatch probes the left operand's density over the whole batch, so
-    /// a ReLU-sparse neighbour in a serving micro-batch could flip the
-    /// kernel — and with it a request's bits — between a batch and a
-    /// solo run. Forcing the packed kernel keeps every output row a
-    /// function of its own row and the right operand alone.
-    pub fn matmul_packed_ws(self, other: ArrayView<'_>, ws: &mut Workspace) -> NdArray {
-        self.matmul_with(other, Some(ws), MatmulKernel::Packed)
+    /// Every grad-free product with activation data on the left comes
+    /// here (`Tensor::matmul` under `no_grad`, the vertex mixes): the
+    /// automatic dispatch probes the left operand's density over the
+    /// whole batch, so a ReLU-sparse or all-zero neighbour in a serving
+    /// micro-batch could flip the kernel, and with it a request's bits,
+    /// between a batch and a solo run. The packed kernel makes every
+    /// output row a function of its own row and the right operand alone.
+    pub fn matmul_packed(self, other: ArrayView<'_>) -> NdArray {
+        self.matmul_with(other, MatmulKernel::Packed)
     }
 
-    fn matmul_with(self, other: ArrayView<'_>, ws: Option<&mut Workspace>, kernel: MatmulKernel) -> NdArray {
+    fn matmul_with(self, other: ArrayView<'_>, kernel: MatmulKernel) -> NdArray {
         crate::shape_check::check_matmul(&self.logical_shape(), &other.logical_shape())
             .unwrap_or_else(|e| panic!("{e}"));
-        matmul_impl(self, other, ws, kernel)
+        matmul_impl(self, other, kernel)
     }
 
     /// The shape the view reads as: the stored one, last two axes swapped
@@ -1152,7 +1147,7 @@ impl<'a> ArrayView<'a> {
 /// kernel packs it where it lies, the row kernel reads a materialised
 /// copy, and the density probe samples its logical order — so the result
 /// is bitwise the product of the materialised transpose.
-fn matmul_impl(a: ArrayView<'_>, b: ArrayView<'_>, ws: Option<&mut Workspace>, kernel: MatmulKernel) -> NdArray {
+fn matmul_impl(a: ArrayView<'_>, b: ArrayView<'_>, kernel: MatmulKernel) -> NdArray {
     let (rank_a, rank_b) = (a.shape.len(), b.shape.len());
     debug_assert!(rank_a >= 2 && rank_b >= 2, "matmul needs rank >= 2");
     let (m, k1) = a.dims();
@@ -1175,11 +1170,7 @@ fn matmul_impl(a: ArrayView<'_>, b: ArrayView<'_>, ws: Option<&mut Workspace>, k
     // both kernels fully overwrite their output span (matmul_row zeroes
     // the row, gemm assigns on the first k-block), so the buffer may
     // come back dirty from the workspace — no memset needed
-    let mut ws = ws;
-    let mut out = match ws.as_mut() {
-        Some(ws) => ws.take(nb * m * n),
-        None => vec![0.0f32; nb * m * n],
-    };
+    let mut out = Storage::dirty(nb * m * n);
     // walk the broadcast odometer once to precompute each batch's
     // operand offsets; workers then index instead of iterating
     let nd = batch.len();
@@ -1218,11 +1209,14 @@ fn matmul_impl(a: ArrayView<'_>, b: ArrayView<'_>, ws: Option<&mut Workspace>, k
     // density) off the packed path. Nothing here reads the thread
     // count, so dispatch never breaks thread-count determinism either.
     let skip_zeros = kernel != MatmulKernel::Packed && m > 0 && a.mostly_zero();
-    let packed = match kernel {
-        MatmulKernel::Packed => true,
-        MatmulKernel::Reference => false,
-        MatmulKernel::Auto => !skip_zeros && k1 > 0,
-    };
+    // an empty contraction writes nothing on the packed kernel; the row
+    // kernel zero-fills it
+    let packed = k1 > 0
+        && match kernel {
+            MatmulKernel::Packed => true,
+            MatmulKernel::Reference => false,
+            MatmulKernel::Auto => !skip_zeros,
+        };
     if packed {
         // Pack each *distinct* rhs matrix once, before sharding: a
         // broadcast B (the common conv/FC case) packs a single time no
@@ -1236,10 +1230,8 @@ fn matmul_impl(a: ArrayView<'_>, b: ArrayView<'_>, ws: Option<&mut Workspace>, k
         uniq.sort_unstable();
         uniq.dedup();
         let bp_len = crate::gemm::packed_b_len(k1, n);
-        let mut bpack = match ws.as_mut() {
-            Some(ws) => ws.take(uniq.len() * bp_len),
-            None => vec![0.0f32; uniq.len() * bp_len],
-        };
+        let mut bpack = take_installed(uniq.len() * bp_len, false)
+            .unwrap_or_else(|| vec![0.0f32; uniq.len() * bp_len]);
         crate::parallel::for_each_block(&mut bpack, bp_len, uniq.len() * bp_len, |u, image| {
             crate::gemm::pack_b_full(b.operand(uniq[u], 0, k1), image, n, k1);
         });
@@ -1254,7 +1246,7 @@ fn matmul_impl(a: ArrayView<'_>, b: ArrayView<'_>, ws: Option<&mut Workspace>, k
                 ends.push(bi * m * n + i1 * n);
             }
         }
-        crate::parallel::for_each_span(&mut out, &ends, work, |item, cspan| {
+        crate::parallel::for_each_span(&mut out.data, &ends, work, |item, cspan| {
             let (bi, ib) = (item / nbk, item % nbk);
             let i0 = ib * rb;
             let i1 = (i0 + rb).min(m);
@@ -1263,12 +1255,10 @@ fn matmul_impl(a: ArrayView<'_>, b: ArrayView<'_>, ws: Option<&mut Workspace>, k
             let bp = &bpack[u * bp_len..(u + 1) * bp_len];
             crate::gemm::gemm_block_prepacked(ablock, bp, cspan, i1 - i0, n, k1);
         });
-        if let Some(ws) = ws.as_mut() {
-            ws.give(bpack);
-        }
+        give_installed(bpack);
     } else {
         let (a_rows, b_rows) = (a.row_major(), b.row_major());
-        crate::parallel::for_each_block(&mut out, n.max(1), work, |item, orow| {
+        crate::parallel::for_each_block(&mut out.data, n.max(1), work, |item, orow| {
             let (bi, i) = (item / m, item % m);
             let abase = abases[bi];
             let arow = &a_rows[abase + i * k1..abase + (i + 1) * k1];
@@ -1276,7 +1266,7 @@ fn matmul_impl(a: ArrayView<'_>, b: ArrayView<'_>, ws: Option<&mut Workspace>, k
             matmul_row(arow, bm, orow, n, skip_zeros);
         });
     }
-    NdArray { shape: out_shape, data: out }
+    out.array(out_shape)
 }
 
 /// Which matmul inner kernel [`NdArray::matmul_impl`] runs. `Auto` is the
@@ -1337,7 +1327,7 @@ fn mostly_zero(data: &[f32], index: impl Fn(usize) -> usize) -> bool {
 
 /// One output row of the `ikj` matmul kernel: `orow = arow · bm` where
 /// `bm` is the `[k, n]` right-hand matrix. Zeroes `orow` first — the
-/// output buffer may be recycled dirty from a [`Workspace`]. Shared by the
+/// output buffer may be recycled dirty from a [`crate::Workspace`]. Shared by the
 /// serial and parallel paths so both make identical per-element
 /// decisions — this is what makes the parallel result bitwise equal to
 /// the serial one.
@@ -1576,7 +1566,7 @@ mod tests {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             (state >> 33) % bound
         };
-        let mut ws = Workspace::new();
+        let mut ws = crate::Workspace::new();
         for rank in 2..=5 {
             for perm in permutations(rank) {
                 // random extents in 1..=5 (size-1 axes included), then one
@@ -1594,11 +1584,10 @@ mod tests {
                     let got = x.permute(&perm);
                     let got_bits: Vec<u32> = got.data().iter().map(|v| v.to_bits()).collect();
                     assert_eq!(got_bits, want, "permute {perm:?} of {shape:?}");
-                    // the workspace variant fully overwrites a dirty buffer
+                    // from an installed workspace, a dirty buffer is fully
+                    // overwritten
                     ws.give(vec![f32::NAN; n + 3]);
-                    let from_ws = x.permute_ws(&perm, &mut ws);
-                    assert_eq!(from_ws, got, "permute_ws {perm:?} of {shape:?}");
-                    ws.recycle(from_ws);
+                    ws.install(|| assert_eq!(x.permute(&perm), got, "pooled permute {perm:?} of {shape:?}"));
                 }
             }
         }
@@ -1860,26 +1849,45 @@ mod tests {
     }
 
     #[test]
-    fn matmul_ws_reuses_dirty_buffers_correctly() {
-        // Recycle a workspace buffer through products of both kernels and
-        // a smaller follow-up product; stale garbage from the larger
-        // buffer must never leak into results.
-        let mut ws = Workspace::new();
+    fn installed_workspace_reuses_dirty_buffers_correctly() {
+        // Products of both kernels and a smaller follow-up product run in
+        // buffers recycled through an installed workspace; stale garbage
+        // from a larger buffer must never leak into results.
+        let mut ws = crate::Workspace::new();
         let a = NdArray::from_vec((0..12 * 7).map(|i| (i as f32).sin()).collect(), &[12, 7]);
         let b = NdArray::from_vec((0..7 * 9).map(|i| (i as f32).cos()).collect(), &[7, 9]);
         let expect = a.matmul(&b);
-        for _ in 0..3 {
-            let got = a.matmul_ws(&b, &mut ws);
-            assert_eq!(got, expect);
-            ws.give(got.into_vec());
-        }
-        // sparse operand -> row kernel, same recycled buffer
         let mut sp = vec![0.0f32; 12 * 7];
         sp[3] = 2.0;
         sp[40] = -1.0;
         let sparse = NdArray::from_vec(sp, &[12, 7]);
         let expect_sp = sparse.matmul(&b);
-        let got_sp = sparse.matmul_ws(&b, &mut ws);
-        assert_eq!(got_sp, expect_sp);
+        ws.give(vec![f32::NAN; 200]);
+        ws.install(|| {
+            for _ in 0..3 {
+                assert_eq!(a.matmul(&b), expect);
+            }
+            // sparse operand -> row kernel, same recycled buffers
+            assert_eq!(sparse.matmul(&b), expect_sp);
+            assert_eq!(NdArray::zeros(&[4, 50]), NdArray::from_vec(vec![0.0; 200], &[4, 50]));
+        });
+        assert!(ws.pooled() > 0, "dropped arrays go back to the installed workspace");
+        assert_eq!(ws.live_bytes(), 0, "every pooled buffer came back");
+    }
+
+    #[test]
+    fn pool_storage_stays_out_of_clones_and_vectors() {
+        let mut ws = crate::Workspace::new();
+        let (clone, vec) = ws.install(|| {
+            let x = NdArray::zeros(&[64]);
+            assert!(x.pooled);
+            let clone = x.clone();
+            assert!(!clone.pooled, "a clone is fresh storage");
+            (clone, x.map(|v| v + 1.0).into_vec())
+        });
+        assert!(!clone.pooled);
+        assert_eq!(vec, vec![1.0; 64]);
+        // without an installed workspace nothing is pooled
+        assert!(!NdArray::zeros(&[64]).pooled);
     }
 }

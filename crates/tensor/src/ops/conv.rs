@@ -168,7 +168,7 @@ impl Tensor {
         let mut parents = vec![self.clone(), weight.clone()];
         if let Some(b) = bias {
             assert_eq!(b.shape(), vec![cout], "conv2d bias must be [Cout]");
-            out.bias_relu_inplace(b.data().data(), false);
+            out.add_channel_bias(b.data().data());
             parents.push(b.clone());
         }
         drop((x, w));

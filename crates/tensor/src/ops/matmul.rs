@@ -28,8 +28,20 @@ impl Backward for MatmulOp {
 impl Tensor {
     /// Batched matrix product `self @ other`. Leading (batch) dimensions
     /// broadcast; the last two dimensions contract as `[m, k] × [k, n]`.
+    ///
+    /// With gradients enabled the product takes [`NdArray::matmul`]'s
+    /// automatic dispatch, whose density probe can route a mostly-zero
+    /// left operand to the zero-skip row kernel. Under
+    /// [`crate::no_grad`] it always takes the packed kernel
+    /// ([`NdArray::matmul_packed`]): the probe reads the whole batch, so a
+    /// served request's bits would otherwise depend on its batch
+    /// neighbours (all-zero windows tip the whole operand to "mostly
+    /// zero"), while the packed kernel computes every output row from its
+    /// own row and `other` alone.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
-        let out = self.data().matmul(&other.data());
+        let (a, b) = (self.data(), other.data());
+        let out = if crate::is_grad_enabled() { a.matmul(&b) } else { a.matmul_packed(&b) };
+        drop((a, b));
         Tensor::from_op(out, vec![self.clone(), other.clone()], Box::new(MatmulOp))
     }
 }
@@ -49,6 +61,22 @@ mod tests {
         assert_eq!(a.grad().unwrap().data(), &[11.0, 15.0, 11.0, 15.0]);
         // dB[p][j] = Σ_i A[i][p]
         assert_eq!(b.grad().unwrap().data(), &[4.0, 4.0, 6.0, 6.0]);
+    }
+
+    #[test]
+    fn grad_free_products_are_batch_invariant_beside_zero_rows() {
+        // [x; 0; 0] is mostly zeros, so the density probe picks the
+        // zero-skip kernel for the batch but the packed one for x alone
+        let k = 40;
+        let x: Vec<f32> = (0..k).map(|i| (i as f32 * 0.37).sin()).collect();
+        let w = Tensor::constant(NdArray::from_vec((0..k * 7).map(|i| (i as f32 * 0.11).cos()).collect(), &[k, 7]));
+        let mut batch = x.clone();
+        batch.resize(3 * k, 0.0);
+        let alone = Tensor::constant(NdArray::from_vec(x, &[1, k]));
+        let batch = Tensor::constant(NdArray::from_vec(batch, &[3, k]));
+        let _g = crate::no_grad();
+        let (solo, batched) = (alone.matmul(&w).array(), batch.matmul(&w).array());
+        assert_eq!(solo.data(), &batched.data()[..7], "row 0 moved with its zero neighbours");
     }
 
     #[test]

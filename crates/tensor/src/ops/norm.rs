@@ -1,4 +1,5 @@
-//! Training-mode batch normalisation as one fused op.
+//! Batch normalisation as one fused op per mode: training (batch
+//! statistics) and eval (running statistics).
 
 use crate::autograd::{Backward, BackwardCtx};
 use crate::{parallel, NdArray, Tensor};
@@ -143,5 +144,146 @@ impl Tensor {
         let y = NdArray::from_vec(y, x.shape());
         let y = Tensor::from_op(y, vec![self.clone(), gamma.clone(), beta.clone()], Box::new(op));
         (y, mean, var)
+    }
+}
+
+/// Parameter geometry of an eval BatchNorm over `[N, C, ...]`: each of
+/// the `C·w` parameter slots covers channel `c` at position `j` of the
+/// last axis when `w > 1` (slot `c·w + j`), or the whole channel when
+/// `w = 1`. `mid` is the number of `w`-long rows per channel plane.
+#[derive(Clone, Copy)]
+struct Slots {
+    c: usize,
+    mid: usize,
+    w: usize,
+}
+
+impl Slots {
+    /// Slots for `shape` and `p` parameters: per channel when `p = C`,
+    /// per (channel, last-axis position) when `p = C·W`.
+    fn of(shape: &[usize], p: usize) -> Self {
+        assert!(shape.len() >= 3, "batch_norm_eval expects [N, C, ...], got {shape:?}");
+        let c = shape[1];
+        let plane: usize = shape[2..].iter().product();
+        let last = shape[shape.len() - 1];
+        let w = if p == c {
+            1
+        } else {
+            assert_eq!(p, c * last, "batch_norm_eval: {p} parameters fit neither C nor C·W of {shape:?}");
+            last
+        };
+        Slots { c, mid: plane / w.max(1), w }
+    }
+
+    /// Elements per channel plane.
+    fn plane_len(&self) -> usize {
+        self.mid * self.w
+    }
+}
+
+/// The eval BatchNorm node. Besides its parents it keeps the per-slot
+/// running mean and `1/σ`, which the `γ` gradient reads.
+struct BatchNormEvalOp {
+    slots: Slots,
+    mean: Vec<f32>,
+    inv_std: Vec<f32>,
+    scale: Vec<f32>,
+}
+
+impl Backward for BatchNormEvalOp {
+    fn backward(&self, mut g: NdArray, ctx: &BackwardCtx<'_>) -> Vec<Option<NdArray>> {
+        let Slots { c, w, .. } = self.slots;
+        let plane = self.slots.plane_len().max(1);
+        let p = c * w;
+        let x = ctx.parents[0].data();
+        // per slot: Σ dy and Σ dy·x̂, in row-major order
+        let (mut sg, mut sgh) = (vec![0.0f32; p], vec![0.0f32; p]);
+        for (pi, (gp, xp)) in g.data().chunks_exact(plane).zip(x.data().chunks_exact(plane)).enumerate() {
+            let base = (pi % c) * w;
+            for (gr, xr) in gp.chunks_exact(w).zip(xp.chunks_exact(w)) {
+                for (j, (&gv, &xv)) in gr.iter().zip(xr).enumerate() {
+                    let k = base + j;
+                    sg[k] += gv;
+                    sgh[k] += gv * ((xv - self.mean[k]) * self.inv_std[k]);
+                }
+            }
+        }
+        let dgamma = ctx.parents[1].requires_grad().then(|| NdArray::from_vec(sgh, &[p]));
+        let dbeta = ctx.parents[2].requires_grad().then(|| NdArray::from_vec(sg, &[p]));
+        // dx = s·dy, written over dy
+        let dx = ctx.parents[0].requires_grad().then(|| {
+            for (pi, gp) in g.data_mut().chunks_exact_mut(plane).enumerate() {
+                let s = &self.scale[(pi % c) * w..(pi % c + 1) * w];
+                for gr in gp.chunks_exact_mut(w) {
+                    for (gv, &sv) in gr.iter_mut().zip(s) {
+                        *gv *= sv;
+                    }
+                }
+            }
+            g
+        });
+        vec![dx, dgamma, dbeta]
+    }
+
+    fn name(&self) -> &'static str {
+        "batch_norm_eval"
+    }
+}
+
+impl Tensor {
+    /// Eval-mode batch normalisation of `[N, C, ...]` over the running
+    /// statistics `mean` and `var`, as one graph node and one pass:
+    /// `y = s·x + b` with `s = γ/√(var + eps)` and `b = β − s·mean`.
+    ///
+    /// `γ`, `β`, `mean` and `var` hold one entry per parameter slot:
+    /// either `C` (one per channel, axis 1) or `C·W` with `W` the last
+    /// axis, where slot `c·W + j` covers channel `c` at position `j` of
+    /// the last axis — the layout of a BatchNorm over a `[N, C·V, T, 1]`
+    /// fold of `[N, C, T, V]` features, applied to the features in place.
+    ///
+    /// The backward is `dx = s·dy`, `dγ = Σ dy·(x − mean)/√(var + eps)`
+    /// and `dβ = Σ dy` over each slot's elements. Channel planes are
+    /// sharded over the worker pool; every element is computed on its
+    /// own, so the output is the same bits at every thread count.
+    pub fn batch_norm_eval(&self, gamma: &Tensor, beta: &Tensor, mean: &NdArray, var: &NdArray, eps: f32) -> Tensor {
+        let x = self.data();
+        let (gm, bt) = (gamma.data(), beta.data());
+        let p = gm.len();
+        let slots = Slots::of(x.shape(), p);
+        for (name, len) in [("beta", bt.len()), ("mean", mean.len()), ("var", var.len())] {
+            assert_eq!(len, p, "batch_norm_eval: {name} has {len} entries, gamma {p}");
+        }
+        let inv_std: Vec<f32> = var.data().iter().map(|&v| 1.0 / (v + eps).sqrt()).collect();
+        let mut scale = Vec::with_capacity(p);
+        let mut shift = Vec::with_capacity(p);
+        for k in 0..p {
+            let s = gm.data()[k] / (var.data()[k] + eps).sqrt();
+            scale.push(s);
+            shift.push(bt.data()[k] - s * mean.data()[k]);
+        }
+        let mut y = NdArray::for_overwrite(x.shape());
+        let Slots { c, w, .. } = slots;
+        let plane = slots.plane_len().max(1);
+        let xd = x.data();
+        parallel::for_each_block(y.data_mut(), plane, xd.len(), |pi, yp| {
+            let k0 = (pi % c) * w;
+            let xp = &xd[pi * plane..(pi + 1) * plane];
+            if w == 1 {
+                let (s, b) = (scale[k0], shift[k0]);
+                for (o, &v) in yp.iter_mut().zip(xp) {
+                    *o = s * v + b;
+                }
+                return;
+            }
+            let (s, b) = (&scale[k0..k0 + w], &shift[k0..k0 + w]);
+            for (yr, xr) in yp.chunks_exact_mut(w).zip(xp.chunks_exact(w)) {
+                for (((o, &v), &sv), &bv) in yr.iter_mut().zip(xr).zip(s).zip(b) {
+                    *o = sv * v + bv;
+                }
+            }
+        });
+        drop((x, gm, bt));
+        let op = BatchNormEvalOp { slots, mean: mean.data().to_vec(), inv_std, scale };
+        Tensor::from_op(y, vec![self.clone(), gamma.clone(), beta.clone()], Box::new(op))
     }
 }

@@ -6,11 +6,15 @@
 //! op consumes them, so a small pool of recycled `Vec<f32>` buffers brings
 //! the steady-state allocation count of a forward pass to (almost) zero.
 //!
-//! A [`Workspace`] is a plain best-fit free list. Kernels `take` a buffer,
-//! build an [`crate::NdArray`] in it, and the caller eventually feeds dead
-//! intermediates back with [`Workspace::recycle`]. Buffers are `Vec<f32>`,
-//! so a workspace is cheap to create and fully owned — dropping it frees
-//! everything.
+//! A [`Workspace`] is a plain best-fit free list. A serving session
+//! installs its workspace on the calling thread for the duration of a
+//! forward ([`Workspace::install`]): the [`crate::NdArray`] kernels then
+//! `take` their output buffers from it, and each array built that way
+//! gives its buffer back when it is dropped. Only buffers the workspace
+//! handed out come back — request inputs and `clone`s are ordinary
+//! allocations. Training never installs one, so its allocation is the
+//! plain heap's. Buffers are `Vec<f32>`, so a workspace is cheap to create
+//! and fully owned — dropping it frees everything.
 //!
 //! ## Residency bounds
 //!
@@ -29,8 +33,35 @@
 //!   back on recycle — a slow ratchet toward `MAX_POOLED × largest
 //!   request ever seen`.
 
-use crate::NdArray;
+use std::cell::RefCell;
 use std::collections::VecDeque;
+
+thread_local! {
+    /// The workspace [`Workspace::install`] put on this thread, if any.
+    static INSTALLED: RefCell<Option<Workspace>> = const { RefCell::new(None) };
+}
+
+/// `len` elements from the calling thread's installed workspace (zeroed
+/// or with unspecified contents), or `None` when none is installed.
+pub(crate) fn take_installed(len: usize, zeroed: bool) -> Option<Vec<f32>> {
+    INSTALLED.with(|slot| {
+        let mut slot = slot.borrow_mut();
+        let ws = slot.as_mut()?;
+        Some(if zeroed { ws.take_zeroed(len) } else { ws.take(len) })
+    })
+}
+
+/// Give `buf` to the calling thread's installed workspace; without one
+/// (or while the thread exits) the buffer is simply freed.
+pub(crate) fn give_installed(buf: Vec<f32>) {
+    let _ = INSTALLED.try_with(|slot| {
+        if let Ok(mut slot) = slot.try_borrow_mut() {
+            if let Some(ws) = slot.as_mut() {
+                ws.give(buf);
+            }
+        }
+    });
+}
 
 /// Upper bound on pooled buffers; beyond this, recycled buffers are simply
 /// dropped. A model forward keeps only a handful of buffers alive at once,
@@ -83,6 +114,30 @@ impl Workspace {
         }
     }
 
+    /// Run `f` with this workspace installed on the calling thread, so
+    /// the [`crate::NdArray`] kernels `f` runs draw their output buffers from it
+    /// and the arrays they build give them back when dropped. The
+    /// previous installation, if any, is restored afterwards, also when
+    /// `f` panics. Arrays that outlive `f` free their storage normally.
+    pub fn install<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        /// Puts the workspace back into its owner and the previous one
+        /// back on the thread.
+        struct Uninstall<'a> {
+            owner: &'a mut Workspace,
+            prev: Option<Workspace>,
+        }
+        impl Drop for Uninstall<'_> {
+            fn drop(&mut self) {
+                if let Some(ws) = INSTALLED.with(|slot| slot.replace(self.prev.take())) {
+                    *self.owner = ws;
+                }
+            }
+        }
+        let prev = INSTALLED.with(|slot| slot.replace(Some(std::mem::take(self))));
+        let _uninstall = Uninstall { owner: self, prev };
+        f()
+    }
+
     /// Number of buffers currently pooled (diagnostics only).
     pub fn pooled(&self) -> usize {
         self.pool.len()
@@ -104,8 +159,8 @@ impl Workspace {
     /// count means some serving path recycled the same storage twice —
     /// the next two `take` calls would hand out aliased buffers and
     /// silently corrupt each other. The `analyze` binary's serving audit
-    /// runs one `forward_inference` per zoo model and fails on a non-zero
-    /// count.
+    /// reads it from each zoo model's `InferenceSession` and fails on a
+    /// non-zero count.
     pub fn alias_hazards(&self) -> usize {
         self.alias_hazards
     }
@@ -219,11 +274,6 @@ impl Workspace {
                 None => break,
             }
         }
-    }
-
-    /// Return a dead intermediate array's storage to the pool.
-    pub fn recycle(&mut self, array: NdArray) {
-        self.give(array.into_vec());
     }
 }
 
@@ -395,10 +445,27 @@ mod tests {
     }
 
     #[test]
-    fn recycle_accepts_arrays() {
+    fn install_lends_the_workspace_to_the_thread_and_takes_it_back() {
         let mut ws = Workspace::new();
-        ws.recycle(NdArray::zeros(&[4, 4]));
+        ws.give(vec![3.0; 40]);
+        let seen = ws.install(|| {
+            // nested installs shadow and then restore the outer one
+            let mut inner = Workspace::new();
+            inner.install(|| assert_eq!(take_installed(8, true), Some(vec![0.0; 8])));
+            let buf = take_installed(10, false).expect("outer restored");
+            let seen = buf.capacity();
+            give_installed(buf);
+            seen
+        });
+        assert!(seen >= 40, "the pooled buffer was lent out");
+        assert_eq!(ws.pooled(), 1, "and came back to the owner");
+        assert!(take_installed(1, false).is_none(), "uninstalled afterwards");
+        // a panic inside still uninstalls and returns the workspace
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ws.install(|| panic!("forward failed"))
+        }));
+        assert!(caught.is_err());
+        assert!(take_installed(1, false).is_none());
         assert_eq!(ws.pooled(), 1);
-        assert_eq!(ws.take(16).len(), 16);
     }
 }

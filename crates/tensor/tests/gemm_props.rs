@@ -123,7 +123,7 @@ fn check_transposed(a: &NdArray, ta: bool, b: &NdArray, tb: bool) -> Result<NdAr
     if bits(&got) != bits(&am.matmul(&bm)) {
         return Err(format!("auto: {:?}{} x {:?}{}", a.shape(), ["", "ᵀ"][ta as usize], b.shape(), ["", "ᵀ"][tb as usize]));
     }
-    let packed = view(a, ta).matmul_packed_ws(view(b, tb), &mut Workspace::new());
+    let packed = Workspace::new().install(|| view(a, ta).matmul_packed(view(b, tb)));
     if bits(&packed) != bits(&am.matmul_packed(&bm)) {
         return Err(format!("packed: {:?}{} x {:?}{}", a.shape(), ["", "ᵀ"][ta as usize], b.shape(), ["", "ᵀ"][tb as usize]));
     }

@@ -166,6 +166,30 @@ proptest! {
     }
 
     #[test]
+    fn grad_batch_norm_eval(a in signed_values(24), w in signed_values(24)) {
+        // x [2, 3, 2, 2] against running statistics, per channel and per
+        // (channel, last-axis position) — the layout DataBn normalises
+        let x = NdArray::from_vec(a, &[2, 3, 2, 2]);
+        let wt = NdArray::from_vec(w, &[2, 3, 2, 2]);
+        for p in [3usize, 6] {
+            let vals = |f: fn(usize) -> f32| NdArray::from_vec((0..p).map(f).collect(), &[p]);
+            let gamma = vals(|i| 0.5 + 0.3 * i as f32);
+            let beta = vals(|i| 0.1 - 0.07 * i as f32);
+            let mean = vals(|i| 0.2 * i as f32 - 0.4);
+            let var = vals(|i| 0.6 + 0.25 * i as f32);
+            let wt = wt.clone();
+            let loss = move |x: &Tensor, g: &Tensor, b: &Tensor| {
+                x.batch_norm_eval(g, b, &mean, &var, 1e-5).mul(&Tensor::constant(wt.clone())).sum_all()
+            };
+            let (l, bc) = (loss.clone(), beta.clone());
+            assert_gradients_close(&x, |t| l(t, &Tensor::param(gamma.clone()), &Tensor::param(bc.clone())), TOL);
+            let (l, xc) = (loss.clone(), x.clone());
+            assert_gradients_close(&gamma, |t| l(&Tensor::param(xc.clone()), t, &Tensor::param(beta.clone())), TOL);
+            assert_gradients_close(&beta, |t| loss(&Tensor::param(x.clone()), &Tensor::param(gamma.clone()), t), TOL);
+        }
+    }
+
+    #[test]
     fn grad_composite_mlp(a in signed_values(6)) {
         // an end-to-end two-layer network gradient against FD
         let x = NdArray::from_vec(a, &[2, 3]);

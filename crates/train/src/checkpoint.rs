@@ -7,8 +7,7 @@
 //!
 //! The format (`DHGCKPT2`, written by [`save`]) stores the model's
 //! [`dhg_nn::Module::buffers`] — BatchNorm running statistics — after the
-//! parameters, so a restored model evaluates identically to the saved one
-//! and [`dhg_nn::Module::prepare_inference`] folds the same weights.
+//! parameters, so a restored model evaluates identically to the saved one.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use dhg_nn::fault::FaultPlan;
@@ -165,15 +164,6 @@ pub fn load(model: &dyn Module, mut bytes: Bytes) -> Result<(), CheckpointError>
     Ok(())
 }
 
-/// Restore a checkpoint and compile the model for serving in one step:
-/// [`load`] followed by [`Module::prepare_inference`], so BatchNorm folding
-/// uses the restored running statistics.
-pub fn load_prepared(model: &mut dyn Module, bytes: Bytes) -> Result<(), CheckpointError> {
-    load(model, bytes)?;
-    model.prepare_inference();
-    Ok(())
-}
-
 fn io_error(path: &std::path::Path, e: std::io::Error) -> CheckpointError {
     CheckpointError::Io { path: path.display().to_string(), kind: e.kind() }
 }
@@ -238,17 +228,6 @@ pub fn save_file_with(
 pub fn load_file(model: &dyn Module, path: &std::path::Path) -> Result<(), CheckpointError> {
     let raw = std::fs::read(path).map_err(|e| io_error(path, e))?;
     load(model, Bytes::from(raw))
-}
-
-/// [`load_file`] followed by [`Module::prepare_inference`] — the one-call
-/// artifact-to-serving path (see [`load_prepared`]).
-pub fn load_file_prepared(
-    model: &mut dyn Module,
-    path: &std::path::Path,
-) -> Result<(), CheckpointError> {
-    load_file(model, path)?;
-    model.prepare_inference();
-    Ok(())
 }
 
 /// Everything beyond the model needed to resume a training run exactly
@@ -399,11 +378,11 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_preserves_running_stats_and_compiled_logits() {
+    fn roundtrip_preserves_running_stats_and_served_logits() {
         use dhg_core::common::{ModelDims, StageSpec};
         use dhg_core::StGcn;
         use dhg_skeleton::SkeletonTopology;
-        use dhg_tensor::{NdArray, Tensor, Workspace};
+        use dhg_tensor::{NdArray, Tensor};
 
         let dims = ModelDims { in_channels: 3, n_joints: 25, n_classes: 4 };
         let adjacency = SkeletonTopology::ntu25().graph().normalized_adjacency();
@@ -414,24 +393,22 @@ mod tests {
         ));
 
         let mut rng = StdRng::seed_from_u64(5);
-        let mut a = StGcn::new(dims, adjacency.clone(), &stages, 0.0, &mut rng);
+        let a = StGcn::new(dims, adjacency.clone(), &stages, 0.0, &mut rng);
         a.forward(&x); // move BN running stats off their init values
         a.forward(&x);
         let blob = save(&a);
 
         // a differently-seeded model: parameters AND buffers disagree
         let mut rng2 = StdRng::seed_from_u64(99);
-        let mut b = StGcn::new(dims, adjacency, &stages, 0.0, &mut rng2);
-        load_prepared(&mut b, blob).expect("load");
+        let b = StGcn::new(dims, adjacency, &stages, 0.0, &mut rng2);
+        load(&b, blob).expect("load");
 
         for (ba, bb) in a.buffers().iter().zip(b.buffers()) {
             assert_eq!(*ba.borrow(), *bb.borrow(), "running stats not restored");
         }
-        a.prepare_inference();
-        let mut ws = Workspace::new();
-        let ya = a.forward_inference(&x, &mut ws).array();
-        let yb = b.forward_inference(&x, &mut ws).array();
-        assert_eq!(ya, yb, "compiled logits should be bitwise identical");
+        let ya = crate::InferenceSession::new(a).logits(&x);
+        let yb = crate::InferenceSession::new(b).logits(&x);
+        assert_eq!(ya, yb, "served logits should be bitwise identical");
     }
 
     #[test]
@@ -535,8 +512,8 @@ mod tests {
         let path = temp_path("roundtrip");
         save_file(&a, &path).expect("save_file");
         let mut rng2 = StdRng::seed_from_u64(91);
-        let mut b = Linear::new(5, 3, &mut rng2);
-        load_file_prepared(&mut b, &path).expect("load_file_prepared");
+        let b = Linear::new(5, 3, &mut rng2);
+        load_file(&b, &path).expect("load_file");
         for (pa, pb) in a.parameters().iter().zip(b.parameters()) {
             assert_eq!(pa.array(), pb.array());
         }

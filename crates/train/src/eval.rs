@@ -30,7 +30,7 @@ impl EvalResult {
 }
 
 /// Raw scores of `model` over the given sample indices, in index order:
-/// `([N, K] scores, labels)`. Allocates a fresh [`Workspace`]; callers
+/// `([N, K] scores, labels)`. Uses a fresh [`Workspace`]; callers
 /// scoring repeatedly should hold one and use [`score_with`].
 pub fn score(
     model: &dyn Module,
@@ -45,10 +45,11 @@ pub fn score(
 
 /// [`score`] with a caller-provided scratch workspace.
 ///
-/// Forward passes go through [`Module::forward_inference`]: no autograd
-/// graph is retained across batches (evaluation used to hold every batch's
-/// full graph alive until its scores were dropped), and models compiled
-/// with [`Module::prepare_inference`] run their folded serving path.
+/// Each batch runs the model's [`Module::forward`] under
+/// [`dhg_tensor::no_grad`] with `ws` installed (see
+/// [`crate::InferenceSession::logits`]): no autograd graph is retained
+/// across batches, and the batch's intermediates recycle through `ws`.
+/// The model should be in eval mode.
 pub fn score_with(
     model: &dyn Module,
     dataset: &SkeletonDataset,
@@ -74,7 +75,8 @@ pub fn score_with(
     let mut score_chunks: Vec<NdArray> = Vec::with_capacity(chunks.len());
     let mut labels = Vec::with_capacity(indices.len());
     for (x, batch_labels) in batches {
-        score_chunks.push(model.forward_inference(&Tensor::constant(x), ws).array());
+        let x = Tensor::constant(x);
+        score_chunks.push(crate::infer::serve_forward(model, &x, ws));
         labels.extend(batch_labels);
     }
     let refs: Vec<&NdArray> = score_chunks.iter().collect();
@@ -185,18 +187,14 @@ mod tests {
         );
         model.set_training(false);
         let before = dhg_tensor::graph_nodes_created();
-        let unprepared = evaluate(&model, &d, &indices, Stream::Joint);
+        let first = score(&model, &d, &indices, Stream::Joint, 4);
         assert_eq!(
             dhg_tensor::graph_nodes_created(),
             before,
             "eval retained an autograd graph"
         );
-        // the compiled path scores identically (no folding drift beyond 1e-4
-        // on logits means identical ranking on this tiny problem)
-        model.prepare_inference();
-        let prepared = evaluate(&model, &d, &indices, Stream::Joint);
-        assert_eq!(unprepared.n, prepared.n);
-        assert!((unprepared.top1 - prepared.top1).abs() < 1e-6);
+        // a second pass through recycled workspace buffers scores the same bits
+        assert_eq!(first, score(&model, &d, &indices, Stream::Joint, 4));
     }
 
     #[test]

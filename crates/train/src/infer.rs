@@ -1,32 +1,33 @@
-//! Serving entry point: a model compiled for grad-free inference bundled
-//! with its reusable scratch workspace.
+//! Serving entry point: a model in eval mode bundled with its reusable
+//! scratch workspace.
 //!
-//! [`InferenceSession::new`] runs [`Module::prepare_inference`] once —
-//! folding Conv+BN weights and caching static hypergraph operators — and
-//! every subsequent call reuses one [`Workspace`], so steady-state forward
-//! passes allocate (almost) nothing and build zero autograd graph nodes.
+//! [`InferenceSession::new`] switches the model to eval mode, and every
+//! call runs the model's one [`Module::forward`] under
+//! [`dhg_tensor::no_grad`] with the session's [`Workspace`] installed on
+//! the calling thread ([`Workspace::install`]): the kernels draw their
+//! output buffers from it and dead intermediates go back to it, so
+//! steady-state forward passes allocate (almost) nothing and build zero
+//! autograd graph nodes.
 
 use crate::eval::{self, EvalResult};
 use dhg_nn::Module;
 use dhg_skeleton::{SkeletonDataset, Stream};
 use dhg_tensor::{NdArray, Tensor, Workspace};
 
-/// A model compiled for serving plus its scratch buffers.
+/// A model in eval mode plus its scratch buffers.
 pub struct InferenceSession<M: Module> {
     model: M,
     ws: Workspace,
 }
 
 impl<M: Module> InferenceSession<M> {
-    /// Compile `model` for serving. Works for any [`Module`]; models
-    /// without a dedicated serving path fall back to a grad-free eval-mode
-    /// forward with bitwise-identical outputs.
+    /// Serve `model`: switch it to eval mode. Works for any [`Module`].
     pub fn new(mut model: M) -> Self {
-        model.prepare_inference();
+        model.set_training(false);
         InferenceSession { model, ws: Workspace::new() }
     }
 
-    /// Compile `model` for serving, but first run the static analyzer
+    /// Serve `model` as [`InferenceSession::new`] does, but first run the static analyzer
     /// ([`dhg_nn::analyze`]) over its plan at `input`: if any diagnostic
     /// is an error — shape breaks, invalid hypergraph incidence — the
     /// session is refused and the report returned instead. Warnings
@@ -35,7 +36,7 @@ impl<M: Module> InferenceSession<M> {
         mut model: M,
         input: &dhg_nn::SymShape,
     ) -> Result<(Self, dhg_nn::Report), dhg_nn::Report> {
-        model.prepare_inference();
+        model.set_training(false);
         let report = dhg_nn::analyze(&model.plan(input));
         if report.has_errors() {
             return Err(report);
@@ -43,14 +44,21 @@ impl<M: Module> InferenceSession<M> {
         Ok((InferenceSession { model, ws: Workspace::new() }, report))
     }
 
-    /// The compiled model (read-only; mutating it could stale the caches).
+    /// The served model.
     pub fn model(&self) -> &M {
         &self.model
     }
 
-    /// Raw class scores `[N, K]` for an input batch `[N, C, T, V]`.
+    /// The session's workspace: what its forwards hold between requests
+    /// and the high water they reached.
+    pub fn workspace(&self) -> &Workspace {
+        &self.ws
+    }
+
+    /// Raw class scores `[N, K]` for an input batch `[N, C, T, V]`: the
+    /// eval-mode forward under `no_grad`, with the workspace installed.
     pub fn logits(&mut self, x: &Tensor) -> NdArray {
-        self.model.forward_inference(x, &mut self.ws).array()
+        serve_forward(&self.model, x, &mut self.ws)
     }
 
     /// Predicted class index per sample.
@@ -80,11 +88,20 @@ impl<M: Module> InferenceSession<M> {
     }
 
     /// Release the model, e.g. to resume training. The caller must switch
-    /// it back with `set_training(true)` (which drops the serving caches)
-    /// before further optimisation.
+    /// it back with `set_training(true)` before further optimisation.
     pub fn into_model(self) -> M {
         self.model
     }
+}
+
+/// The one served forward: `model`'s [`Module::forward`] under
+/// [`dhg_tensor::no_grad`] with `ws` installed on the calling thread.
+/// The model should be in eval mode.
+pub(crate) fn serve_forward(model: &dyn Module, x: &Tensor, ws: &mut Workspace) -> NdArray {
+    ws.install(|| {
+        let _guard = dhg_tensor::no_grad();
+        model.forward(x).array()
+    })
 }
 
 #[cfg(test)]
@@ -108,7 +125,7 @@ mod tests {
     }
 
     #[test]
-    fn session_matches_eval_forward_and_builds_no_graph() {
+    fn session_is_the_no_grad_eval_forward_and_builds_no_graph() {
         let mut m = model();
         let x = Tensor::constant(NdArray::from_vec(
             (0..2 * 3 * 8 * 25).map(|i| (i as f32 * 0.019).cos()).collect(),
@@ -121,11 +138,17 @@ mod tests {
             m.forward(&x).array()
         };
         let mut session = InferenceSession::new(m);
-        let before = dhg_tensor::graph_nodes_created();
-        let got = session.logits(&x);
-        assert_eq!(dhg_tensor::graph_nodes_created(), before, "serving built graph nodes");
-        assert!(reference.allclose(&got, 1e-4, 1e-5), "serving logits diverged");
+        for _ in 0..3 {
+            // the workspace's recycled buffers never change a bit
+            let before = dhg_tensor::graph_nodes_created();
+            let got = session.logits(&x);
+            assert_eq!(dhg_tensor::graph_nodes_created(), before, "serving built graph nodes");
+            assert_eq!(got, reference, "serving logits diverged");
+        }
         assert_eq!(session.predict(&x), reference.argmax_last());
+        let ws = session.workspace();
+        assert!(ws.pooled() > 0 && ws.high_water_bytes() > 0, "the forward drew from the workspace");
+        assert_eq!(ws.live_bytes(), 0, "every buffer came back");
     }
 
     #[test]
@@ -141,7 +164,7 @@ mod tests {
     }
 
     #[test]
-    fn into_model_returns_the_compiled_model() {
+    fn into_model_returns_the_served_model() {
         let session = InferenceSession::new(model());
         let m = session.into_model();
         assert!(m.n_parameters() > 0);

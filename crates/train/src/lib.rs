@@ -10,9 +10,9 @@
 //! * [`experiment`] — table declarations: each `Table` pairs the paper's
 //!   published rows with rows measured on the synthetic corpus and prints
 //!   them side by side (the `dhg-bench` `tableN` binaries drive this).
-//! * [`infer`] — [`InferenceSession`]: a model compiled for grad-free
-//!   serving (folded Conv+BN, cached hypergraph operators) bundled with
-//!   its reusable scratch workspace.
+//! * [`infer`] — [`InferenceSession`]: a model's eval-mode forward run
+//!   grad-free, bundled with the scratch workspace its buffers recycle
+//!   through.
 //! * [`serve`] — [`ServeEngine`]: concurrent serving over inference
 //!   sessions — bounded request queue with explicit load shedding,
 //!   micro-batch coalescing, per-worker model replicas, latency/through-

@@ -86,7 +86,7 @@ use std::time::Instant;
 pub type ModelFactory = Arc<dyn Fn() -> Box<dyn Module> + Send + Sync>;
 
 /// One routable model: its registry name, replica factory and the
-/// per-sample input shape its engine is compiled for.
+/// per-sample input shape its engine is analyzed for.
 #[derive(Clone)]
 pub struct ModelSpec {
     /// Routing key (the zoo registry name, e.g. `"DHGCN-lite"`).

@@ -466,7 +466,7 @@ impl ServeEngine {
     /// Start an engine for single-sample inputs of shape `sample_shape`
     /// (`[C, T, V]` for skeleton models). `factory` is called once per
     /// worker, *inside* that worker's thread, to build its model replica;
-    /// each replica is compiled through
+    /// each replica is served through
     /// [`crate::InferenceSession::analyzed`] and the engine refuses to
     /// start (with [`ServeError::Startup`]) if any replica's plan has
     /// errors. The same factory rebuilds replicas when the supervisor
@@ -615,7 +615,7 @@ impl ServeEngine {
 
     /// Open a frame stream against this engine. The engine's sample shape
     /// must be `[C, T, V]`; the stream's window length is exactly `T` (the
-    /// shape every worker replica was compiled and analyzed for), and a
+    /// shape every worker replica was analyzed for), and a
     /// window is submitted every `emit_every` pushed frames once the ring
     /// holds `T` frames. Returns the stream id for
     /// [`ServeEngine::push_frame`] / [`ServeEngine::close_stream`].

@@ -468,12 +468,10 @@ pub fn train_resumable(
     })
 }
 
-/// [`train`], then score the held-out `val_indices` on the compiled
-/// inference path ([`Module::prepare_inference`] +
-/// [`crate::eval::evaluate`]) and record the result in
-/// [`TrainReport::validation`]. The model is returned compiled; call
-/// `set_training(true)` before resuming training (this drops the folded
-/// caches).
+/// [`train`], then score the held-out `val_indices` on the serving path
+/// (eval mode + [`crate::eval::evaluate`]) and record the result in
+/// [`TrainReport::validation`]. The model is returned in eval mode; call
+/// `set_training(true)` before resuming training.
 pub fn train_validated(
     model: &mut dyn Module,
     dataset: &SkeletonDataset,
@@ -484,7 +482,7 @@ pub fn train_validated(
 ) -> TrainReport {
     let mut report = train(model, dataset, train_indices, stream, config);
     if !val_indices.is_empty() {
-        model.prepare_inference();
+        model.set_training(false);
         report.validation = Some(crate::eval::evaluate(&*model, dataset, val_indices, stream));
     }
     report

@@ -176,7 +176,7 @@ impl Zoo {
         })
     }
 
-    /// Build by table row name, compiled for serving (see
+    /// Build by table row name, ready for serving (see
     /// [`crate::InferenceSession`]).
     pub fn by_name_session(&self, name: &str) -> Option<crate::InferenceSession<Box<dyn Module>>> {
         Some(crate::InferenceSession::new(self.by_name(name)?))

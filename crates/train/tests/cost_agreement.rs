@@ -1,32 +1,27 @@
 //! The static cost model must be a safe envelope for the runtime: for
 //! every zoo model, the plan IR's predicted peak workspace bytes must be
-//! at least the `Workspace` high-water mark one real batch-1
-//! `forward_inference` pass actually reaches — otherwise the
+//! at least the high-water mark one real batch-1 served forward reaches
+//! in its `InferenceSession`'s workspace — otherwise the
 //! `analyze --budget` gate could admit a model that blows the serving
-//! cap. A served stream window is an ordinary `forward_inference` input,
-//! so the zoo-wide check covers stream windows too.
+//! cap. A served stream window is an ordinary session input, so the
+//! zoo-wide check covers stream windows too.
 //!
-//! Only the models with a compiled serving path draw from the workspace:
-//! ST-GCN, TCN, DHGCN and DHGCN-lite. The other five (2s-AGCN, 2s-AHGCN,
-//! Shift-GCN, ST-LSTM, Lie Group) serve through the default `no_grad`
-//! forward, which never takes a `Workspace` buffer, so they measure 0 B
-//! and only the lower bound applies to them.
+//! Every zoo model serves through its eval-mode forward under `no_grad`
+//! with the session's workspace installed, so every one draws its
+//! intermediates from the workspace and is held to both bounds.
 
 use dhg_core::common::ModelDims;
 use dhg_core::{Dhgcn, DhgcnConfig, TopologyGranularity};
 use dhg_nn::{analyze, Module, SymShape};
 use dhg_skeleton::SkeletonTopology;
-use dhg_tensor::{NdArray, Tensor, Workspace};
+use dhg_tensor::{NdArray, Tensor};
 use dhg_train::zoo::Zoo;
+use dhg_train::InferenceSession;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// The zoo models whose serving path draws from the workspace.
-const DRAWS_FROM_WORKSPACE: [&str; 4] = ["ST-GCN", "TCN", "DHGCN", "DHGCN-lite"];
-
-/// The largest admitted predicted / measured ratio. The cases below
-/// read 1.63 (per-frame DHGCN) to 3.45 (TCN on 18 joints); a looser
-/// envelope would let the budget gate refuse models that fit.
+/// The largest admitted predicted / measured ratio; a looser envelope
+/// would let the budget gate refuse models that fit.
 const ENVELOPE: u64 = 4;
 
 fn batch1(t: usize, v: usize) -> Tensor {
@@ -36,29 +31,25 @@ fn batch1(t: usize, v: usize) -> Tensor {
     ))
 }
 
-/// Warm `m`'s BatchNorm statistics on `x`, compile it for serving, and
-/// assert `measured <= predicted <= ENVELOPE × measured` for one batch-1
-/// pass. Returns the measured high water.
-fn assert_envelope(what: &str, m: &mut dyn Module, x: &Tensor, shape: &SymShape) -> u64 {
+/// Warm `m`'s BatchNorm statistics on `x`, serve it one batch-1 window,
+/// and assert `0 < measured <= predicted <= ENVELOPE × measured`.
+fn assert_envelope(what: &str, m: Box<dyn Module>, x: &Tensor, shape: &SymShape) {
     m.forward(x);
-    m.prepare_inference();
-    let predicted = analyze(&m.plan(shape)).cost_summary().workspace_peak;
-    let mut ws = Workspace::new();
-    let _ = m.forward_inference(x, &mut ws);
-    let measured = ws.high_water_bytes() as u64;
+    let mut session = InferenceSession::new(m);
+    let predicted = analyze(&session.model().plan(shape)).cost_summary().workspace_peak;
+    let _ = session.logits(x);
+    let measured = session.workspace().high_water_bytes() as u64;
+    assert!(measured > 0, "{what}: the served forward drew nothing from the workspace");
     assert!(
         predicted >= measured,
         "{what}: predicted peak {predicted} B < measured high water {measured} B — the \
          static cost model under-predicts"
     );
-    if measured > 0 {
-        assert!(
-            predicted <= measured.saturating_mul(ENVELOPE),
-            "{what}: predicted peak {predicted} B is more than {ENVELOPE}x the measured \
-             {measured} B — the envelope is too loose to gate on"
-        );
-    }
-    measured
+    assert!(
+        predicted <= measured.saturating_mul(ENVELOPE),
+        "{what}: predicted peak {predicted} B is more than {ENVELOPE}x the measured \
+         {measured} B — the envelope is too loose to gate on"
+    );
 }
 
 #[test]
@@ -69,13 +60,8 @@ fn predicted_peak_bounds_measured_high_water_across_the_zoo() {
         let x = batch1(t, v);
         let shape = SymShape::nctv(3, t, v);
         for name in Zoo::NAMES {
-            let mut m = zoo.by_name(name).expect("zoo model");
-            let measured = assert_envelope(&format!("{name} on {v} joints"), &mut m, &x, &shape);
-            assert_eq!(
-                measured > 0,
-                DRAWS_FROM_WORKSPACE.contains(&name),
-                "{name} on {v} joints: measured {measured} B from the workspace"
-            );
+            let m = zoo.by_name(name).expect("zoo model");
+            assert_envelope(&format!("{name} on {v} joints"), m, &x, &shape);
         }
     }
     // the paper's per-frame topology: one operator per frame in the
@@ -84,7 +70,7 @@ fn predicted_peak_bounds_measured_high_water_across_the_zoo() {
     let mut config = DhgcnConfig::small(dims);
     config.granularity = TopologyGranularity::PerFrame;
     let topology = SkeletonTopology::ntu25();
-    let mut m = Dhgcn::for_topology(config, &topology, &mut StdRng::seed_from_u64(0));
+    let m = Dhgcn::for_topology(config, &topology, &mut StdRng::seed_from_u64(0));
     let shape = SymShape::nctv(3, 32, 25);
-    assert_envelope("per-frame DHGCN at T = 32", &mut m, &batch1(32, 25), &shape);
+    assert_envelope("per-frame DHGCN at T = 32", Box::new(m), &batch1(32, 25), &shape);
 }

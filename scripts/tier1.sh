@@ -7,10 +7,11 @@
 #      only holds without them (bitwise logits, typed errors) fails here
 #   4. clippy with warnings denied
 #   5. a smoke pass over the criterion benches (--test runs each bench
-#      once without measuring, catching bit-rot in bench code; the
-#      inference_latency bench also asserts the execution-mode contract)
-#   6. the static model-graph analyzer over the whole zoo (clean plans,
-#      clean serving audit) plus its self-test of seeded negatives
+#      once without measuring, catching bit-rot in bench code)
+#   6. the static model-graph analyzer over the whole zoo (clean plans;
+#      a serving audit through InferenceSession::logits: zero graph nodes,
+#      the output shape, and row 0 of [x, 0, 0] bitwise equal to x alone)
+#      plus its self-test of seeded negatives
 #   7. the static-analysis gate (scripts/lint.sh): dhg-lint self-test and
 #      clean-repo scan (DL001-DL007 with lint.allow), and the analyzer's
 #      --budget check that every model's predicted peak workspace fits

@@ -80,7 +80,7 @@ fn analyzer_accepts_what_the_eager_path_accepts() {
     for name in Zoo::NAMES {
         let mut m = zoo.by_name(name).unwrap_or_else(|| panic!("unknown model {name}"));
         m.forward(&x); // warm BN statistics
-        m.prepare_inference();
+        m.set_training(false);
         let report = analyze(&m.plan(&SymShape::nctv(3, 8, 25)));
         assert!(report.ok(), "{name}: clean model analyzed dirty:\n{report}");
         assert_eq!(report.output.rank(), 2, "{name} output rank");

@@ -5,8 +5,7 @@
 //! parallel result bit-for-bit (`f32::to_bits`, not `allclose`).
 
 use dhgcn::hypergraph::{
-    dynamic_operators, knn_hyperedges, stacked_operators, stacked_operators_with, TopologyConfig,
-    TopologyGranularity,
+    dynamic_operators, knn_hyperedges, stacked_operators, TopologyConfig, TopologyGranularity,
 };
 use dhgcn::prelude::*;
 use dhgcn::skeleton::{batch_samples, static_hypergraph, SkeletonSample};
@@ -191,21 +190,12 @@ fn stacked_operators_are_bitwise_identical_across_thread_counts() {
     let config = TopologyConfig::new(3, 4, 0x6B6D_6561_6E73);
     assert!(n * v * v * (e + config.kn + config.km + 8) >= MIN_PARALLEL_WORK);
     let feats = random_array(&[n, t, v, e], 12);
-    // an importance mask and an additive refinement, as the eval path fuses
-    let mask = random_array(&[v, v], 13);
-    let post = |blk: &mut [f32]| {
-        for (w, &m) in blk.iter_mut().zip(mask.data()) {
-            *w = *w * m + 0.25;
-        }
-    };
     for granularity in [TopologyGranularity::PerSample, TopologyGranularity::PerFrame] {
         let plain = || stacked_operators(&feats, granularity, &config);
-        let fused = || stacked_operators_with(&feats, granularity, &config, post);
-        let (serial, serial_fused) = with_threads(1, || (plain(), fused()));
+        let serial = with_threads(1, plain);
         for threads in THREADS {
             let what = format!("{granularity:?} topology, threads = {threads}");
             assert_bitwise_eq(&serial, &with_threads(threads, plain), &what);
-            assert_bitwise_eq(&serial_fused, &with_threads(threads, fused), &format!("fused {what}"));
         }
     }
 }

@@ -7,7 +7,7 @@
 //! [`ServeEngine`] (batches form nondeterministically under concurrent
 //! submission) must be **bitwise identical** to sequential
 //! [`InferenceSession::logits`] calls on the same inputs, across 1, 2 and
-//! 8 workers.
+//! 8 workers — also when a request shares its batch with all-zero windows.
 
 use dhgcn::skeleton::SkeletonTopology;
 use dhgcn::tensor::{NdArray, Tensor};
@@ -94,7 +94,7 @@ fn engine_logits_are_bitwise_identical_to_sequential_for_every_zoo_model() {
 
 /// The same invariance under *interleaved* submit/wait pressure from
 /// multiple client threads, on the heaviest serving-path model (DHGCN-lite
-/// exercises fused operators + folded BN).
+/// exercises the fused per-sample operator).
 #[test]
 fn concurrent_clients_get_bitwise_sequential_results() {
     let reference = sequential_logits("DHGCN-lite");
@@ -134,4 +134,48 @@ fn concurrent_clients_get_bitwise_sequential_results() {
     });
     assert_eq!(engine.metrics().completed.get(), 4 * 2 * REQUESTS as u64);
     engine.shutdown();
+}
+
+/// A window served beside two all-zero windows (cameras with no
+/// detection) must get the bits it gets alone, through an
+/// `InferenceSession` batch and through one `ServeEngine` batch. A
+/// grad-free product that probes the whole batch's density would see a
+/// mostly-zero operand and switch kernels for the batch only.
+#[test]
+fn rows_beside_all_zero_windows_keep_their_solo_bits_for_every_zoo_model() {
+    let topology = SkeletonTopology::ntu25();
+    let x = sample(3);
+    let zeros = NdArray::zeros(&[C, T, V]);
+    for (scale, zoo) in [("tiny", zoo()), ("new", Zoo::new(topology, 4, 0))] {
+        for name in Zoo::NAMES {
+            let mut session = InferenceSession::new(zoo.by_name(name).expect("model"));
+            let alone = session.logits(&Tensor::constant(x.reshape(&[1, C, T, V])));
+            let batch = NdArray::concat(&[&x, &zeros, &zeros], 0).into_shape(&[3, C, T, V]);
+            let batched = session.logits(&Tensor::constant(batch));
+            let k = alone.len();
+            assert_eq!(&batched.data()[..k], alone.data(), "{name} ({scale}): session row 0 moved");
+
+            let model_zoo = zoo.clone();
+            let model_name = name.to_string();
+            let engine = ServeEngine::start(
+                move || model_zoo.by_name(&model_name).expect("model"),
+                &[C, T, V],
+                ServeConfig {
+                    workers: 1,
+                    max_batch: 3,
+                    max_wait: Duration::from_secs(5),
+                    queue_cap: 8,
+                    threads_per_worker: 1,
+                    ..ServeConfig::default()
+                },
+            )
+            .unwrap_or_else(|e| panic!("{name}: engine start failed: {e}"));
+            let pendings: Vec<Pending> =
+                [&x, &zeros, &zeros].iter().map(|w| engine.submit((*w).clone()).expect("queue")).collect();
+            let replies: Vec<NdArray> = pendings.into_iter().map(|p| p.wait().expect("reply")).collect();
+            assert_eq!(engine.metrics().batches.get(), 1, "{name} ({scale}): the three windows share a batch");
+            assert_eq!(replies[0].data(), alone.data(), "{name} ({scale}): engine row 0 moved");
+            engine.shutdown();
+        }
+    }
 }
