@@ -31,6 +31,37 @@ pub fn kmeans_hyperedges(
     km: usize,
     rng: &mut impl Rng,
 ) -> Hypergraph {
+    kmeans_with(coords, n_vertices, dim, km, rng, medoid)
+}
+
+/// The member of a cluster with the smallest summed distance to all its
+/// members, ties to the lower vertex index. Each member's sum is
+/// computed once, adding the members in cluster order.
+fn medoid(coords: &[f32], dim: usize, members: &[usize]) -> usize {
+    let point = |i: usize| &coords[i * dim..(i + 1) * dim];
+    let cost: Vec<f32> =
+        members.iter().map(|&a| members.iter().map(|&m| dist2(point(a), point(m))).sum()).collect();
+    members
+        .iter()
+        .copied()
+        .zip(cost)
+        .min_by(|&(a, sa), &(b, sb)| {
+            sa.partial_cmp(&sb).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
+        })
+        .map(|(v, _)| v)
+        .expect("cluster repaired to be non-empty")
+}
+
+/// [`kmeans_hyperedges`] with the medoid update step `update(coords, dim,
+/// members)`.
+pub(crate) fn kmeans_with(
+    coords: &[f32],
+    n_vertices: usize,
+    dim: usize,
+    km: usize,
+    rng: &mut impl Rng,
+    update: impl Fn(&[f32], usize, &[usize]) -> usize,
+) -> Hypergraph {
     assert_eq!(coords.len(), n_vertices * dim, "coords must be [n_vertices, dim]");
     assert!(km >= 1, "k_m must be at least 1");
     assert!(km <= n_vertices, "k_m = {km} exceeds vertex count {n_vertices}");
@@ -76,16 +107,7 @@ pub fn kmeans_hyperedges(
         let mut new_medoids = medoids.clone();
         for (c, medoid) in new_medoids.iter_mut().enumerate() {
             let members: Vec<usize> = (0..n_vertices).filter(|&v| assign[v] == c).collect();
-            let best = members
-                .iter()
-                .copied()
-                .min_by(|&a, &b| {
-                    let sa: f32 = members.iter().map(|&m| dist2(point(a), point(m))).sum();
-                    let sb: f32 = members.iter().map(|&m| dist2(point(b), point(m))).sum();
-                    sa.partial_cmp(&sb).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
-                })
-                .expect("cluster repaired to be non-empty");
-            *medoid = best;
+            *medoid = update(coords, dim, &members);
         }
 
         if new_medoids == medoids {
@@ -99,6 +121,23 @@ pub fn kmeans_hyperedges(
         edges[c].push(v);
     }
     Hypergraph::new(n_vertices, edges)
+}
+
+/// The comparator-based update [`medoid`] replaced, which re-sums both
+/// members' distances on every comparison: the reference the
+/// summed-once update must match.
+#[cfg(test)]
+pub(crate) fn medoid_by_comparator(coords: &[f32], dim: usize, members: &[usize]) -> usize {
+    let point = |i: usize| &coords[i * dim..(i + 1) * dim];
+    members
+        .iter()
+        .copied()
+        .min_by(|&a, &b| {
+            let sa: f32 = members.iter().map(|&m| dist2(point(a), point(m))).sum();
+            let sb: f32 = members.iter().map(|&m| dist2(point(b), point(m))).sum();
+            sa.partial_cmp(&sb).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
+        })
+        .expect("cluster repaired to be non-empty")
 }
 
 #[cfg(test)]

@@ -18,15 +18,17 @@ fn dist2(a: &[f32], b: &[f32]) -> f32 {
 ///
 /// `coords` is row-major `[n_vertices, dim]`. Ties are broken by vertex
 /// index, and the selected members are sorted before returning, so the
-/// same coordinates always yield the same member list.
+/// same coordinates always yield the same member list. The anchor's
+/// distance row is computed once, so the selection compares stored
+/// distances.
 fn knn_edge(coords: &[f32], n_vertices: usize, dim: usize, kn: usize, anchor: usize) -> Vec<usize> {
     let pi = &coords[anchor * dim..(anchor + 1) * dim];
+    let dist: Vec<f32> =
+        (0..n_vertices).map(|v| dist2(&coords[v * dim..(v + 1) * dim], pi)).collect();
     let mut order: Vec<usize> = (0..n_vertices).collect();
     // partial sort: the kn smallest by (distance, index)
     order.select_nth_unstable_by(kn - 1, |&a, &b| {
-        let da = dist2(&coords[a * dim..(a + 1) * dim], pi);
-        let db = dist2(&coords[b * dim..(b + 1) * dim], pi);
-        da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
+        dist[a].partial_cmp(&dist[b]).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
     });
     order.truncate(kn);
     // canonicalise: `select_nth_unstable_by` leaves the prefix in
@@ -56,6 +58,29 @@ pub fn knn_hyperedges(coords: &[f32], n_vertices: usize, dim: usize, kn: usize) 
         knn_edge(coords, n_vertices, dim, kn, i)
     });
     Hypergraph::new(n_vertices, edges)
+}
+
+/// The comparator-based selection [`knn_edge`] replaced, which computes
+/// both distances on every comparison: the reference the stored-row
+/// selection must match member for member.
+#[cfg(test)]
+pub(crate) fn knn_edge_by_comparator(
+    coords: &[f32],
+    n_vertices: usize,
+    dim: usize,
+    kn: usize,
+    anchor: usize,
+) -> Vec<usize> {
+    let pi = &coords[anchor * dim..(anchor + 1) * dim];
+    let mut order: Vec<usize> = (0..n_vertices).collect();
+    order.select_nth_unstable_by(kn - 1, |&a, &b| {
+        let da = dist2(&coords[a * dim..(a + 1) * dim], pi);
+        let db = dist2(&coords[b * dim..(b + 1) * dim], pi);
+        da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
+    });
+    order.truncate(kn);
+    order.sort_unstable();
+    order
 }
 
 #[cfg(test)]
@@ -127,6 +152,7 @@ mod tests {
         for (i, e) in hg.edges().iter().enumerate() {
             assert!(e.windows(2).all(|w| w[0] < w[1]), "edge {i} not sorted: {e:?}");
             assert_eq!(e, &knn_edge(&coords, 12, 3, 4, i), "per-anchor helper diverged");
+            assert_eq!(e, &knn_edge_by_comparator(&coords, 12, 3, 4, i), "oracle diverged");
         }
     }
 

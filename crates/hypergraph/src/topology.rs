@@ -101,6 +101,7 @@ pub fn stacked_operators(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
 
     fn cloud(v: usize, d: usize, salt: u64) -> Vec<f32> {
         (0..v * d).map(|i| ((i as u64 * 2654435761 + salt * 97) % 1000) as f32 * 0.01).collect()
@@ -137,6 +138,51 @@ mod tests {
             let coords = &feats.data()[ti * v * e..(ti + 1) * v * e];
             let want = from_scratch_operator(coords, v, e, &cfg);
             assert_eq!(got.slice_axis(1, ti, 1).reshape(&[v, v]), want);
+        }
+    }
+
+    /// [`from_scratch_operator`] built from the comparator-based kNN
+    /// selection and medoid update, which recompute distances on every
+    /// comparison.
+    fn comparator_operator(coords: &[f32], v: usize, d: usize, config: &TopologyConfig) -> NdArray {
+        let kn = config.kn.min(v);
+        let edges =
+            (0..v).map(|i| crate::knn::knn_edge_by_comparator(coords, v, d, kn, i)).collect();
+        let knn = crate::Hypergraph::new(v, edges);
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let km = config.km.min(v);
+        let oracle = crate::kmeans::medoid_by_comparator;
+        let kmeans = crate::kmeans::kmeans_with(coords, v, d, km, &mut rng, oracle);
+        knn.union(&kmeans).operator()
+    }
+
+    #[test]
+    fn operators_match_the_comparator_selection_bit_for_bit() {
+        // continuous clouds, clouds on a 3-value grid (exact distance
+        // ties), clouds with duplicated points, and clouds of one point
+        let mut rng = StdRng::seed_from_u64(0x7090);
+        let v = 25;
+        for k in 0..2000usize {
+            let d = if (k / 4) % 2 == 0 { 3 } else { 24 };
+            let mut coords: Vec<f32> = (0..v * d)
+                .map(|_| match k % 4 {
+                    1 => rng.gen_range(0..3) as f32,
+                    3 => 1.5,
+                    _ => rng.gen::<f32>() * 4.0 - 2.0,
+                })
+                .collect();
+            if k % 4 == 2 {
+                for _ in 0..8 {
+                    let (from, to) = (rng.gen_range(0..v), rng.gen_range(0..v));
+                    let row = coords[from * d..(from + 1) * d].to_vec();
+                    coords[to * d..(to + 1) * d].copy_from_slice(&row);
+                }
+            }
+            let config = TopologyConfig::new(1 + k % 5, 1 + k % 6, k as u64);
+            let got = from_scratch_operator(&coords, v, d, &config);
+            let want = comparator_operator(&coords, v, d, &config);
+            let bits = |a: &NdArray| a.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "cloud {k}");
         }
     }
 }

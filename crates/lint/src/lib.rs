@@ -19,6 +19,7 @@
 //! | DL005 | `unwrap`/`expect`/`assert!`/`panic!` on the serving request path |
 //! | DL006 | retry loops without a backoff/sleep call on the request path |
 //! | DL007 | a materialised transpose (`transpose_last2()`) as a matmul operand in hot-path crates |
+//! | DL008 | a per-call OS thread (`thread::spawn`/`scope`/`Builder`) in kernel crates, outside the worker pool |
 //!
 //! Findings can be suppressed through an allowlist file (`lint.allow` at
 //! the scan root): one entry per line, `CODE path-suffix content-fragment
@@ -49,11 +50,13 @@ pub enum Code {
     Dl006,
     /// Materialised transpose as a matmul operand in a hot-path crate.
     Dl007,
+    /// Per-call OS thread in a kernel crate, outside the worker pool.
+    Dl008,
 }
 
 impl Code {
     /// All rules, in order.
-    pub const ALL: [Code; 7] = [
+    pub const ALL: [Code; 8] = [
         Code::Dl001,
         Code::Dl002,
         Code::Dl003,
@@ -61,6 +64,7 @@ impl Code {
         Code::Dl005,
         Code::Dl006,
         Code::Dl007,
+        Code::Dl008,
     ];
 
     /// The stable `DLxxx` name.
@@ -73,6 +77,7 @@ impl Code {
             Code::Dl005 => "DL005",
             Code::Dl006 => "DL006",
             Code::Dl007 => "DL007",
+            Code::Dl008 => "DL008",
         }
     }
 
@@ -91,6 +96,7 @@ impl Code {
             Code::Dl005 => "panicking call on the serving request path",
             Code::Dl006 => "retry loop without a backoff call on the request path",
             Code::Dl007 => "materialised transpose as a matmul operand in a hot-path crate",
+            Code::Dl008 => "per-call OS thread in a kernel crate, outside the worker pool",
         }
     }
 }
@@ -335,6 +341,15 @@ const DETERMINISM_CRATES: [&str; 6] = [
 /// Crates whose inner loops dominate benchmark numbers.
 const HOT_PATH_CRATES: [&str; 2] = ["crates/tensor/", "crates/hypergraph/"];
 
+/// Crates whose kernels shard work over `dhg_tensor::parallel` (DL008
+/// scope): a thread started per call there bypasses the persistent
+/// worker pool. `dhg-train`'s long-lived service threads are out of scope.
+const KERNEL_CRATES: [&str; 5] =
+    ["crates/tensor/", "crates/hypergraph/", "crates/nn/", "crates/core/", "crates/skeleton/"];
+
+/// The one file of [`KERNEL_CRATES`] that starts threads: the worker pool.
+const POOL_FILE: &str = "crates/tensor/src/parallel.rs";
+
 /// Files forming the serving request path (DL005 scope): the in-process
 /// engine and its frame streams, plus the network layers a remote
 /// request traverses (wire decoding, routing, the TCP frontend).
@@ -419,6 +434,18 @@ pub fn scan_file(path: &str, source: &str) -> Vec<Finding> {
                 "materialised transpose as a matmul operand; read it in place with `.view().t()`"
                     .into(),
             );
+        }
+
+        if in_scope(&norm, &KERNEL_CRATES) && !norm.ends_with(POOL_FILE) {
+            for pat in ["thread::spawn", "thread::scope", "thread::Builder"] {
+                if find_token(line, pat) {
+                    push(
+                        &mut findings,
+                        Code::Dl008,
+                        format!("`{pat}` starts a thread per call; use `dhg_tensor::parallel`"),
+                    );
+                }
+            }
         }
 
         if find_token(line, "unsafe") {
@@ -822,6 +849,30 @@ pub fn self_test() -> Result<(), String> {
             name: "materialised transposes outside hot-path crates are not flagged",
             path: "crates/core/src/fixture.rs",
             source: "fn f(a: &NdArray, g: &NdArray) -> NdArray {\n    g.matmul(&a.transpose_last2())\n}\n",
+            expect: &[],
+        },
+        Case {
+            name: "per-call threads in a kernel crate are flagged",
+            path: "crates/nn/src/fixture.rs",
+            source: "fn f(xs: &mut [f32]) {\n    std::thread::scope(|s| {\n        s.spawn(|| xs.fill(0.0));\n    });\n    let h = thread::spawn(|| 1);\n    let b = std::thread::Builder::new();\n}\n",
+            expect: &[(Code::Dl008, 2), (Code::Dl008, 5), (Code::Dl008, 6)],
+        },
+        Case {
+            name: "the worker pool may start threads",
+            path: "crates/tensor/src/parallel.rs",
+            source: "fn spawn(i: usize) {\n    let _ = thread::Builder::new().name(format!(\"w{i}\")).spawn(|| {});\n}\n",
+            expect: &[],
+        },
+        Case {
+            name: "kernel-crate tests and service crates may start threads",
+            path: "crates/core/src/fixture.rs",
+            source: "fn f() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { std::thread::spawn(|| {}).join().ok(); }\n}\n",
+            expect: &[],
+        },
+        Case {
+            name: "service threads outside the kernel crates are not flagged",
+            path: "crates/train/src/fixture.rs",
+            source: "fn start() {\n    std::thread::spawn(|| {});\n}\n",
             expect: &[],
         },
         Case {

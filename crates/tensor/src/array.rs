@@ -179,54 +179,94 @@ fn broadcast_run(small: &[usize], full: &[usize]) -> Option<(usize, usize, usize
     Some((full[..a].iter().product(), full[a..b].iter().product(), full[b..].iter().product()))
 }
 
-/// Push `f(full, small)` onto `out`, with `full` read as
-/// `[outer, mid, inner]` and `small` as `[mid]` (see [`broadcast_run`]):
-/// each `inner`-long stretch of `full` pairs with one element of `small`,
-/// or, when `inner` is 1, each `mid`-long row with all of `small`.
+/// Fill `out` with `f(full, small)`, `full` read as `[outer, mid, inner]`
+/// and `small` as `[mid]` (see [`broadcast_run`]): each `inner`-long
+/// stretch of `full` pairs with one element of `small`, or, when `inner`
+/// is 1, each `mid`-long row with all of `small`. One `outer` block per
+/// closure call, sharded over the worker pool.
 fn broadcast_blocked(
-    out: &mut Vec<f32>,
+    out: &mut [f32],
     full: &[f32],
     small: &[f32],
     (_, mid, inner): (usize, usize, usize),
-    f: impl Fn(f32, f32) -> f32,
+    f: impl Fn(f32, f32) -> f32 + Sync,
 ) {
-    if full.is_empty() {
-        return;
-    }
-    for block in full.chunks_exact(mid * inner) {
+    let block = mid * inner;
+    crate::parallel::for_each_block(out, block, out.len(), |o, dst| {
+        let src = &full[o * block..(o + 1) * block];
         if inner == 1 {
-            out.extend(block.iter().zip(small).map(|(&x, &s)| f(x, s)));
+            for ((d, &x), &s) in dst.iter_mut().zip(src).zip(small) {
+                *d = f(x, s);
+            }
         } else {
-            for (row, &s) in block.chunks_exact(inner).zip(small) {
-                out.extend(row.iter().map(|&x| f(x, s)));
+            for ((drow, row), &s) in
+                dst.chunks_exact_mut(inner).zip(src.chunks_exact(inner)).zip(small)
+            {
+                for (d, &x) in drow.iter_mut().zip(row) {
+                    *d = f(x, s);
+                }
             }
         }
+    });
+}
+
+/// Elements per closure call of the sharded elementwise kernels
+/// ([`NdArray::map`], [`NdArray::zip_map`], …): a fixed span, so no
+/// element's arguments depend on the thread count.
+const ELEMENTWISE_SPAN: usize = 16 * 1024;
+
+/// Call `f(start, chunk)` over consecutive [`ELEMENTWISE_SPAN`]-long
+/// chunks of `out` (the last one shorter), `start` being the chunk's
+/// offset in `out`, sharded over the worker pool at one unit of work per
+/// element.
+fn for_each_elementwise(out: &mut [f32], f: impl Fn(usize, &mut [f32]) + Sync) {
+    let n = out.len();
+    if n == 0 {
+        return;
     }
+    if n <= ELEMENTWISE_SPAN {
+        return f(0, out);
+    }
+    let ends: Vec<usize> =
+        (1..=n.div_ceil(ELEMENTWISE_SPAN)).map(|i| (i * ELEMENTWISE_SPAN).min(n)).collect();
+    crate::parallel::for_each_span(out, &ends, n, |i, chunk| f(i * ELEMENTWISE_SPAN, chunk));
 }
 
 /// Add `src`, read as `[outer, mid, inner]`, into `out` (`[mid]`), summing
 /// over `outer` and `inner`. Each output element takes its addends in
 /// `src`'s row-major order — outer-major, then inner — the order the
 /// odometer in [`NdArray::sum_axes`] uses.
+///
+/// `out` is split into one contiguous run per thread, sharded over the
+/// worker pool; each run walks `src` block by block as the serial loop
+/// does, and no element's addend order depends on the split.
 fn reduce_blocked(src: &[f32], out: &mut [f32], (_, mid, inner): (usize, usize, usize)) {
     if src.is_empty() {
         return;
     }
-    for block in src.chunks_exact(mid * inner) {
-        if inner == 1 {
-            for (acc, &v) in out.iter_mut().zip(block) {
-                *acc += v;
-            }
-        } else {
-            for (acc, row) in out.iter_mut().zip(block.chunks_exact(inner)) {
-                let mut s = *acc;
-                for &v in row {
-                    s += v;
+    let parts = crate::parallel::num_threads().min(mid);
+    let ends: Vec<usize> = (1..=parts).map(|t| mid * t / parts).collect();
+    crate::parallel::for_each_span(out, &ends, src.len(), |i, run| {
+        let j0 = ends[i] - run.len();
+        // a private copy, so two runs never share a cache line while they sum
+        let mut accs = run.to_vec();
+        for block in src.chunks_exact(mid * inner) {
+            if inner == 1 {
+                for (acc, &v) in accs.iter_mut().zip(&block[j0..]) {
+                    *acc += v;
                 }
-                *acc = s;
+            } else {
+                for (acc, row) in accs.iter_mut().zip(block[j0 * inner..].chunks_exact(inner)) {
+                    let mut s = *acc;
+                    for &v in row {
+                        s += v;
+                    }
+                    *acc = s;
+                }
             }
         }
-    }
+        run.copy_from_slice(&accs);
+    });
 }
 
 impl NdArray {
@@ -373,34 +413,49 @@ impl NdArray {
     // ------------------------------------------------------------------
 
     /// Apply `f` to every element, producing a new array.
-    pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
-        let mut s = Storage::empty(self.len());
-        s.data.extend(self.data.iter().map(|&v| f(v)));
-        s.array(self.shape.clone())
+    pub fn map(&self, f: impl Fn(f32) -> f32 + Sync) -> Self {
+        let mut out = Storage::dirty(self.len());
+        let src = &self.data;
+        for_each_elementwise(&mut out.data, |start, chunk| {
+            for (o, &v) in chunk.iter_mut().zip(&src[start..]) {
+                *o = f(v);
+            }
+        });
+        out.array(self.shape.clone())
     }
 
     /// Apply `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
+    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32 + Sync) {
+        for_each_elementwise(&mut self.data, |_, chunk| {
+            for v in chunk {
+                *v = f(*v);
+            }
+        });
     }
 
     /// Combine `other` into `self` elementwise in place (same shape, no
     /// broadcasting): `self[i] = f(self[i], other[i])`.
-    pub(crate) fn zip_map_inplace(&mut self, other: &Self, f: impl Fn(f32, f32) -> f32) {
+    pub(crate) fn zip_map_inplace(&mut self, other: &Self, f: impl Fn(f32, f32) -> f32 + Sync) {
         assert_eq!(self.shape, other.shape, "zip_map_inplace shape mismatch");
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a = f(*a, b);
-        }
+        let src = &other.data;
+        for_each_elementwise(&mut self.data, |start, chunk| {
+            for (a, &b) in chunk.iter_mut().zip(&src[start..]) {
+                *a = f(*a, b);
+            }
+        });
     }
 
     /// Combine two same-shaped arrays elementwise (no broadcasting).
-    pub fn zip_map(&self, other: &Self, f: impl Fn(f32, f32) -> f32) -> Self {
+    pub fn zip_map(&self, other: &Self, f: impl Fn(f32, f32) -> f32 + Sync) -> Self {
         assert_eq!(self.shape, other.shape, "zip_map shape mismatch");
-        let mut s = Storage::empty(self.len());
-        s.data.extend(self.data.iter().zip(&other.data).map(|(&a, &b)| f(a, b)));
-        s.array(self.shape.clone())
+        let mut out = Storage::dirty(self.len());
+        let (a, b) = (&self.data, &other.data);
+        for_each_elementwise(&mut out.data, |start, chunk| {
+            for ((o, &x), &y) in chunk.iter_mut().zip(&a[start..]).zip(&b[start..]) {
+                *o = f(x, y);
+            }
+        });
+        out.array(self.shape.clone())
     }
 
     /// Elementwise binary operation with numpy broadcasting.
@@ -412,7 +467,7 @@ impl NdArray {
     /// with its element or row of the small one. Every other pattern
     /// walks an index odometer. Both call `f` on the same operands for
     /// every output element, so the result is the same bits either way.
-    pub fn binop(&self, other: &Self, f: impl Fn(f32, f32) -> f32) -> Self {
+    pub fn binop(&self, other: &Self, f: impl Fn(f32, f32) -> f32 + Sync) -> Self {
         if self.shape == other.shape {
             return self.zip_map(other, f);
         }
@@ -420,18 +475,20 @@ impl NdArray {
             panic!("broadcast mismatch: {:?} vs {:?}", self.shape, other.shape)
         });
         let n = numel(&out_shape);
-        let mut out = Storage::empty(n);
         if self.shape == out_shape {
             if let Some(run) = broadcast_run(&other.shape, &out_shape) {
+                let mut out = Storage::dirty(n);
                 broadcast_blocked(&mut out.data, &self.data, &other.data, run, f);
                 return out.array(out_shape);
             }
         } else if other.shape == out_shape {
             if let Some(run) = broadcast_run(&self.shape, &out_shape) {
+                let mut out = Storage::dirty(n);
                 broadcast_blocked(&mut out.data, &other.data, &self.data, run, |b, a| f(a, b));
                 return out.array(out_shape);
             }
         }
+        let mut out = Storage::empty(n);
         let sa = broadcast_strides(&self.shape, &out_shape);
         let sb = broadcast_strides(&other.shape, &out_shape);
         let nd = out_shape.len();
@@ -489,25 +546,25 @@ impl NdArray {
     /// Accumulate `other * scale` into `self` (same shape, no broadcast).
     pub fn add_assign_scaled(&mut self, other: &Self, scale: f32) {
         assert_eq!(self.shape, other.shape, "add_assign_scaled shape mismatch");
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += b * scale;
-        }
+        self.zip_map_inplace(other, |a, b| a + b * scale);
     }
 
     /// Add `bias[c]` to every element of channel `c` (axis 1) in place —
-    /// the bias epilogue of a convolution, with no broadcast operand.
+    /// the bias epilogue of a convolution, with no broadcast operand. One
+    /// sample per closure call, sharded over the worker pool.
     pub fn add_channel_bias(&mut self, bias: &[f32]) {
         assert!(self.ndim() >= 2, "add_channel_bias needs rank >= 2");
         let c = self.shape[1];
         assert_eq!(bias.len(), c, "add_channel_bias bias length mismatch");
         let inner: usize = self.shape[2..].iter().product();
-        for plane in self.data.chunks_mut(c * inner) {
+        let work = self.len();
+        crate::parallel::for_each_block(&mut self.data, c * inner, work, |_, plane| {
             for (chan, &b) in plane.chunks_mut(inner).zip(bias) {
                 for v in chan {
                     *v += b;
                 }
             }
-        }
+        });
     }
 
     // ------------------------------------------------------------------
@@ -554,28 +611,40 @@ impl NdArray {
         let out_shape: Vec<usize> = perm.iter().map(|&p| self.shape[p]).collect();
         // every element is overwritten below, so a dirty buffer is fine
         let mut out = Storage::dirty(self.len());
-        let data = &mut out.data;
+        let src = &self.data;
         if let Some((rows, cols, inner)) = adjacent_group_swap(&self.shape, perm) {
-            swap_axis_groups(&self.data, data, rows, cols, inner);
+            // one [rows, cols, inner] plane per closure call
+            let plane = rows * cols * inner;
+            crate::parallel::for_each_block(&mut out.data, plane, src.len(), |o, dst| {
+                swap_axis_groups(&src[o * plane..(o + 1) * plane], dst, rows, cols, inner);
+            });
             return out.array(out_shape);
         }
         let in_strides = contiguous_strides(&self.shape);
         // stride of output dim d in the *input* buffer
         let strides: Vec<usize> = perm.iter().map(|&p| in_strides[p]).collect();
-        let mut idx = vec![0usize; nd];
-        let mut off = 0usize;
-        for o in data.iter_mut() {
-            *o = self.data[off];
+        for_each_elementwise(&mut out.data, |start, chunk| {
+            // the odometer at output element `start`
+            let mut idx = vec![0usize; nd];
+            let (mut rest, mut off) = (start, 0usize);
             for d in (0..nd).rev() {
-                idx[d] += 1;
-                off += strides[d];
-                if idx[d] < out_shape[d] {
-                    break;
-                }
-                idx[d] = 0;
-                off -= strides[d] * out_shape[d];
+                idx[d] = rest % out_shape[d];
+                rest /= out_shape[d];
+                off += idx[d] * strides[d];
             }
-        }
+            for o in chunk.iter_mut() {
+                *o = src[off];
+                for d in (0..nd).rev() {
+                    idx[d] += 1;
+                    off += strides[d];
+                    if idx[d] < out_shape[d] {
+                        break;
+                    }
+                    idx[d] = 0;
+                    off -= strides[d] * out_shape[d];
+                }
+            }
+        });
         out.array(out_shape)
     }
 
@@ -1590,6 +1659,42 @@ mod tests {
                     ws.install(|| assert_eq!(x.permute(&perm), got, "pooled permute {perm:?} of {shape:?}"));
                 }
             }
+        }
+    }
+
+    #[test]
+    fn kernels_past_one_span_match_their_definitions() {
+        // sixteen full elementwise spans and a ragged one, sharded at 3
+        // threads: every chunk must start its work at its own offset
+        let shape = [7, 23, 1650];
+        let n = numel(&shape);
+        assert!(n >= crate::parallel::MIN_PARALLEL_WORK && !n.is_multiple_of(ELEMENTWISE_SPAN));
+        let xs: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37).sin()).collect();
+        let ys: Vec<f32> = (0..n).map(|i| (i as f32 * 0.11).cos()).collect();
+        let (x, y) = (NdArray::from_vec(xs.clone(), &shape), NdArray::from_vec(ys.clone(), &shape));
+        for threads in [1, 3] {
+            crate::parallel::with_threads(threads, || {
+                let want: Vec<f32> = xs.iter().map(|&v| v * 2.0 - 1.0).collect();
+                assert_eq!(x.map(|v| v * 2.0 - 1.0).data(), &want[..]);
+                let want: Vec<f32> = xs.iter().zip(&ys).map(|(&a, &b)| a - b).collect();
+                assert_eq!(x.zip_map(&y, |a, b| a - b).data(), &want[..]);
+                let mut acc = x.clone();
+                acc.add_assign_scaled(&y, 0.5);
+                let want: Vec<f32> = xs.iter().zip(&ys).map(|(&a, &b)| a + b * 0.5).collect();
+                assert_eq!(acc.data(), &want[..]);
+                for perm in [[2, 0, 1], [1, 2, 0], [2, 1, 0]] {
+                    assert_eq!(
+                        x.permute(&perm).data(),
+                        &permute_reference(&x, &perm)[..],
+                        "permute {perm:?}"
+                    );
+                }
+                let mut want = [0.0f32; 23];
+                for (i, &v) in xs.iter().enumerate() {
+                    want[(i / 1650) % 23] += v;
+                }
+                assert_eq!(x.sum_axes(&[0, 2], false).data(), &want[..]);
+            });
         }
     }
 

@@ -56,10 +56,10 @@
 //! Panels live in a thread-local [`Workspace`] arena: drawn with
 //! [`Workspace::take`] (they are fully overwritten, including edge-tile
 //! zero padding, so the zeroed variant would be a redundant memset) and
-//! returned on exit. Long-lived threads — the serving workers, any serial
-//! caller — therefore pack with **zero steady-state allocation**; scoped
-//! parallel workers pay one arena fill per spawn, amortized by the
-//! [`crate::parallel::MIN_PARALLEL_WORK`] threshold.
+//! returned on exit. Every packing thread is long-lived — the serving
+//! workers, any serial caller, and the persistent workers of
+//! [`crate::parallel`], which keep their arenas from one region to the
+//! next — so packing runs with **zero steady-state allocation**.
 
 use crate::workspace::Workspace;
 use std::cell::RefCell;

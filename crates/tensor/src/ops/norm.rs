@@ -72,17 +72,19 @@ impl Backward for BatchNormOp {
         let dgamma = ctx.parents[1].requires_grad().then(|| pair_entry(&sums, 1));
         let dbeta = ctx.parents[2].requires_grad().then(|| pair_entry(&sums, 0));
         let dx = ctx.parents[0].requires_grad().then(|| {
-            // dx = (γ/σ)/m · (m·dy − Σdy − x̂·Σ(dy·x̂)), written over dy
+            // dx = (γ/σ)/m · (m·dy − Σdy − x̂·Σ(dy·x̂)), written over dy,
+            // one `inner` row per closure call
             let m = (n * inner) as f32;
             let gamma = ctx.parents[1].data();
-            for (r, (grow, hrow)) in g.data_mut().chunks_exact_mut(inner).zip(hd.chunks_exact(inner)).enumerate() {
+            let (gamma, inv_std, sums) = (gamma.data(), &self.inv_std, &sums);
+            parallel::for_each_block(g.data_mut(), inner, hd.len(), |r, grow| {
                 let ci = r % c;
-                let k = gamma.data()[ci] * self.inv_std[ci] / m;
+                let k = gamma[ci] * inv_std[ci] / m;
                 let (sg, sgh) = (sums[2 * ci], sums[2 * ci + 1]);
-                for (gv, &hv) in grow.iter_mut().zip(hrow) {
+                for (gv, &hv) in grow.iter_mut().zip(&hd[r * inner..(r + 1) * inner]) {
                     *gv = k * (m * *gv - sg - hv * sgh);
                 }
-            }
+            });
             g
         });
         vec![dx, dgamma, dbeta]
@@ -103,8 +105,9 @@ impl Tensor {
     /// Each channel's sums run over its `(n, h·w)` elements in an order
     /// fixed by the shape: element `j` of every `h·w` row adds into lane
     /// `j % 8`, and the eight lanes fold left to right. Channels are
-    /// sharded over the worker pool, one channel per closure call, so the
-    /// result is bitwise identical at every thread count.
+    /// sharded over the worker pool, one channel per closure call, and the
+    /// x̂, y and `dx` sweeps one `h·w` row per call, so the result is
+    /// bitwise identical at every thread count.
     ///
     /// The backward is the closed form
     /// `dx = (γ/σ)/m · (m·dy − Σdy − x̂·Σ(dy·x̂))`, `dγ = Σ dy·x̂` and
@@ -128,20 +131,26 @@ impl Tensor {
             s[1] = lane_sum(rows(), |v, _| (v - mean) * (v - mean)) / m;
         });
         let inv_std: Vec<f32> = stats.chunks_exact(2).map(|s| 1.0 / (s[1] + eps).sqrt()).collect();
-        // x̂ and y in one sweep, row by row
-        let mut xhat = Vec::with_capacity(xd.len());
-        let mut y = Vec::with_capacity(xd.len());
-        for (r, row) in xd.chunks_exact(inner).enumerate() {
+        // x̂, then y from x̂, one `inner` row per closure call
+        let mut xhat = NdArray::for_overwrite(x.shape());
+        parallel::for_each_block(xhat.data_mut(), inner, xd.len(), |r, hrow| {
             let ci = r % c;
             let (mean, is) = (stats[2 * ci], inv_std[ci]);
-            let (gv, bv) = (gm.data()[ci], bt.data()[ci]);
-            let start = xhat.len();
-            xhat.extend(row.iter().map(|&v| (v - mean) * is));
-            y.extend(xhat[start..].iter().map(|&h| gv * h + bv));
-        }
+            for (h, &v) in hrow.iter_mut().zip(&xd[r * inner..(r + 1) * inner]) {
+                *h = (v - mean) * is;
+            }
+        });
+        let mut y = NdArray::for_overwrite(x.shape());
+        let (hd, gd, bd) = (xhat.data(), gm.data(), bt.data());
+        parallel::for_each_block(y.data_mut(), inner, xd.len(), |r, yrow| {
+            let ci = r % c;
+            let (gv, bv) = (gd[ci], bd[ci]);
+            for (o, &h) in yrow.iter_mut().zip(&hd[r * inner..(r + 1) * inner]) {
+                *o = gv * h + bv;
+            }
+        });
         let (mean, var) = (pair_entry(&stats, 0), pair_entry(&stats, 1));
-        let op = BatchNormOp { xhat: NdArray::from_vec(xhat, x.shape()), inv_std };
-        let y = NdArray::from_vec(y, x.shape());
+        let op = BatchNormOp { xhat, inv_std };
         let y = Tensor::from_op(y, vec![self.clone(), gamma.clone(), beta.clone()], Box::new(op));
         (y, mean, var)
     }

@@ -1,29 +1,57 @@
-//! Scoped-thread data-parallel execution (std-only).
+//! Data-parallel execution over a persistent worker pool (std-only).
 //!
 //! Every hot kernel in the workspace — batched [`crate::NdArray::matmul`],
-//! `im2col`/`col2im`, the per-frame dynamic-hypergraph construction in
-//! `dhg-hypergraph`, batch assembly in `dhg-train` — funnels through the
-//! two primitives in this module:
+//! `im2col`/`col2im`, the elementwise, broadcast, permute and bias sweeps
+//! of [`crate::NdArray`], the training BatchNorm, the per-frame
+//! dynamic-hypergraph construction in `dhg-hypergraph`, batch assembly in
+//! `dhg-train` — funnels through the three primitives in this module:
 //!
 //! * [`for_each_block`] — split a flat output buffer into equally sized
 //!   blocks and fill each block independently (matmul rows, `im2col` rows,
-//!   per-frame operators, per-sample batch slots).
+//!   per-frame operators, per-sample batch slots, BatchNorm rows).
 //! * [`for_each_span`] — the ragged-span variant of [`for_each_block`]:
 //!   consecutive spans of caller-chosen lengths (the packed GEMM's
-//!   row-blocks, whose last block per batch is shorter).
+//!   row-blocks, whose last block per batch is shorter; the elementwise
+//!   kernels' fixed-length spans, whose last span is shorter).
 //! * [`parallel_map`] — compute `n` independent values and return them in
 //!   index order (hyperedge lists, per-sample topology operators,
 //!   pre-assembled minibatches).
 //!
 //! ## Determinism guarantee
 //!
-//! Both primitives are *bitwise deterministic*: every output element is
+//! The primitives are *bitwise deterministic*: every output element is
 //! produced by exactly one invocation of the caller's closure with exactly
 //! the same arguments regardless of the thread count. Threads only decide
 //! *who* computes a block, never *how* — there are no shared accumulators,
 //! no atomics-order-dependent reductions, and no per-thread scratch that
 //! could reassociate floating-point sums. `threads = 1` (or a problem below
 //! [`MIN_PARALLEL_WORK`]) degenerates to the plain serial loop.
+//!
+//! ## The worker pool
+//!
+//! A region with `n` threads splits its items into `n` contiguous shards
+//! (`shard_end`), runs shard 0 on the calling thread and hands shards
+//! `1..n` to that thread's pool workers, and returns once every shard has
+//! finished. Each calling thread owns its workers: they are spawned the
+//! first time one of its regions needs them and live until the thread
+//! exits, so concurrent callers — test threads, serve workers — never
+//! share one, and a region costs about a microsecond to open instead of an
+//! OS thread spawn per shard.
+//!
+//! A worker that has finished its shard waits for the next in two stages:
+//! it yields its CPU ([`std::thread::yield_now`]) up to `WAIT_YIELDS`
+//! times, about 4.5 ms at the 0.22 µs a yield took on a 2-vCPU Xeon VM,
+//! and then parks on a condition variable until a region wakes it. A
+//! training step opens its regions well within that window, so its
+//! workers rarely pay a wake-up; yielding rather than spinning hands the
+//! CPU to any thread that shares it; parking stops an idle pool from
+//! burning CPU at all. The caller waits for its workers the same way. Both
+//! waits count iterations, not time: this crate reads no clock.
+//!
+//! A panic in any shard is caught on the thread that ran it, every other
+//! shard still runs to completion, and the payload is re-raised on the
+//! caller with [`std::panic::resume_unwind`]. The workers survive it, so
+//! the pool stays usable.
 //!
 //! ## Thread-count resolution
 //!
@@ -39,22 +67,34 @@
 //! stderr (once per process, not once per kernel launch — a long-running
 //! server must not spam its log from every forward pass).
 //!
-//! Worker threads run with parallelism suppressed, so closures may freely
-//! call back into parallel kernels (e.g. the per-frame operator build calls
-//! `matmul`) without spawning nested pools.
+//! Shards run with parallelism suppressed, so closures may freely call
+//! back into parallel kernels (e.g. the per-frame operator build calls
+//! `matmul`): a nested region runs serially on the thread that opened it.
 
-use std::cell::Cell;
+use std::any::Any;
+use std::cell::{Cell, RefCell};
+use std::mem;
 use std::ops::Range;
-use std::sync::Once;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, PoisonError};
 use std::thread;
 
 /// Problems whose estimated scalar-op count falls below this run serially:
-/// spawning OS threads costs tens of microseconds, which only amortises
-/// once there is real work to split.
+/// opening a region costs about a microsecond of hand-off and wake-up,
+/// which only amortises once there is real work to split. A DHGCN
+/// training step at 2 threads on a 2-vCPU Xeon VM took the same time with
+/// 2^16 and with 2^18 here, and a quarter longer with 2^20.
 pub const MIN_PARALLEL_WORK: usize = 1 << 18;
+
+/// How many times a waiting pool thread yields its CPU before it parks on
+/// its condition variable (see "The worker pool" in the module docs).
+const WAIT_YIELDS: usize = 20_000;
 
 thread_local! {
     static THREAD_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
+    /// The workers that run this thread's shards `1..`, in shard order.
+    static WORKERS: RefCell<Vec<Worker>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Restores the previous thread-count override when dropped (panic-safe).
@@ -70,8 +110,8 @@ fn set_override(n: Option<usize>) -> OverrideGuard {
     OverrideGuard(THREAD_OVERRIDE.with(|o| o.replace(n)))
 }
 
-/// The worker-thread guard: nested parallel regions inside a worker run
-/// serially instead of spawning a second generation of threads.
+/// The shard guard: nested parallel regions inside a shard run serially
+/// instead of fanning out a second time.
 fn suppress_nested() -> OverrideGuard {
     set_override(Some(1))
 }
@@ -79,7 +119,7 @@ fn suppress_nested() -> OverrideGuard {
 /// Largest thread count accepted from the `DHGCN_THREADS` environment
 /// variable. Anything above this is treated as a configuration mistake
 /// (e.g. a byte count pasted into the wrong variable) rather than a real
-/// request to spawn thousands of OS threads per kernel launch.
+/// request for thousands of pool workers per calling thread.
 pub const MAX_ENV_THREADS: usize = 512;
 
 /// The hardware fallback: [`std::thread::available_parallelism`], or 1
@@ -154,6 +194,236 @@ fn plan(n_items: usize, work: usize) -> usize {
     num_threads().min(n_items)
 }
 
+/// A shard handed to a worker.
+type Task<'a> = Box<dyn FnOnce() + Send + 'a>;
+
+/// A panic payload carried from the thread that panicked to the caller.
+type Panic = Box<dyn Any + Send + 'static>;
+
+/// The `posted` generation that tells a worker to exit.
+const EXIT: u64 = u64::MAX;
+
+/// `m`'s guard, also when a panic elsewhere poisoned it: nothing the pool
+/// guards is left half-updated by a panic, because shards never run under
+/// a pool lock.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One worker's side of the hand-off. The caller stores a task in `slot`
+/// and bumps `posted`; the worker runs it, files its panic in `slot` and
+/// stores the same generation in `done`.
+struct Mailbox {
+    /// Generation of the last task posted. Stored with `Release` after the
+    /// task is in `slot`, loaded with `Acquire` by the worker.
+    posted: AtomicU64,
+    /// Generation of the last task finished. Stored with `Release` after
+    /// the task returned, loaded with `Acquire` by the caller, so the
+    /// caller sees every element the task wrote.
+    done: AtomicU64,
+    slot: Mutex<Slot>,
+    /// How many threads (the worker, its caller) are parked on `wake`.
+    parked: Mutex<usize>,
+    wake: Condvar,
+}
+
+#[derive(Default)]
+struct Slot {
+    task: Option<Task<'static>>,
+    panic: Option<Panic>,
+}
+
+impl Mailbox {
+    /// Return once `ready()` holds: yield up to [`WAIT_YIELDS`] times, then
+    /// park until [`Mailbox::wake`].
+    fn wait(&self, ready: impl Fn() -> bool) {
+        for _ in 0..WAIT_YIELDS {
+            if ready() {
+                return;
+            }
+            thread::yield_now();
+        }
+        let mut parked = lock(&self.parked);
+        *parked += 1;
+        while !ready() {
+            parked = self.wake.wait(parked).unwrap_or_else(PoisonError::into_inner);
+        }
+        *parked -= 1;
+    }
+
+    /// Wake the threads parked in [`Mailbox::wait`], after the caller made
+    /// their condition true. A waiter registers and re-checks under
+    /// `parked`, so it either is counted here or sees the new state.
+    fn wake(&self) {
+        if *lock(&self.parked) > 0 {
+            self.wake.notify_all();
+        }
+    }
+}
+
+/// A worker's loop: run each posted task, report it done, and exit when
+/// asked to.
+fn work(mailbox: Arc<Mailbox>) {
+    // every region a task opens runs serially on this thread
+    THREAD_OVERRIDE.with(|o| o.set(Some(1)));
+    let mut seen = 0;
+    loop {
+        mailbox.wait(|| mailbox.posted.load(Ordering::Acquire) != seen);
+        seen = mailbox.posted.load(Ordering::Acquire);
+        if seen == EXIT {
+            return;
+        }
+        let task = lock(&mailbox.slot).task.take();
+        if let Some(task) = task {
+            if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(task)) {
+                lock(&mailbox.slot).panic = Some(payload);
+            }
+        }
+        mailbox.done.store(seen, Ordering::Release);
+        mailbox.wake();
+    }
+}
+
+/// The calling thread's handle on one pool worker; dropping it tells the
+/// worker to exit and joins it.
+struct Worker {
+    mailbox: Arc<Mailbox>,
+    /// Generation of the last task posted to it.
+    posted: Cell<u64>,
+    thread: Option<thread::JoinHandle<()>>,
+}
+
+impl Worker {
+    /// Start worker `index`, or `None` if the OS refuses another thread.
+    fn spawn(index: usize) -> Option<Worker> {
+        let mailbox = Arc::new(Mailbox {
+            posted: AtomicU64::new(0),
+            done: AtomicU64::new(0),
+            slot: Mutex::default(),
+            parked: Mutex::new(0),
+            wake: Condvar::new(),
+        });
+        let theirs = Arc::clone(&mailbox);
+        let thread = thread::Builder::new()
+            .name(format!("dhg-pool-{index}"))
+            .spawn(move || work(theirs))
+            .ok()?;
+        Some(Worker { mailbox, posted: Cell::new(0), thread: Some(thread) })
+    }
+
+    fn post(&self, task: Task<'static>) {
+        let generation = self.posted.get() + 1;
+        self.posted.set(generation);
+        lock(&self.mailbox.slot).task = Some(task);
+        self.mailbox.posted.store(generation, Ordering::Release);
+        self.mailbox.wake();
+    }
+
+    /// Block until the last posted task has finished; its panic, if any.
+    fn finish(&self) -> Option<Panic> {
+        let generation = self.posted.get();
+        self.mailbox.wait(|| self.mailbox.done.load(Ordering::Acquire) == generation);
+        lock(&self.mailbox.slot).panic.take()
+    }
+}
+
+impl Drop for Worker {
+    fn drop(&mut self) {
+        self.mailbox.posted.store(EXIT, Ordering::Release);
+        self.mailbox.wake();
+        // a worker runs its tasks under `catch_unwind`, so it ends cleanly
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
+/// The workers of one region that hold a task. [`Busy::join`] waits for
+/// them, and so does dropping it, also while the caller unwinds: no task
+/// outlives the region that posted it.
+struct Busy<'w> {
+    workers: &'w [Worker],
+}
+
+impl Busy<'_> {
+    /// Wait for every busy worker; the first panic among their tasks.
+    fn join(&mut self) -> Option<Panic> {
+        let mut first = None;
+        for w in mem::take(&mut self.workers) {
+            let panic = w.finish();
+            first = first.or(panic);
+        }
+        first
+    }
+}
+
+impl Drop for Busy<'_> {
+    fn drop(&mut self) {
+        self.join();
+    }
+}
+
+/// Run `mine` on the calling thread and each of `tasks` on a pool worker,
+/// and return once all of them have finished; the first panic among them
+/// is re-raised here. Tasks no worker can take — the OS refused a thread,
+/// or a task of this thread's own region opened a region of its own with
+/// [`with_threads`] — run on the calling thread after `mine`.
+fn run_region<'a>(tasks: Vec<Task<'a>>, mine: impl FnOnce()) {
+    let _serial = suppress_nested();
+    let mut pending = Some((tasks, mine));
+    let _ = WORKERS.try_with(|cell| {
+        if let Ok(mut workers) = cell.try_borrow_mut() {
+            if let Some((tasks, mine)) = pending.take() {
+                while workers.len() < tasks.len() {
+                    match Worker::spawn(workers.len()) {
+                        Some(w) => workers.push(w),
+                        None => break,
+                    }
+                }
+                dispatch(&workers, tasks, mine);
+            }
+        }
+    });
+    if let Some((tasks, mine)) = pending {
+        mine();
+        tasks.into_iter().for_each(|task| task());
+    }
+}
+
+/// [`run_region`] over workers it has already spawned.
+fn dispatch<'a>(workers: &[Worker], tasks: Vec<Task<'a>>, mine: impl FnOnce()) {
+    let mut busy = Busy { workers: &[] };
+    let mut tasks = tasks.into_iter();
+    for (i, task) in tasks.by_ref().take(workers.len()).enumerate() {
+        busy.workers = &workers[..=i];
+        // SAFETY: erasing 'a lets a worker hold a task that borrows the
+        // caller's frame. It never runs after 'a ends: `busy` covers this
+        // worker before the post and blocks until each covered task has
+        // finished, in `join` below and in its `Drop` if this unwinds, and
+        // a worker drops its task before it reports it done.
+        let task = unsafe { mem::transmute::<Task<'a>, Task<'static>>(task) };
+        workers[i].post(task);
+    }
+    let mine = panic::catch_unwind(AssertUnwindSafe(|| {
+        mine();
+        tasks.for_each(|task| task());
+    }));
+    let theirs = busy.join();
+    if let Some(payload) = mine.err().or(theirs) {
+        panic::resume_unwind(payload);
+    }
+}
+
+/// Call `run` on every shard — shard 0 on the calling thread, the others
+/// on its pool workers — and return once all have finished.
+fn run_shards<S: Send>(shards: Vec<S>, run: impl Fn(S) + Sync) {
+    let run = &run;
+    let mut shards = shards.into_iter();
+    let Some(first) = shards.next() else { return };
+    let tasks: Vec<Task<'_>> = shards.map(|s| Box::new(move || run(s)) as Task<'_>).collect();
+    run_region(tasks, || run(first));
+}
+
 /// Split `out` into consecutive blocks of `block` elements and call
 /// `f(block_index, block)` for each, sharding blocks over the worker pool.
 ///
@@ -174,37 +444,24 @@ where
     assert!(block > 0, "for_each_block: zero block size");
     assert_eq!(out.len() % block, 0, "for_each_block: buffer not a multiple of block");
     let n_items = out.len() / block;
+    let fill = |item0: usize, shard: &mut [f32]| {
+        for (k, blk) in shard.chunks_mut(block).enumerate() {
+            f(item0 + k, blk);
+        }
+    };
     let nt = plan(n_items, work);
     if nt <= 1 {
-        for (i, blk) in out.chunks_mut(block).enumerate() {
-            f(i, blk);
-        }
-        return;
+        return fill(0, out);
     }
-    thread::scope(|s| {
-        let first_end = shard_end(n_items, nt, 1);
-        let (mine, mut rest) = out.split_at_mut(first_end * block);
-        let mut start = first_end;
-        for t in 1..nt {
-            let end = shard_end(n_items, nt, t + 1);
-            let (shard, tail) = rest.split_at_mut((end - start) * block);
-            rest = tail;
-            let f = &f;
-            let item0 = start;
-            s.spawn(move || {
-                let _guard = suppress_nested();
-                for (k, blk) in shard.chunks_mut(block).enumerate() {
-                    f(item0 + k, blk);
-                }
-            });
-            start = end;
-        }
-        // shard 0 runs on the calling thread while the workers run theirs
-        let _guard = suppress_nested();
-        for (k, blk) in mine.chunks_mut(block).enumerate() {
-            f(k, blk);
-        }
-    });
+    let mut shards = Vec::with_capacity(nt);
+    let mut rest = out;
+    for t in 0..nt {
+        let (i0, i1) = (shard_end(n_items, nt, t), shard_end(n_items, nt, t + 1));
+        let (shard, tail) = mem::take(&mut rest).split_at_mut((i1 - i0) * block);
+        shards.push((i0, shard));
+        rest = tail;
+    }
+    run_shards(shards, |(i0, shard)| fill(i0, shard));
 }
 
 /// Split `out` into consecutive *ragged* spans and call `f(span_index,
@@ -232,44 +489,31 @@ where
         "for_each_span: ends must finish at the buffer length"
     );
     assert!(ends.windows(2).all(|w| w[0] <= w[1]), "for_each_span: ends must be non-decreasing");
+    let offset = |item: usize| if item == 0 { 0 } else { ends[item - 1] };
+    // spans i0..i1, laid out in `shard` from offset(i0) on
+    let fill = |items: Range<usize>, shard: &mut [f32]| {
+        let base = offset(items.start);
+        let mut start = 0;
+        for i in items {
+            let end = ends[i] - base;
+            f(i, &mut shard[start..end]);
+            start = end;
+        }
+    };
     let n_items = ends.len();
     let nt = plan(n_items, work);
     if nt <= 1 {
-        let mut start = 0;
-        for (i, &end) in ends.iter().enumerate() {
-            f(i, &mut out[start..end]);
-            start = end;
-        }
-        return;
+        return fill(0..n_items, out);
     }
-    thread::scope(|s| {
-        let item_end = |t: usize| shard_end(n_items, nt, t);
-        let offset = |item: usize| if item == 0 { 0 } else { ends[item - 1] };
-        let (mine, mut rest) = out.split_at_mut(offset(item_end(1)));
-        for t in 1..nt {
-            let (i0, i1) = (item_end(t), item_end(t + 1));
-            let (shard, tail) = rest.split_at_mut(offset(i1) - offset(i0));
-            rest = tail;
-            let f = &f;
-            s.spawn(move || {
-                let _guard = suppress_nested();
-                let base = offset(i0);
-                let mut start = 0;
-                for (i, &e) in ends.iter().enumerate().take(i1).skip(i0) {
-                    let end = e - base;
-                    f(i, &mut shard[start..end]);
-                    start = end;
-                }
-            });
-        }
-        // shard 0 runs on the calling thread while the workers run theirs
-        let _guard = suppress_nested();
-        let mut start = 0;
-        for (i, &end) in ends[..item_end(1)].iter().enumerate() {
-            f(i, &mut mine[start..end]);
-            start = end;
-        }
-    });
+    let mut shards = Vec::with_capacity(nt);
+    let mut rest = out;
+    for t in 0..nt {
+        let (i0, i1) = (shard_end(n_items, nt, t), shard_end(n_items, nt, t + 1));
+        let (shard, tail) = mem::take(&mut rest).split_at_mut(offset(i1) - offset(i0));
+        shards.push((i0..i1, shard));
+        rest = tail;
+    }
+    run_shards(shards, |(items, shard)| fill(items, shard));
 }
 
 /// Compute `f(0), f(1), …, f(n-1)` sharded over the worker pool and return
@@ -284,31 +528,14 @@ where
     if nt <= 1 {
         return (0..n).map(f).collect();
     }
-    thread::scope(|s| {
-        let mut handles = Vec::with_capacity(nt - 1);
-        for t in 1..nt {
-            let range: Range<usize> = shard_end(n, nt, t)..shard_end(n, nt, t + 1);
-            let f = &f;
-            handles.push(s.spawn(move || {
-                let _guard = suppress_nested();
-                range.map(f).collect::<Vec<T>>()
-            }));
-        }
-        let mut out = Vec::with_capacity(n);
-        {
-            let _guard = suppress_nested();
-            for i in 0..shard_end(n, nt, 1) {
-                out.push(f(i));
-            }
-        }
-        for h in handles {
-            match h.join() {
-                Ok(part) => out.extend(part),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        out
-    })
+    let mut parts: Vec<Vec<T>> = (0..nt).map(|_| Vec::new()).collect();
+    let shards: Vec<(Range<usize>, &mut Vec<T>)> = parts
+        .iter_mut()
+        .enumerate()
+        .map(|(t, part)| (shard_end(n, nt, t)..shard_end(n, nt, t + 1), part))
+        .collect();
+    run_shards(shards, |(items, part)| *part = items.map(&f).collect());
+    parts.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
@@ -479,6 +706,78 @@ mod tests {
     fn parallel_map_of_zero_items_is_empty() {
         let got: Vec<usize> = with_threads(4, || parallel_map(0, BIG, |i| i));
         assert!(got.is_empty());
+    }
+
+    /// How many pool workers the calling thread owns.
+    fn workers_on_this_thread() -> usize {
+        WORKERS.with(|w| w.borrow().len())
+    }
+
+    #[test]
+    fn a_thousand_regions_keep_threads_minus_one_workers() {
+        let serial: Vec<usize> = (0..64).map(|i| i * 3).collect();
+        for threads in [2usize, 3] {
+            with_threads(threads, || {
+                for _ in 0..1000 {
+                    assert_eq!(parallel_map(64, BIG, |i| i * 3), serial);
+                }
+            });
+        }
+        assert!(workers_on_this_thread() <= 2, "{} workers", workers_on_this_thread());
+    }
+
+    #[test]
+    fn a_panicking_shard_propagates_and_the_pool_stays_usable() {
+        let mut serial = vec![0.0f32; 64];
+        for (i, v) in serial.iter_mut().enumerate() {
+            *v = i as f32;
+        }
+        with_threads(3, || {
+            // the panicking block lies in the last shard, on a worker
+            let caught = std::panic::catch_unwind(|| {
+                let mut out = vec![0.0f32; 64];
+                for_each_block(&mut out, 1, BIG, |i, b| {
+                    assert_ne!(i, 60, "boom at 60");
+                    b[0] = i as f32;
+                });
+            });
+            let message = caught.expect_err("the shard's panic must reach the caller");
+            assert!(message.downcast_ref::<String>().is_some_and(|m| m.contains("boom at 60")));
+            let mut out = vec![0.0f32; 64];
+            for_each_block(&mut out, 1, BIG, |i, b| b[0] = i as f32);
+            assert_eq!(out, serial);
+        });
+    }
+
+    #[test]
+    fn concurrent_callers_each_get_serial_results() {
+        let serial: Vec<u64> = (0..301u64).map(|i| i * i + 7).collect();
+        std::thread::scope(|s| {
+            for caller in 0..4usize {
+                let serial = &serial;
+                s.spawn(move || {
+                    for round in 0..200 {
+                        let threads = 2 + (caller + round) % 2;
+                        let got = with_threads(threads, || {
+                            parallel_map(301, BIG, |i| (i * i) as u64 + 7)
+                        });
+                        assert_eq!(&got, serial, "caller {caller}, round {round}");
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn more_threads_than_cores_finish() {
+        let mut out = vec![0.0f32; 8 * 16];
+        with_threads(8, || {
+            for _ in 0..50 {
+                for_each_block(&mut out, 16, BIG, |i, b| b.fill(i as f32));
+            }
+        });
+        let want: Vec<f32> = (0..8 * 16).map(|k| (k / 16) as f32).collect();
+        assert_eq!(out, want);
     }
 
     #[test]

@@ -183,7 +183,7 @@ struct EpochOutcome {
 }
 
 /// One full pass: shuffle (pure in `(seed, epoch)`), assemble minibatches
-/// in parallel, run the serial fwd/bwd loop under the non-finite guard.
+/// in parallel, run the fwd/bwd loop (sharded kernels) under the non-finite guard.
 #[allow(clippy::too_many_arguments)]
 fn run_epoch(
     model: &mut dyn Module,
@@ -204,8 +204,9 @@ fn run_epoch(
     let mut hits = 0usize;
     let mut count = 0usize;
     // pre-assemble the epoch's minibatches in parallel (pure data work);
-    // the forward/backward loop below is serial because the autograd
-    // graph is `Rc`-based, but its kernels shard internally
+    // the forward/backward loop below runs on this thread because the
+    // autograd graph is `Rc`-based, but every kernel of a step that
+    // touches a whole activation shards over this thread's worker pool
     let chunks: Vec<&[usize]> = order.chunks(config.batch_size).collect();
     let sample_len = dataset.samples[order[0]].data.data().len();
     let work = order.len() * sample_len * 8;

@@ -21,6 +21,7 @@
 #   DL005  unwrap/expect/assert on the serving request path
 #   DL006  retry loops without backoff on the serving request path
 #   DL007  materialised transpose as a matmul operand in hot-path crates
+#   DL008  per-call OS threads in kernel crates, outside the worker pool
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

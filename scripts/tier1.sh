@@ -13,7 +13,7 @@
 #      the output shape, and row 0 of [x, 0, 0] bitwise equal to x alone)
 #      plus its self-test of seeded negatives
 #   7. the static-analysis gate (scripts/lint.sh): dhg-lint self-test and
-#      clean-repo scan (DL001-DL007 with lint.allow), and the analyzer's
+#      clean-repo scan (DL001-DL008 with lint.allow), and the analyzer's
 #      --budget check that every model's predicted peak workspace fits
 #      the serve cap
 #   8. rustdoc with warnings denied (broken intra-doc links fail the gate)

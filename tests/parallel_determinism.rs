@@ -158,6 +158,119 @@ fn dhgcn_training_step_is_bitwise_identical_across_thread_counts() {
     }
 }
 
+/// The shape the newly sharded kernels are pinned at: 614,400 elements,
+/// above MIN_PARALLEL_WORK, over 16 samples, 48 channels and 768 rows.
+const BIG: [usize; 4] = [16, 48, 32, 25];
+
+/// Run `f` at every thread count above 1 and compare each of its arrays
+/// with the 1-thread run, bit for bit.
+fn assert_sharded_matches_serial(what: &str, f: impl Fn() -> Vec<(&'static str, NdArray)>) {
+    let serial = with_threads(1, &f);
+    for t in THREADS.into_iter().filter(|&t| t > 1) {
+        for ((name, s), (_, p)) in serial.iter().zip(with_threads(t, &f)) {
+            assert_bitwise_eq(s, &p, &format!("{what}: {name}, threads = {t}"));
+        }
+    }
+}
+
+#[test]
+fn sharded_elementwise_kernels_are_bitwise_identical() {
+    assert!(BIG.iter().product::<usize>() >= MIN_PARALLEL_WORK);
+    let x = random_array(&BIG, 21);
+    let y = random_array(&BIG, 22);
+    let bias = random_array(&[BIG[1]], 23);
+    assert_sharded_matches_serial("elementwise", || {
+        let mut scaled = x.clone();
+        scaled.add_assign_scaled(&y, -0.37);
+        let mut biased = x.clone();
+        biased.add_channel_bias(bias.data());
+        let mut squared = x.clone();
+        squared.map_inplace(|v| v * v - 0.5);
+        vec![
+            ("map", x.map(|v| v.max(0.0) * 1.5 - 0.25)),
+            ("zip_map", x.zip_map(&y, |a, b| a * b - a / (1.0 + b.abs()))),
+            ("add_assign_scaled", scaled),
+            ("add_channel_bias", biased),
+            ("map_inplace", squared),
+        ]
+    });
+    // ReLU's backward masks the gradient in place (zip_map_inplace)
+    assert_sharded_matches_serial("relu", || {
+        let xt = Tensor::param(x.clone());
+        let out = xt.relu();
+        out.mul(&Tensor::constant(y.clone())).sum_all().backward();
+        vec![("forward", out.array()), ("backward", xt.grad().unwrap())]
+    });
+}
+
+#[test]
+fn broadcast_binops_are_bitwise_identical_with_the_operand_on_either_side() {
+    // per channel, per (channel, frame) row, per trailing plane, per joint
+    let full = random_array(&BIG, 31);
+    for (i, small_shape) in
+        [&[1, 48, 1, 1][..], &[48, 32, 1], &[32, 25], &[1, 1, 1, 25]].into_iter().enumerate()
+    {
+        let small = random_array(small_shape, 32 + i as u64);
+        assert_sharded_matches_serial(&format!("broadcast {small_shape:?}"), || {
+            vec![
+                ("full - small", full.sub(&small)),
+                ("small - full", small.sub(&full)),
+                ("full * small", full.mul(&small)),
+                ("small / full", small.div(&full)),
+            ]
+        });
+    }
+}
+
+#[test]
+fn permutes_are_bitwise_identical_on_both_paths() {
+    let x = random_array(&BIG, 41);
+    // the first three swap adjacent axis groups (block transpose), the
+    // last two walk the odometer
+    for perm in [[0, 2, 3, 1], [0, 2, 1, 3], [0, 3, 1, 2], [2, 0, 3, 1], [3, 1, 0, 2]] {
+        assert_sharded_matches_serial(&format!("permute {perm:?}"), || {
+            vec![("out", x.permute(&perm))]
+        });
+    }
+}
+
+#[test]
+fn batch_norm_train_is_bitwise_identical_forward_and_backward() {
+    let x0 = random_array(&BIG, 51);
+    let (g0, b0) = (random_array(&[BIG[1]], 52), random_array(&[BIG[1]], 53));
+    let r = Tensor::constant(random_array(&BIG, 54));
+    assert_sharded_matches_serial("batch_norm_train", || {
+        let (x, gamma, beta) =
+            (Tensor::param(x0.clone()), Tensor::param(g0.clone()), Tensor::param(b0.clone()));
+        let (y, mean, var) = x.batch_norm_train(&gamma, &beta, 1e-5);
+        y.mul(&r).sum_all().backward();
+        vec![
+            ("y", y.array()),
+            ("mean", mean),
+            ("var", var),
+            ("dx", x.grad().unwrap()),
+            ("dgamma", gamma.grad().unwrap()),
+            ("dbeta", beta.grad().unwrap()),
+        ]
+    });
+}
+
+#[test]
+fn sharded_reductions_are_bitwise_identical() {
+    // kept runs with a long inner stretch (a conv's bias gradient) and
+    // with inner = 1 (a shared [V, V] operator's gradient)
+    let x = random_array(&BIG, 61);
+    let m = random_array(&[512, 25, 25], 62);
+    assert_sharded_matches_serial("sum_axes", || {
+        vec![
+            ("[N, C, T, V] -> [1, C, 1, 1]", x.sum_axes(&[0, 2, 3], true)),
+            ("[N, C, T, V] -> [T, V]", x.sum_axes(&[0, 1], false)),
+            ("[512, V, V] -> [1, V, V]", m.sum_axes(&[0], true)),
+            ("reduce_to_shape [C, 1, 1]", x.clone().reduce_to_shape(&[48, 1, 1])),
+        ]
+    });
+}
+
 #[test]
 fn dynamic_operators_are_bitwise_identical_across_thread_counts() {
     // T = 96 frames over the NTU-25 static hypergraph clears the threshold
