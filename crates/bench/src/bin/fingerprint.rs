@@ -18,6 +18,9 @@
 //!   wrong channel count, joint count and rank;
 //! * `train.step<k>` — the loss, every gradient and the BatchNorm
 //!   buffers of two SGD steps;
+//! * `train.call` — every epoch loss and every parameter after one short
+//!   [`dhg_train::train`] call (two epochs of three minibatches, drawn
+//!   from the call's buffer pool);
 //! * `logits.b<n>.t<k>` — `InferenceSession::logits` at batch `n` and
 //!   `k` worker threads.
 //!
@@ -27,10 +30,10 @@
 use dhg_core::common::ModelDims;
 use dhg_core::{BranchConfig, Dhgcn, DhgcnConfig, PartConv, TopologyGranularity};
 use dhg_nn::{analyze, Module, Plan, Sgd, SgdConfig, SymShape};
-use dhg_skeleton::SkeletonTopology;
+use dhg_skeleton::{SkeletonDataset, SkeletonTopology, Stream};
 use dhg_tensor::{NdArray, Tensor};
 use dhg_train::zoo::Zoo;
-use dhg_train::InferenceSession;
+use dhg_train::{InferenceSession, TrainConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -158,6 +161,32 @@ fn fingerprint(c: &Config) {
         }
         print(c, &format!("train.step{step}"), h.0);
     }
+
+    // one short training call, as the table harness trains
+    let corpus = if v == 25 {
+        SkeletonDataset::ntu60_like(5, 2, FRAMES, 11)
+    } else {
+        SkeletonDataset::kinetics_like(5, 2, FRAMES, 11)
+    };
+    let config = TrainConfig {
+        epochs: 2,
+        batch_size: 4,
+        sgd: SgdConfig::default(),
+        lr_milestones: vec![1],
+        seed: 7,
+        verbose: false,
+    };
+    let mut m = (c.build)();
+    let all: Vec<usize> = (0..corpus.len()).collect();
+    let report = dhg_train::train(&mut *m, &corpus, &all, Stream::Joint, &config);
+    print(c, "train.call", {
+        let mut h = Fnv::new();
+        h.floats(&report.epoch_losses);
+        for p in m.parameters() {
+            h.array(&p.data());
+        }
+        h.0
+    });
 
     // served logits after one warming forward
     let warm = (c.build)();

@@ -35,13 +35,11 @@ impl Module for Dropout {
             return x.clone();
         }
         let shape = x.shape();
-        let n: usize = shape.iter().product();
         let keep = 1.0 - self.p;
         let scale = 1.0 / keep;
         let mut rng = self.rng.borrow_mut();
-        let mask_data: Vec<f32> =
-            (0..n).map(|_| if rng.gen::<f32>() < keep { scale } else { 0.0 }).collect();
-        let mask = Tensor::constant(NdArray::from_vec(mask_data, &shape));
+        let mask = NdArray::from_fn(&shape, |_| if rng.gen::<f32>() < keep { scale } else { 0.0 });
+        let mask = Tensor::constant(mask);
         x.mul(&mask)
     }
 

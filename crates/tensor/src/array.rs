@@ -269,6 +269,38 @@ fn reduce_blocked(src: &[f32], out: &mut [f32], (_, mid, inner): (usize, usize, 
     });
 }
 
+/// `(outer, reduced, inner)` when the dims `reduce` marks, size-1 dims
+/// aside, form one contiguous run of `shape`: the array then reads as
+/// `[outer, reduced, inner]` and its sum over them as `[outer, inner]`.
+fn reduced_run(shape: &[usize], reduce: &[bool]) -> Option<(usize, usize, usize)> {
+    let summed = |d: usize| reduce[d] && shape[d] != 1;
+    let a = (0..shape.len()).find(|&d| summed(d))?;
+    let b = (0..shape.len()).rev().find(|&d| summed(d))? + 1;
+    if (a..b).any(|d| shape[d] != 1 && !summed(d)) {
+        return None;
+    }
+    Some((shape[..a].iter().product(), shape[a..b].iter().product(), shape[b..].iter().product()))
+}
+
+/// Add `src`, read as `[outer, reduced, inner]`, into the zeros of `out`
+/// (`[outer, inner]`), summing over `reduced`: each output element adds
+/// its rows in ascending reduced index, the order the odometer in
+/// [`NdArray::sum_axes`] uses. One outer block per closure call, sharded
+/// over the worker pool.
+fn reduce_middle(src: &[f32], out: &mut [f32], (_, reduced, inner): (usize, usize, usize)) {
+    if out.is_empty() {
+        return;
+    }
+    let block = reduced * inner;
+    crate::parallel::for_each_block(out, inner, src.len(), |o, dst| {
+        for row in src[o * block..(o + 1) * block].chunks_exact(inner) {
+            for (d, &v) in dst.iter_mut().zip(row) {
+                *d += v;
+            }
+        }
+    });
+}
+
 impl NdArray {
     // ------------------------------------------------------------------
     // Construction
@@ -294,6 +326,15 @@ impl NdArray {
             }
             None => Storage { data: vec![value; n], pooled: false },
         };
+        s.array(shape.to_vec())
+    }
+
+    /// An array of `shape` whose elements are `f(0), f(1), …` in row-major
+    /// order, called serially in that order.
+    pub fn from_fn(shape: &[usize], f: impl FnMut(usize) -> f32) -> Self {
+        let n = numel(shape);
+        let mut s = Storage::empty(n);
+        s.data.extend((0..n).map(f));
         s.array(shape.to_vec())
     }
 
@@ -676,6 +717,18 @@ impl NdArray {
         if self.shape == target {
             return self;
         }
+        self.reduced_to_shape(target)
+    }
+
+    /// [`NdArray::reduce_to_shape`] of a borrowed array: an array already
+    /// of the target shape is copied, into storage from the installed
+    /// workspace when there is one (unlike `clone`).
+    pub(crate) fn reduced_to_shape(&self, target: &[usize]) -> Self {
+        if self.shape == target {
+            let mut s = Storage::empty(self.len());
+            s.data.extend_from_slice(&self.data);
+            return s.array(self.shape.clone());
+        }
         let nd = self.ndim();
         let offset = nd - target.len();
         // sum over the leading extra dims and over stretched dims
@@ -762,9 +815,10 @@ impl NdArray {
     /// order, starting from zero. When the kept dims form one contiguous
     /// run (`[N, C, H, W]` → `[1, C, 1, 1]`, `[N, T, V, V]` →
     /// `[1, 1, V, V]`), a blocked loop walks the input as
-    /// `[outer, kept, inner]`; every other pattern walks an index
-    /// odometer. Both keep that order, so the result is the same bits
-    /// either way.
+    /// `[outer, kept, inner]`; when the summed dims do (`[N, T, V, E]` →
+    /// `[N, 1, V, E]`), one walks it as `[outer, summed, inner]`; every
+    /// other pattern walks an index odometer. All keep that order, so the
+    /// result is the same bits either way.
     pub fn sum_axes(&self, axes: &[usize], keepdim: bool) -> Self {
         if axes.is_empty() {
             return self.clone();
@@ -780,6 +834,8 @@ impl NdArray {
         let mut out = NdArray::zeros(&kept_shape);
         if let Some(run) = broadcast_run(&kept_shape, &self.shape) {
             reduce_blocked(&self.data, &mut out.data, run);
+        } else if let Some(run) = reduced_run(&self.shape, &reduce) {
+            reduce_middle(&self.data, &mut out.data, run);
         } else {
             let out_strides_full = contiguous_strides(&kept_shape);
             let out_strides: Vec<usize> =
@@ -1635,7 +1691,6 @@ mod tests {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             (state >> 33) % bound
         };
-        let mut ws = crate::Workspace::new();
         for rank in 2..=5 {
             for perm in permutations(rank) {
                 // random extents in 1..=5 (size-1 axes included), then one
@@ -1655,8 +1710,9 @@ mod tests {
                     assert_eq!(got_bits, want, "permute {perm:?} of {shape:?}");
                     // from an installed workspace, a dirty buffer is fully
                     // overwritten
-                    ws.give(vec![f32::NAN; n + 3]);
+                    let mut ws = nan_workspace(&[n]);
                     ws.install(|| assert_eq!(x.permute(&perm), got, "pooled permute {perm:?} of {shape:?}"));
+                    assert_eq!(ws.misses(), 1, "the permute reused the NaN buffer");
                 }
             }
         }
@@ -1722,6 +1778,52 @@ mod tests {
         let s2 = a.sum_axes(&[0, 2], false);
         assert_eq!(s2.shape(), &[3]);
         assert_eq!(s2.data()[0], (1..=4).sum::<i32>() as f32 + (13..=16).sum::<i32>() as f32);
+    }
+
+    /// The serial odometer of [`NdArray::sum_axes`]: every input element
+    /// added, in row-major order, into its output element's zero.
+    fn sum_reference(x: &NdArray, axes: &[usize]) -> Vec<f32> {
+        let kept: Vec<usize> =
+            (0..x.ndim()).map(|d| if axes.contains(&d) { 1 } else { x.shape()[d] }).collect();
+        let strides = contiguous_strides(&kept);
+        let mut out = vec![0.0f32; numel(&kept)];
+        for (flat, &v) in x.data().iter().enumerate() {
+            let (mut rem, mut dst) = (flat, 0);
+            for d in (0..x.ndim()).rev() {
+                dst += (rem % x.shape()[d]) * strides[d] * usize::from(kept[d] != 1);
+                rem /= x.shape()[d];
+            }
+            out[dst] += v;
+        }
+        out
+    }
+
+    #[test]
+    fn sum_axes_over_a_middle_run_matches_the_odometer() {
+        // kept dims on both sides of the summed ones, size-1 dims between,
+        // and the embedding (T over [N, T, V, E]) and operator-gradient
+        // (T over [N, T, V, V]) sums of a DHGCN step
+        let cases: [(&[usize], &[usize]); 6] = [
+            (&[2, 3, 4, 5], &[1]),
+            (&[2, 3, 4, 5], &[1, 2]),
+            (&[3, 1, 4, 1, 2], &[2, 3]),
+            (&[3, 4, 1, 5, 2], &[1, 2, 3]),
+            (&[4, 32, 25, 24], &[1]),
+            (&[2, 32, 25, 25], &[1]),
+        ];
+        for (shape, axes) in cases {
+            let n = numel(shape);
+            // mixed magnitudes, so a different addend order changes bits
+            let x = NdArray::from_vec((0..n).map(|i| (i as f32 * 0.73).sin() * 10f32.powi(i as i32 % 5 - 2)).collect(), shape);
+            assert!(reduced_run(shape, &(0..shape.len()).map(|d| axes.contains(&d)).collect::<Vec<_>>()).is_some());
+            let want: Vec<u32> = sum_reference(&x, axes).iter().map(|v| v.to_bits()).collect();
+            let got: Vec<u32> = x.sum_axes(axes, true).data().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "sum over {axes:?} of {shape:?}");
+        }
+        // interleaved patterns still take the odometer
+        assert_eq!(reduced_run(&[2, 3, 4], &[true, false, true]), None);
+        let x = NdArray::from_vec((0..24).map(|i| i as f32).collect(), &[2, 3, 4]);
+        assert_eq!(x.sum_axes(&[0, 2], true).data(), &sum_reference(&x, &[0, 2])[..]);
     }
 
     #[test]
@@ -1953,12 +2055,23 @@ mod tests {
         );
     }
 
+    /// A workspace whose pool holds one NaN-filled buffer of each length.
+    fn nan_workspace(lens: &[usize]) -> crate::Workspace {
+        let mut ws = crate::Workspace::new();
+        let bufs: Vec<Vec<f32>> = lens.iter().map(|&n| ws.take(n)).collect();
+        for mut b in bufs {
+            b.fill(f32::NAN);
+            ws.give(b);
+        }
+        ws
+    }
+
     #[test]
     fn installed_workspace_reuses_dirty_buffers_correctly() {
-        // Products of both kernels and a smaller follow-up product run in
-        // buffers recycled through an installed workspace; stale garbage
-        // from a larger buffer must never leak into results.
-        let mut ws = crate::Workspace::new();
+        // Products of both kernels run in NaN buffers recycled through an
+        // installed workspace (the outputs and the packed B image); stale
+        // values must never leak into results.
+        let mut ws = nan_workspace(&[12 * 9, crate::gemm::packed_b_len(7, 9), 200]);
         let a = NdArray::from_vec((0..12 * 7).map(|i| (i as f32).sin()).collect(), &[12, 7]);
         let b = NdArray::from_vec((0..7 * 9).map(|i| (i as f32).cos()).collect(), &[7, 9]);
         let expect = a.matmul(&b);
@@ -1967,7 +2080,6 @@ mod tests {
         sp[40] = -1.0;
         let sparse = NdArray::from_vec(sp, &[12, 7]);
         let expect_sp = sparse.matmul(&b);
-        ws.give(vec![f32::NAN; 200]);
         ws.install(|| {
             for _ in 0..3 {
                 assert_eq!(a.matmul(&b), expect);
@@ -1976,6 +2088,7 @@ mod tests {
             assert_eq!(sparse.matmul(&b), expect_sp);
             assert_eq!(NdArray::zeros(&[4, 50]), NdArray::from_vec(vec![0.0; 200], &[4, 50]));
         });
+        assert_eq!(ws.misses(), 3, "every take after the seeding reused a NaN buffer");
         assert!(ws.pooled() > 0, "dropped arrays go back to the installed workspace");
         assert_eq!(ws.live_bytes(), 0, "every pooled buffer came back");
     }

@@ -21,19 +21,23 @@ impl Backward for BinOp {
         let a = ctx.parents[0].data();
         let b = ctx.parents[1].data();
         // gb first: it only reads `g`, which ga may then take
-        let gb = ctx.parents[1].requires_grad().then(|| match self.kind {
-            BinKind::Add => g.clone(),
-            BinKind::Sub => g.mul_scalar(-1.0),
-            BinKind::Mul => g.mul(&a),
-            // d/db (a/b) = -a / b²
-            BinKind::Div => g.mul(&a).mul_scalar(-1.0).div(&b).div(&b),
+        let gb = ctx.parents[1].requires_grad().then(|| {
+            let gb = match self.kind {
+                // a copy of `g` (in workspace storage), or its sum
+                BinKind::Add => return g.reduced_to_shape(b.shape()),
+                BinKind::Sub => g.mul_scalar(-1.0),
+                BinKind::Mul => g.mul(&a),
+                // d/db (a/b) = -a / b²
+                BinKind::Div => g.mul(&a).mul_scalar(-1.0).div(&b).div(&b),
+            };
+            gb.reduce_to_shape(b.shape())
         });
         let ga = ctx.parents[0].requires_grad().then(|| match self.kind {
             BinKind::Add | BinKind::Sub => g,
             BinKind::Mul => g.mul(&b),
             BinKind::Div => g.div(&b),
         });
-        vec![ga.map(|g| g.reduce_to_shape(a.shape())), gb.map(|g| g.reduce_to_shape(b.shape()))]
+        vec![ga.map(|g| g.reduce_to_shape(a.shape())), gb]
     }
 
     fn name(&self) -> &'static str {

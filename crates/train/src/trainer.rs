@@ -34,7 +34,7 @@ use crate::eval::EvalResult;
 use dhg_nn::fault::{FaultPlan, FaultSite};
 use dhg_nn::{Module, Sgd, SgdConfig, StepLr};
 use dhg_skeleton::{batch_samples, SkeletonDataset, SkeletonSample, Stream};
-use dhg_tensor::Tensor;
+use dhg_tensor::{Tensor, Workspace};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -184,6 +184,11 @@ struct EpochOutcome {
 
 /// One full pass: shuffle (pure in `(seed, epoch)`), assemble minibatches
 /// in parallel, run the fwd/bwd loop (sharded kernels) under the non-finite guard.
+///
+/// Runs inside the caller's training [`Workspace`] (see [`pooled`]): each
+/// step's activations, gradients and packed GEMM operands are drawn from
+/// it and go back to it when the step's graph is dropped, so from the
+/// second step on they reuse the previous step's memory.
 #[allow(clippy::too_many_arguments)]
 fn run_epoch(
     model: &mut dyn Module,
@@ -203,8 +208,9 @@ fn run_epoch(
     let mut skipped = 0u64;
     let mut hits = 0usize;
     let mut count = 0usize;
-    // pre-assemble the epoch's minibatches in parallel (pure data work);
-    // the forward/backward loop below runs on this thread because the
+    // pre-assemble the epoch's minibatches in parallel (pure data work, in
+    // plain heap memory: the workers have no workspace installed); the
+    // forward/backward loop below runs on this thread because the
     // autograd graph is `Rc`-based, but every kernel of a step that
     // touches a whole activation shards over this thread's worker pool
     let chunks: Vec<&[usize]> = order.chunks(config.batch_size).collect();
@@ -215,6 +221,8 @@ fn run_epoch(
             chunks[ci].iter().map(|&i| &dataset.samples[i]).collect();
         batch_samples(&refs, stream, &dataset.topology)
     });
+    // a step's graph (every activation and the logits) is dropped at the
+    // end of its iteration, returning its buffers for the next step
     for (x, labels) in prepared {
         let input = Tensor::constant(x);
         let logits = model.forward(&input);
@@ -266,6 +274,26 @@ pub fn train(
     config: &TrainConfig,
 ) -> TrainReport {
     assert!(!indices.is_empty(), "empty training split");
+    pooled(|| train_epochs(model, dataset, indices, stream, config))
+}
+
+/// Run `f` with one training [`Workspace`] ([`Workspace::for_training`])
+/// installed on the calling thread: its residency is capped by the
+/// high-water mark of its own loans, about one step's activations and
+/// gradients. Arrays drawn from it that outlive `f` (BatchNorm running
+/// statistics) free their storage normally.
+fn pooled<R>(f: impl FnOnce() -> R) -> R {
+    Workspace::for_training().install(f)
+}
+
+/// The body of [`train`], inside its workspace.
+fn train_epochs(
+    model: &mut dyn Module,
+    dataset: &SkeletonDataset,
+    indices: &[usize],
+    stream: Stream,
+    config: &TrainConfig,
+) -> TrainReport {
     let mut optimizer = Sgd::new(model.parameters(), config.sgd);
     let schedule = StepLr::new(config.sgd.lr, config.lr_milestones.clone(), 0.1);
     let mut epoch_losses = Vec::with_capacity(config.epochs);
@@ -355,6 +383,17 @@ pub fn train_resumable(
     rcfg: &ResumableConfig,
 ) -> Result<TrainReport, TrainError> {
     assert!(!indices.is_empty(), "empty training split");
+    pooled(|| resume_or_start(model, dataset, indices, stream, rcfg))
+}
+
+/// The body of [`train_resumable`], inside its workspace.
+fn resume_or_start(
+    model: &mut dyn Module,
+    dataset: &SkeletonDataset,
+    indices: &[usize],
+    stream: Stream,
+    rcfg: &ResumableConfig,
+) -> Result<TrainReport, TrainError> {
     let config = &rcfg.train;
     std::fs::create_dir_all(&rcfg.dir).map_err(|e| {
         TrainError::Checkpoint(checkpoint::CheckpointError::Io {

@@ -12,12 +12,15 @@
 #      a serving audit through InferenceSession::logits: zero graph nodes,
 #      the output shape, and row 0 of [x, 0, 0] bitwise equal to x alone)
 #      plus its self-test of seeded negatives
-#   7. the static-analysis gate (scripts/lint.sh): dhg-lint self-test and
+#   7. thread-count determinism: the fingerprint bin (FNV-64 lines of every
+#      zoo model's checkpoint, plans, training steps, a short training
+#      call and served logits) at DHGCN_THREADS=1 and =3, diffed
+#   8. the static-analysis gate (scripts/lint.sh): dhg-lint self-test and
 #      clean-repo scan (DL001-DL008 with lint.allow), and the analyzer's
 #      --budget check that every model's predicted peak workspace fits
 #      the serve cap
-#   8. rustdoc with warnings denied (broken intra-doc links fail the gate)
-#   9. perfbench, the repository benchmark, built and tested against this
+#   9. rustdoc with warnings denied (broken intra-doc links fail the gate)
+#  10. perfbench, the repository benchmark, built and tested against this
 #      checkout (its own Cargo package, so no step above compiles it;
 #      --locked refuses to rewrite its lockfile)
 #
@@ -46,6 +49,11 @@ cargo bench -p dhg-bench -- --test
 echo "== tier1: static model-graph analysis =="
 cargo run --release -q -p dhg-bench --bin analyze
 cargo run --release -q -p dhg-bench --bin analyze -- --self-test
+
+echo "== tier1: fingerprint at 1 and 3 threads =="
+DHGCN_THREADS=1 cargo run --release -q -p dhg-bench --bin fingerprint > target/fingerprint.t1
+DHGCN_THREADS=3 cargo run --release -q -p dhg-bench --bin fingerprint > target/fingerprint.t3
+diff target/fingerprint.t1 target/fingerprint.t3
 
 echo "== tier1: static-analysis gate (dhg-lint + workspace budget) =="
 scripts/lint.sh

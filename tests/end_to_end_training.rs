@@ -129,3 +129,64 @@ fn eval_mode_survives_training_roundtrip() {
     let b = evaluate(&model, &dataset, &split.test, Stream::Joint);
     assert_eq!(a, b, "evaluation must be deterministic after training");
 }
+
+#[test]
+fn pooled_training_steps_are_bitwise_the_unpooled_ones() {
+    // A training workspace recycles buffers that hold an earlier step's
+    // values, not zeros: every kernel must overwrite (or zero) what it
+    // draws. Four steps of forward + cross_entropy + backward + Sgd::step
+    // inside an installed pool must match the same steps on the plain
+    // heap in every loss, gradient, parameter and BatchNorm buffer bit.
+    use dhgcn::skeleton::{batch_samples, SkeletonSample};
+    use dhgcn::tensor::parallel::with_threads;
+    use dhgcn::tensor::Workspace;
+    let dataset = SkeletonDataset::ntu60_like(4, 4, 16, 23);
+    let batches: Vec<(NdArray, Vec<usize>)> = dataset
+        .samples
+        .chunks(4)
+        .map(|chunk| {
+            let refs: Vec<&SkeletonSample> = chunk.iter().collect();
+            batch_samples(&refs, Stream::Joint, &dataset.topology)
+        })
+        .collect();
+    let tiny = Zoo::tiny(dataset.topology.clone(), dataset.n_classes, 3);
+    let full = Zoo::new(dataset.topology.clone(), dataset.n_classes, 3);
+    let build = |which: &str| -> Box<dyn Module> {
+        match which {
+            "DHGCN (Zoo::new)" => Box::new(full.dhgcn()),
+            name => tiny.by_name(name).expect("zoo model"),
+        }
+    };
+    let run = |which: &str| -> Vec<u32> {
+        let mut model = build(which);
+        model.set_training(true);
+        let params = model.parameters();
+        let mut sgd = Sgd::new(params.clone(), SgdConfig::default());
+        let mut bits = Vec::new();
+        for (x, labels) in &batches {
+            let loss = model.forward(&Tensor::constant(x.clone())).cross_entropy(labels);
+            bits.push(loss.item().to_bits());
+            loss.backward();
+            for p in &params {
+                bits.extend(p.grad().expect("every parameter gets a gradient").data().iter().map(|v| v.to_bits()));
+            }
+            sgd.step();
+            for p in &params {
+                bits.extend(p.data().data().iter().map(|v| v.to_bits()));
+            }
+            for b in model.buffers() {
+                bits.extend(b.borrow().data().iter().map(|v| v.to_bits()));
+            }
+        }
+        bits
+    };
+    for which in ["DHGCN", "DHGCN-lite", "ST-GCN", "2s-AGCN", "DHGCN (Zoo::new)"] {
+        for threads in [1, 2] {
+            let plain = with_threads(threads, || run(which));
+            let mut ws = Workspace::for_training();
+            let pooled = with_threads(threads, || ws.install(|| run(which)));
+            assert!(ws.pooled() > 0, "{which}: the steps drew from the pool");
+            assert_eq!(pooled, plain, "{which} at {threads} thread(s): pooled bits differ");
+        }
+    }
+}

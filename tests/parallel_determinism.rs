@@ -259,14 +259,20 @@ fn batch_norm_train_is_bitwise_identical_forward_and_backward() {
 fn sharded_reductions_are_bitwise_identical() {
     // kept runs with a long inner stretch (a conv's bias gradient) and
     // with inner = 1 (a shared [V, V] operator's gradient)
+    // and summed runs between kept dims (the per-sample time average of
+    // the topology embeddings, per-sample operator gradients)
     let x = random_array(&BIG, 61);
     let m = random_array(&[512, 25, 25], 62);
+    let e = random_array(&[16, 32, 25, 24], 63);
+    let g = random_array(&[16, 32, 25, 25], 64);
     assert_sharded_matches_serial("sum_axes", || {
         vec![
             ("[N, C, T, V] -> [1, C, 1, 1]", x.sum_axes(&[0, 2, 3], true)),
             ("[N, C, T, V] -> [T, V]", x.sum_axes(&[0, 1], false)),
             ("[512, V, V] -> [1, V, V]", m.sum_axes(&[0], true)),
             ("reduce_to_shape [C, 1, 1]", x.clone().reduce_to_shape(&[48, 1, 1])),
+            ("[N, T, V, E] -> [N, 1, V, E]", e.sum_axes(&[1], true)),
+            ("reduce_to_shape [N, 1, V, V]", g.clone().reduce_to_shape(&[16, 1, 25, 25])),
         ]
     });
 }
