@@ -725,9 +725,7 @@ impl NdArray {
     /// workspace when there is one (unlike `clone`).
     pub(crate) fn reduced_to_shape(&self, target: &[usize]) -> Self {
         if self.shape == target {
-            let mut s = Storage::empty(self.len());
-            s.data.extend_from_slice(&self.data);
-            return s.array(self.shape.clone());
+            return self.reshape(target);
         }
         let nd = self.ndim();
         let offset = nd - target.len();
@@ -1691,6 +1689,7 @@ mod tests {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             (state >> 33) % bound
         };
+        let mut ws = crate::Workspace::new();
         for rank in 2..=5 {
             for perm in permutations(rank) {
                 // random extents in 1..=5 (size-1 axes included), then one
@@ -1709,10 +1708,13 @@ mod tests {
                     let got_bits: Vec<u32> = got.data().iter().map(|v| v.to_bits()).collect();
                     assert_eq!(got_bits, want, "permute {perm:?} of {shape:?}");
                     // from an installed workspace, a dirty buffer is fully
-                    // overwritten
-                    let mut ws = nan_workspace(&[n]);
+                    // overwritten: a larger one in a serving workspace, one
+                    // of the exact length in a training workspace
+                    ws.give(vec![f32::NAN; n + 3]);
                     ws.install(|| assert_eq!(x.permute(&perm), got, "pooled permute {perm:?} of {shape:?}"));
-                    assert_eq!(ws.misses(), 1, "the permute reused the NaN buffer");
+                    let mut tws = nan_workspace(crate::Workspace::for_training(), &[n]);
+                    tws.install(|| assert_eq!(x.permute(&perm), got, "training permute {perm:?} of {shape:?}"));
+                    assert_eq!(tws.misses(), 1, "the permute reused the NaN buffer");
                 }
             }
         }
@@ -2055,9 +2057,8 @@ mod tests {
         );
     }
 
-    /// A workspace whose pool holds one NaN-filled buffer of each length.
-    fn nan_workspace(lens: &[usize]) -> crate::Workspace {
-        let mut ws = crate::Workspace::new();
+    /// `ws` with one NaN-filled buffer of each length pooled.
+    fn nan_workspace(mut ws: crate::Workspace, lens: &[usize]) -> crate::Workspace {
         let bufs: Vec<Vec<f32>> = lens.iter().map(|&n| ws.take(n)).collect();
         for mut b in bufs {
             b.fill(f32::NAN);
@@ -2068,10 +2069,11 @@ mod tests {
 
     #[test]
     fn installed_workspace_reuses_dirty_buffers_correctly() {
-        // Products of both kernels run in NaN buffers recycled through an
-        // installed workspace (the outputs and the packed B image); stale
-        // values must never leak into results.
-        let mut ws = nan_workspace(&[12 * 9, crate::gemm::packed_b_len(7, 9), 200]);
+        // Products of both kernels and a smaller follow-up product run in
+        // buffers recycled through an installed workspace; stale garbage
+        // from a larger buffer (serving) or from one of the exact length
+        // (training: the outputs and the packed B image) must never leak
+        // into results.
         let a = NdArray::from_vec((0..12 * 7).map(|i| (i as f32).sin()).collect(), &[12, 7]);
         let b = NdArray::from_vec((0..7 * 9).map(|i| (i as f32).cos()).collect(), &[7, 9]);
         let expect = a.matmul(&b);
@@ -2080,17 +2082,25 @@ mod tests {
         sp[40] = -1.0;
         let sparse = NdArray::from_vec(sp, &[12, 7]);
         let expect_sp = sparse.matmul(&b);
-        ws.install(|| {
-            for _ in 0..3 {
-                assert_eq!(a.matmul(&b), expect);
-            }
-            // sparse operand -> row kernel, same recycled buffers
-            assert_eq!(sparse.matmul(&b), expect_sp);
-            assert_eq!(NdArray::zeros(&[4, 50]), NdArray::from_vec(vec![0.0; 200], &[4, 50]));
-        });
+        let check = |ws: &mut crate::Workspace| {
+            ws.install(|| {
+                for _ in 0..3 {
+                    assert_eq!(a.matmul(&b), expect);
+                }
+                // sparse operand -> row kernel, same recycled buffers
+                assert_eq!(sparse.matmul(&b), expect_sp);
+                assert_eq!(NdArray::zeros(&[4, 50]), NdArray::from_vec(vec![0.0; 200], &[4, 50]));
+            });
+            assert!(ws.pooled() > 0, "dropped arrays go back to the installed workspace");
+            assert_eq!(ws.live_bytes(), 0, "every pooled buffer came back");
+        };
+        let mut ws = crate::Workspace::new();
+        ws.give(vec![f32::NAN; 200]);
+        check(&mut ws);
+        let lens = [12 * 9, crate::gemm::packed_b_len(7, 9), 200];
+        let mut ws = nan_workspace(crate::Workspace::for_training(), &lens);
+        check(&mut ws);
         assert_eq!(ws.misses(), 3, "every take after the seeding reused a NaN buffer");
-        assert!(ws.pooled() > 0, "dropped arrays go back to the installed workspace");
-        assert_eq!(ws.live_bytes(), 0, "every pooled buffer came back");
     }
 
     #[test]

@@ -53,17 +53,15 @@
 //!
 //! ## Pack-buffer lifetime
 //!
-//! Panels live in a thread-local arena of at most two buffers (a one-shot
-//! product's B image and the A panels): drawn with `pack_take` (they are
-//! fully overwritten, including edge-tile zero padding, so no zeroing is
-//! needed) and returned with `pack_give`. A buffer grows to the largest
-//! panel its thread packs and keeps that capacity. Every packing thread is
-//! long-lived — the serving workers, any serial caller, and the persistent
-//! workers of [`crate::parallel`], which keep their arenas from one region
-//! to the next — so packing runs with **zero steady-state allocation**.
-//! The arena is not a [`crate::Workspace`]: a workspace never grows a
-//! buffer, and a panel's size changes with every product shape.
+//! Panels live in a thread-local [`Workspace`] arena: drawn with
+//! [`Workspace::take`] (they are fully overwritten, including edge-tile
+//! zero padding, so the zeroed variant would be a redundant memset) and
+//! returned on exit. Every packing thread is long-lived — the serving
+//! workers, any serial caller, and the persistent workers of
+//! [`crate::parallel`], which keep their arenas from one region to the
+//! next — so packing runs with **zero steady-state allocation**.
 
+use crate::workspace::Workspace;
 use std::cell::RefCell;
 
 /// Microkernel register-tile rows (A panel width).
@@ -78,22 +76,7 @@ pub const RB_MAX: usize = 96;
 
 thread_local! {
     /// Per-thread pack arena; see the module docs on lifetime.
-    static PACK_ARENA: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
-}
-
-/// A pack buffer of `len` elements with unspecified contents from the
-/// calling thread's arena: the most recently returned one, grown if it is
-/// too short (only the growth is zero-filled).
-fn pack_take(len: usize) -> Vec<f32> {
-    let mut buf = PACK_ARENA.with(|arena| arena.borrow_mut().pop()).unwrap_or_default();
-    buf.truncate(len);
-    buf.resize(len, 0.0);
-    buf
-}
-
-/// Return a buffer from [`pack_take`] to the calling thread's arena.
-fn pack_give(buf: Vec<f32>) {
-    PACK_ARENA.with(|arena| arena.borrow_mut().push(buf));
+    static PACK_ARENA: RefCell<Workspace> = RefCell::new(Workspace::new());
 }
 
 /// Row-block size for sharding `nb` batches of `m`-row matrices over
@@ -164,7 +147,7 @@ impl<'a> Operand<'a> {
 /// `pc` sits at float offset `pc * n.div_ceil(NR) * NR`; within it, panel
 /// `s` holds `bp[.. + s·NR·kc + p·NR + j]` = `b[pc+p, s·NR+j]`, columns
 /// past the matrix edge packed as zeros. Every position is written, so
-/// `bp` may come back dirty from a [`crate::Workspace`].
+/// `bp` may come back dirty from a [`Workspace`].
 ///
 /// A row-major `b` is read one depth row at a time; a stored transpose one
 /// output column at a time (each a contiguous run of its stored row).
@@ -212,7 +195,7 @@ pub fn pack_b_full(b: Operand<'_>, bp: &mut [f32], n: usize, k: usize) {
 /// Compute one row-block `c = a · b_packed` where `a` is a logical `mb×k`
 /// matrix and `bp` is the [`pack_b_full`] image of a `[k, n]` B. `c` may
 /// be dirty: the first `pc` block *assigns* and later blocks accumulate,
-/// so callers can draw it with [`crate::Workspace::take`]. Only the A panels are
+/// so callers can draw it with [`Workspace::take`]. Only the A panels are
 /// packed here (into the thread-local arena) — this is the function each
 /// parallel row-block worker runs.
 pub fn gemm_block_prepacked(a: Operand<'_>, bp: &[f32], c: &mut [f32], mb: usize, n: usize, k: usize) {
@@ -228,40 +211,42 @@ pub fn gemm_block_prepacked(a: Operand<'_>, bp: &[f32], c: &mut [f32], mb: usize
     let n_padded = n.div_ceil(NR) * NR;
     let kc_max = k.min(KC);
     let a_panels = mb.div_ceil(MR);
-    let mut apack = pack_take(a_panels * MR * kc_max);
-    let fma = have_avx2_fma();
-    let mut pc = 0;
-    while pc < k {
-        let kc = kc_max.min(k - pc);
-        pack_a(a, pc, kc, mb, &mut apack);
-        let first = pc == 0;
-        let block = &bp[pc * n_padded..(pc + kc) * n_padded];
-        for q in 0..a_panels {
-            let i0 = q * MR;
-            let mr_eff = MR.min(mb - i0);
-            let apanel = &apack[q * MR * kc..(q + 1) * MR * kc];
-            for s in 0..n.div_ceil(NR) {
-                let j0 = s * NR;
-                let nr_eff = NR.min(n - j0);
-                let bpanel = &block[s * NR * kc..(s + 1) * NR * kc];
-                let mut acc = [[0.0f32; NR]; MR];
-                if fma {
-                    // SAFETY: have_avx2_fma() verified avx2+fma.
-                    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-                    unsafe {
-                        microkernel_fma(apanel, bpanel, kc, &mut acc);
+    PACK_ARENA.with(|arena| {
+        let mut apack = arena.borrow_mut().take(a_panels * MR * kc_max);
+        let fma = have_avx2_fma();
+        let mut pc = 0;
+        while pc < k {
+            let kc = kc_max.min(k - pc);
+            pack_a(a, pc, kc, mb, &mut apack);
+            let first = pc == 0;
+            let block = &bp[pc * n_padded..(pc + kc) * n_padded];
+            for q in 0..a_panels {
+                let i0 = q * MR;
+                let mr_eff = MR.min(mb - i0);
+                let apanel = &apack[q * MR * kc..(q + 1) * MR * kc];
+                for s in 0..n.div_ceil(NR) {
+                    let j0 = s * NR;
+                    let nr_eff = NR.min(n - j0);
+                    let bpanel = &block[s * NR * kc..(s + 1) * NR * kc];
+                    let mut acc = [[0.0f32; NR]; MR];
+                    if fma {
+                        // SAFETY: have_avx2_fma() verified avx2+fma.
+                        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+                        unsafe {
+                            microkernel_fma(apanel, bpanel, kc, &mut acc);
+                        }
+                        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+                        microkernel_portable(apanel, bpanel, kc, &mut acc);
+                    } else {
+                        microkernel_portable(apanel, bpanel, kc, &mut acc);
                     }
-                    #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-                    microkernel_portable(apanel, bpanel, kc, &mut acc);
-                } else {
-                    microkernel_portable(apanel, bpanel, kc, &mut acc);
+                    store_tile(&acc, c, n, i0, j0, mr_eff, nr_eff, first);
                 }
-                store_tile(&acc, c, n, i0, j0, mr_eff, nr_eff, first);
             }
+            pc += kc;
         }
-        pc += kc;
-    }
-    pack_give(apack);
+        arena.borrow_mut().give(apack);
+    });
 }
 
 /// Convenience wrapper over [`pack_b_full`] + [`gemm_block_prepacked`]
@@ -277,10 +262,10 @@ pub fn gemm_block(a: Operand<'_>, b: Operand<'_>, c: &mut [f32], mb: usize, n: u
         c.fill(0.0);
         return;
     }
-    let mut bp = pack_take(packed_b_len(k, n));
+    let mut bp = PACK_ARENA.with(|arena| arena.borrow_mut().take(packed_b_len(k, n)));
     pack_b_full(b, &mut bp, n, k);
     gemm_block_prepacked(a, &bp, c, mb, n, k);
-    pack_give(bp);
+    PACK_ARENA.with(|arena| arena.borrow_mut().give(bp));
 }
 
 /// Pack `a[0..mb, pc..pc+kc]` into MR-row panels laid out k-major:

@@ -185,7 +185,7 @@ struct EpochOutcome {
 /// One full pass: shuffle (pure in `(seed, epoch)`), assemble minibatches
 /// in parallel, run the fwd/bwd loop (sharded kernels) under the non-finite guard.
 ///
-/// Runs inside the caller's training [`Workspace`] (see [`pooled`]): each
+/// Runs inside the caller's training [`Workspace`] (see [`train`]): each
 /// step's activations, gradients and packed GEMM operands are drawn from
 /// it and go back to it when the step's graph is dropped, so from the
 /// second step on they reuse the previous step's memory.
@@ -274,16 +274,12 @@ pub fn train(
     config: &TrainConfig,
 ) -> TrainReport {
     assert!(!indices.is_empty(), "empty training split");
-    pooled(|| train_epochs(model, dataset, indices, stream, config))
-}
-
-/// Run `f` with one training [`Workspace`] ([`Workspace::for_training`])
-/// installed on the calling thread: its residency is capped by the
-/// high-water mark of its own loans, about one step's activations and
-/// gradients. Arrays drawn from it that outlive `f` (BatchNorm running
-/// statistics) free their storage normally.
-fn pooled<R>(f: impl FnOnce() -> R) -> R {
-    Workspace::for_training().install(f)
+    // one training workspace for all epochs: the memory it holds is
+    // capped by the high-water mark of its own loans, about one step's
+    // activations and gradients; arrays drawn from it that outlive the
+    // call (BatchNorm running statistics) give their storage to whichever
+    // workspace is installed when they are dropped, or free it
+    Workspace::for_training().install(|| train_epochs(model, dataset, indices, stream, config))
 }
 
 /// The body of [`train`], inside its workspace.
@@ -383,7 +379,8 @@ pub fn train_resumable(
     rcfg: &ResumableConfig,
 ) -> Result<TrainReport, TrainError> {
     assert!(!indices.is_empty(), "empty training split");
-    pooled(|| resume_or_start(model, dataset, indices, stream, rcfg))
+    // one training workspace for all epochs, as in `train`
+    Workspace::for_training().install(|| resume_or_start(model, dataset, indices, stream, rcfg))
 }
 
 /// The body of [`train_resumable`], inside its workspace.
